@@ -15,11 +15,12 @@ from .data import Dataset, SeedPartition
 from .engine import RunResult
 from .models import (
     ModelFamily,
+    PassScores,
     data_log_likelihood,
     init_from_seeds,
     init_new_class,
     m_step,
-    posterior,
+    posterior,  # noqa: F401 - kept as a module attribute: benchmarks/ trace it by name
 )
 
 
@@ -37,7 +38,6 @@ class CrpConfig:
     rng_seed: int = 0
     burn_in: int = 0
     kappa_init: float = 1.0
-    refresh_per_instance: bool = False  # study flag; default is per-epoch (block)
 
     def __post_init__(self):
         if not (0.0 < self.p_new < 1.0):
@@ -82,12 +82,13 @@ def mod_crp_pick(
 
 def crp_gibbs(d: Dataset, p: SeedPartition, cfg: CrpConfig) -> RunResult:
     """Seeded Gibbs sampling over unlabeled labels with on-the-fly class
-    creation. Parameters are refreshed once per epoch (block style) unless
-    refresh_per_instance is set; the last epoch's labels are the output."""
+    creation. Parameters are refreshed once per epoch (block style), so an
+    epoch's posteriors change only when a class opens; the last epoch's
+    labels are the output."""
     t_start = time.perf_counter()
     p.validate(d)
     n = len(d)
-    unlabeled = sorted(p.unlabeled_idx)
+    unlabeled = np.array(sorted(p.unlabeled_idx), dtype=np.int64)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, 11]))
 
     state = init_from_seeds(d, p, cfg.family, cfg.kappa_init)
@@ -102,18 +103,23 @@ def crp_gibbs(d: Dataset, p: SeedPartition, cfg: CrpConfig) -> RunResult:
     class_trace: list[int] = []
 
     for epoch in range(1, cfg.num_epochs + 1):
-        for i in unlabeled:
-            x = d.instances[i]
-            post = posterior(state, x)
+        scores = PassScores(state, d, unlabeled)
+        start = 0
+        while start < len(unlabeled):
+            post = scores.posteriors(state, start)
             if not np.all(np.isfinite(post)):
                 raise FloatingPointError(f"non-finite posterior at epoch {epoch}")
-            label, created = pick(cfg.p_new, post, rng)
-            if created:
-                params = init_new_class(x, cfg.family, d.vocab_size, cfg.kappa_init)
-                label = state.add_class(params, n)
-            state.assignments[i] = label
-            if cfg.refresh_per_instance:
-                state = m_step(state, d)
+            for row in post:
+                i = unlabeled[start]
+                label, created = pick(cfg.p_new, row, rng)
+                if created:
+                    params = init_new_class(d.instances[i], cfg.family, d.vocab_size, cfg.kappa_init)
+                    label = state.add_class(params, n)
+                    scores.add_class(state, start)
+                state.assignments[i] = label
+                start += 1
+                if created:
+                    break  # the rows after it must see the new class
         # refresh parameters and prune emptied introduced classes
         state = m_step(state, d)
         ll_trace.append(data_log_likelihood(state, d))

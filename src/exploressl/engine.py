@@ -5,24 +5,36 @@ semi-supervised baseline with optional extra randomly-initialized classes.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .criteria import Criterion, CriterionConfig, CriterionKind, js_criterion, minmax_criterion, never_fires
+from .criteria import (
+    Criterion,
+    CriterionConfig,
+    CriterionKind,
+    js_fires,
+    minmax_fires,
+    never_fires,
+)
 from .data import Dataset, SeedPartition
 from .models import (
     ModelFamily,
     ModelState,
+    PassScores,
     data_log_likelihood,
     init_from_seeds,
     init_new_class,
     m_step,
-    posterior,
+    posterior,  # noqa: F401 - kept as a module attribute: benchmarks/ trace it by name
+    posteriors,
 )
 from .selection import SelectionCriterion, accept_exploratory, score_with_fallback
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -60,14 +72,40 @@ def _free_params(family: ModelFamily, m: int, vocab_size: int) -> int:
     return base + m if family is ModelFamily.VMF else base
 
 
-def _assign_argmax(state: ModelState, d: Dataset, indices) -> int:
-    """Argmax-assign the given instances; returns how many changed."""
+def _e_step(
+    state: ModelState,
+    d: Dataset,
+    rows: np.ndarray,
+    kappa_init: float,
+    fires: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
+) -> int:
+    """Hard E-step over `rows` in order; returns how many assignments changed.
+
+    Without `fires` every row takes its argmax class. With it, the first row
+    it flags opens a new class seeded by that instance and takes it; the rows
+    after it are scored again with the new class and the rescaled priors, so
+    each row sees the model exactly as a one-at-a-time pass would leave it.
+    """
+    scores = PassScores(state, d, rows)
     changed = 0
-    for i in indices:
-        j = int(np.argmax(posterior(state, d.instances[i])))
-        if state.assignments[i] != j:
-            changed += 1
-        state.assignments[i] = j
+    start = 0
+    while start < len(rows):
+        post = scores.posteriors(state, start)
+        hits = np.flatnonzero(fires(post, start)) if fires is not None else ()
+        stop = start + (hits[0] if len(hits) else len(post))
+        idx = rows[start:stop]
+        labels = post[: stop - start].argmax(axis=1)
+        changed += int(np.count_nonzero(state.assignments[idx] != labels))
+        state.assignments[idx] = labels
+        if len(hits):
+            i = rows[stop]
+            params = init_new_class(d.instances[i], state.family, d.vocab_size, kappa_init)
+            j = state.add_class(params, len(d))
+            changed += int(state.assignments[i] != j)
+            state.assignments[i] = j
+            scores.add_class(state, stop)
+            stop += 1
+        start = stop
     return changed
 
 
@@ -81,7 +119,7 @@ def _run_em(
     t_start = time.perf_counter()
     p.validate(d)
     n = len(d)
-    unlabeled = sorted(p.unlabeled_idx)
+    unlabeled = np.array(sorted(p.unlabeled_idx), dtype=np.int64)
 
     state = init_from_seeds(d, p, cfg.family, cfg.kappa_init)
 
@@ -97,7 +135,7 @@ def _run_em(
     if state.num_classes == 0:
         # no seeded classes at all: bootstrap one class from the first
         # unlabeled instance so the run proceeds as plain clustering
-        if not (allow_creation and unlabeled):
+        if not (allow_creation and len(unlabeled)):
             raise ValueError("no seeded classes and no way to create any")
         first = unlabeled[0]
         state.add_class(
@@ -108,7 +146,8 @@ def _run_em(
 
     # initial hard labels for the unlabeled pool, so the first baseline
     # likelihood is well defined
-    _assign_argmax(state, d, unlabeled)
+    _e_step(state, d, unlabeled, cfg.kappa_init)
+    ll = data_log_likelihood(state, d)
 
     can_add = allow_creation
     latched_at: Optional[int] = None
@@ -116,25 +155,17 @@ def _run_em(
     class_trace: list[int] = []
     prev_score: Optional[float] = None
     prev_m: Optional[int] = None
+    aic_fallback_logged = False
 
     iterations = 0
     for t in range(1, cfg.max_iterations + 1):
         iterations = t
         m_old = state.num_classes
-        baseline_ll = data_log_likelihood(state, d)
+        # the state is unchanged since the likelihood of the last M-step
+        baseline_ll = ll
 
-        changed = 0
-        for i in unlabeled:
-            x = d.instances[i]
-            post = posterior(state, x)
-            if can_add and criterion(post):
-                params = init_new_class(x, cfg.family, d.vocab_size, cfg.kappa_init)
-                j = state.add_class(params, n)
-            else:
-                j = int(np.argmax(post))
-            if state.assignments[i] != j:
-                changed += 1
-            state.assignments[i] = j
+        fires = criterion.for_pass(len(unlabeled)) if can_add else None
+        changed = _e_step(state, d, unlabeled, cfg.kappa_init, fires)
 
         m_new = state.num_classes
         explore_ll = data_log_likelihood(state, d)
@@ -145,15 +176,23 @@ def _run_em(
         v_new = _free_params(cfg.family, m_new, d.vocab_size)
         sel = cfg.selection
         if sel is SelectionCriterion.AICC and n <= max(v_old, v_new) + 1:
-            sel = SelectionCriterion.AIC  # score_with_fallback warns once per call
+            # both gate scores must use one criterion, so the engine falls
+            # back here rather than per score in score_with_fallback
+            sel = SelectionCriterion.AIC
+            if not aic_fallback_logged:
+                log.warning(
+                    "AICc undefined (n=%d <= v+1=%d); the selection gate uses AIC",
+                    n, max(v_old, v_new) + 1,
+                )
+                aic_fallback_logged = True
         explore_score = score_with_fallback(explore_ll, v_new, n, sel)
         baseline_score = score_with_fallback(baseline_ll, v_old, n, sel)
 
         if not accept_exploratory(explore_score, baseline_score):
             if m_new > m_old:
                 state.truncate(m_old)
-                dropped = [i for i in unlabeled if state.assignments[i] >= m_old]
-                _assign_argmax(state, d, dropped)
+                dropped = unlabeled[state.assignments[unlabeled] >= m_old]
+                _e_step(state, d, dropped, cfg.kappa_init)
             if can_add and latched_at is None:
                 latched_at = t
             can_add = False
@@ -222,13 +261,13 @@ def calibrate_random_rate(
     criterion for the same partition."""
     if reference is CriterionKind.RANDOM:
         raise ValueError("reference must be minmax or js")
-    ref = minmax_criterion if reference is CriterionKind.MINMAX else js_criterion
+    ref = minmax_fires if reference is CriterionKind.MINMAX else js_fires
     state = init_from_seeds(d, p, family, kappa_init)
-    unlabeled = sorted(p.unlabeled_idx)
-    if not unlabeled:
+    unlabeled = np.array(sorted(p.unlabeled_idx), dtype=np.int64)
+    if not len(unlabeled):
         return 0.0
-    fires = sum(1 for i in unlabeled if ref(posterior(state, d.instances[i])))
-    return fires / len(unlabeled)
+    post = posteriors(state, (d.matrix() @ state.vectors.T)[unlabeled])
+    return int(np.count_nonzero(ref(post))) / len(unlabeled)
 
 
 def best_extra_classes_sweep(

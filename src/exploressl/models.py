@@ -1,10 +1,12 @@
 """Pluggable cluster-model families: multinomial NB, seeded K-Means with an
 inner-product posterior, and hard-EM von Mises-Fisher on the unit sphere.
 
-All three expose the same surface: posterior over classes for one instance,
-initialization from seeds, single-point new-class initialization, an M-step,
-a complete-data log-likelihood under hard assignments, and a free-parameter
-count for penalized model selection.
+All three expose the same surface: class posteriors for a batch of
+instances, computed from one sparse product of the dataset's CSR matrix with
+the class vectors (one instance is the batch of one), initialization from
+seeds, single-point new-class initialization, an M-step, a complete-data
+log-likelihood under hard assignments, and a free-parameter count for
+penalized model selection.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .data import Dataset, Norm, SeedPartition, SparseVector, normalize_dataset,
 KAPPA_MIN = 1e-2
 KAPPA_MAX = 1e4
 KMEANS_LL_EPS = 1e-12  # floor inside log() for the K-Means likelihood surrogate
+E_STEP_CHUNK = 512  # the most pass positions whose posteriors are computed together
 
 
 class ModelFamily(Enum):
@@ -198,26 +201,108 @@ def _banerjee_kappa(rbar: float, dim: int) -> float:
     return float(min(max(kappa, KAPPA_MIN), KAPPA_MAX))
 
 
-def posterior(state: ModelState, x: SparseVector) -> np.ndarray:
-    """P(C_j | x) over all live classes; non-negative, sums to 1."""
+def posteriors(state: ModelState, scores: np.ndarray) -> np.ndarray:
+    """P(C_j | x_i) over all live classes, one row per instance; each row is
+    non-negative and sums to 1.
+
+    scores[i, j] is the inner product x_i . vectors[j], as PassScores computes
+    it. A K-Means row whose scores are all non-positive is uniform."""
     m = state.num_classes
     if m == 0:
         raise ValueError("model has no classes")
-    idx, val = x.indices, x.values
     if state.family is ModelFamily.NB:
-        logits = np.log(state.priors) + state.vectors[:, idx] @ val
-        logits -= logits.max()
-        p = np.exp(logits)
+        logits = np.log(state.priors) + scores
     elif state.family is ModelFamily.KMEANS:
-        sims = state.vectors[:, idx] @ val
-        p = state.priors * np.maximum(sims, 0.0)
-        if p.sum() <= 0.0:
-            return np.full(m, 1.0 / m)  # all inner products zero: uniform fallback
+        p = state.priors * np.maximum(scores, 0.0)
+        total = p.sum(axis=1, keepdims=True)
+        fallback = total[:, 0] <= 0.0
+        p[fallback] = 1.0
+        total[fallback] = m
+        return p / total
     else:
-        logits = np.log(state.priors) + state.kappas * (state.vectors[:, idx] @ val)
-        logits -= logits.max()
-        p = np.exp(logits)
-    return p / p.sum()
+        logits = np.log(state.priors) + state.kappas * scores
+    logits -= logits.max(axis=1, keepdims=True)
+    p = np.exp(logits)
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def posterior(state: ModelState, x: SparseVector) -> np.ndarray:
+    """P(C_j | x) over all live classes for one instance: the one-row case of
+    posteriors()."""
+    row = sp.csr_matrix(
+        (x.values, x.indices, [0, x.nnz]), shape=(1, state.vocab_size)
+    )
+    return posteriors(state, row @ state.vectors.T)[0]
+
+
+class PassScores:
+    """Posteriors of the rows `rows` of a dataset, in pass order, for one
+    E-step pass, handed out a chunk at a time.
+
+    The scores of the classes that exist when the pass starts come from one
+    sparse product over the dataset's cached CSR matrix. The pass is worked
+    in windows of at most E_STEP_CHUNK positions, and each window takes its
+    rows of that product. A class opened during the pass is scored on the
+    window's rows of the matrix, copied when the first class opens in the
+    window, and on every later window. Every score is the same sequential
+    dot product over a row's stored entries, so a row's posterior does not
+    depend on how the pass is split.
+
+    A class opened at one position makes the posteriors of the rest of its
+    chunk stale. So a chunk ends with its window and is at most twice as
+    long as the distance from its start back to the last opening: a pass
+    that opens a class every few rows computes each posterior a few times at
+    most, and a pass that rarely opens one soon returns to whole windows.
+    """
+
+    SPARE_COLUMNS = 64  # room for classes opened while a window is held
+
+    def __init__(self, state: ModelState, d: Dataset, rows: np.ndarray):
+        self._X = d.matrix()
+        self._rows = rows
+        self._base = self._X @ state.vectors.T  # (len(d), classes at the start)
+        self._opened_at = -E_STEP_CHUNK
+        self._window = (0, 0)  # the pass positions that _scores holds
+        self._scores = self._base[:0]  # (window rows, >= live classes)
+        self._window_X = None  # the window's rows of X, once a class opens
+
+    def _load(self, state: ModelState, start: int) -> None:
+        stop = min(len(self._rows), start + E_STEP_CHUNK)
+        m0, m = self._base.shape[1], state.num_classes
+        self._window = (start, stop)
+        self._window_X = None
+        self._scores = np.empty((stop - start, m + self.SPARE_COLUMNS))
+        self._scores[:, :m0] = self._base[self._rows[start:stop]]
+        if m > m0:
+            self._scores[:, m0:m] = self._rows_of_window() @ state.vectors[m0:].T
+
+    def _rows_of_window(self) -> sp.csr_matrix:
+        if self._window_X is None:
+            start, stop = self._window
+            self._window_X = self._X[self._rows[start:stop]]
+        return self._window_X
+
+    def add_class(self, state: ModelState, pos: int) -> None:
+        """Score from now on the class appended to state last, which the row
+        at pass position pos (in the last chunk handed out) opened."""
+        self._opened_at = pos
+        m = state.num_classes
+        if m > self._scores.shape[1]:
+            wider = np.empty((len(self._scores), m + self.SPARE_COLUMNS))
+            wider[:, : m - 1] = self._scores[:, : m - 1]
+            self._scores = wider
+        self._scores[:, m - 1] = self._rows_of_window() @ state.vectors[-1]
+
+    def posteriors(self, state: ModelState, start: int) -> np.ndarray:
+        """posteriors() of the chunk of pass positions that begins at start."""
+        w_start, w_stop = self._window
+        if not w_start <= start < w_stop:
+            self._load(state, start)
+            w_start, w_stop = self._window
+        stop = min(w_stop, start + 2 * (start - self._opened_at))
+        return posteriors(
+            state, self._scores[start - w_start : stop - w_start, : state.num_classes]
+        )
 
 
 def init_from_seeds(

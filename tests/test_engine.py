@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,26 @@ class TestExploratoryEm:
         tail = r.ll_trace[latch - 1 :]
         assert all(b >= a - 1e-8 for a, b in zip(tail, tail[1:]))
 
+
+    def test_aicc_fallback_logged_once_per_run(self, caplog):
+        # n=240 <= v+1 at V=2000, so the gate scores with AIC in every
+        # iteration; the run says so once
+        d = generate_synthetic(SyntheticSpec(6, 40, 2000, separation=3.0, rng_seed=1))
+        p = make_partitions(d, 3, 0.1, 1, 1)[0]
+        with caplog.at_level(logging.WARNING):
+            r = exploratory_em(d, p, minmax_cfg())
+        warnings = [rec for rec in caplog.records if rec.levelno >= logging.WARNING]
+        assert r.iterations_run > 1
+        assert len(warnings) == 1
+        assert warnings[0].name == "exploressl.engine"
+        assert "uses AIC" in warnings[0].getMessage()
+
+    def test_no_fallback_warning_when_aicc_defined(self, caplog):
+        d = generate_synthetic(SyntheticSpec(3, 40, 6, separation=1e6, rng_seed=2))
+        p = make_partitions(d, 2, 0.1, 1, 2)[0]
+        with caplog.at_level(logging.WARNING):
+            exploratory_em(d, p, minmax_cfg())
+        assert not [rec for rec in caplog.records if rec.levelno >= logging.WARNING]
 
 class TestSemisupEm:
     def test_no_unlabeled(self):
