@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from .criteria import js_divergence
+from .criteria import _check_distribution, _js_rows
 from .data import Dataset, SeedPartition
 from .engine import RunResult
 from .models import (
@@ -52,20 +52,27 @@ def crp_pick_standard(
     p_new: float, post: np.ndarray, rng: np.random.Generator
 ) -> tuple[int, bool]:
     """With probability p_new open a new class (returned id = len(post)),
-    otherwise sample an existing class id from the posterior."""
+    otherwise sample an existing class id from the posterior. crp_gibbs
+    draws the same for a whole chunk of rows with pick_chunk."""
     if rng.random() < p_new:
         return len(post), True
     return int(rng.choice(len(post), p=post)), False
 
 
+def mod_new_class_probabilities(p_new: float, post: np.ndarray) -> np.ndarray:
+    """Per row of an (r, k) posterior matrix: q = p_new / (k * d), d = JS
+    divergence of the row from uniform over its k classes, clamped to
+    [0, 1]; a perfectly uniform row (d = 0) gives q = 1."""
+    k = post.shape[1]
+    d = _js_rows(np.full(k, 1.0 / k), post)
+    with np.errstate(divide="ignore"):
+        return np.where(d == 0.0, 1.0, np.minimum(1.0, p_new / (k * d)))
+
+
 def mod_new_class_probability(p_new: float, post: np.ndarray) -> float:
-    """q = p_new / (k * d), d = JS divergence of the posterior from uniform
-    over its k classes, clamped to [0, 1]; a perfectly uniform posterior
-    (d = 0) gives q = 1."""
-    k = len(post)
-    u = np.full(k, 1.0 / k)
-    d = js_divergence(u, post)
-    return 1.0 if d == 0.0 else min(1.0, p_new / (k * d))
+    """mod_new_class_probabilities for one posterior vector."""
+    post = _check_distribution(post, "posterior")
+    return float(mod_new_class_probabilities(p_new, post[None, :])[0])
 
 
 def mod_crp_pick(
@@ -80,6 +87,42 @@ def mod_crp_pick(
     return int(rng.choice(k, p=post)), False
 
 
+# how far a row's sum may stray from 1, as the per-row pick checked it:
+# rng.choice's tolerance under the standard rule, and _check_distribution's
+# (through js_divergence) under the modified rule
+SUM_TOLERANCE = {PickRule.STANDARD: float(np.sqrt(np.finfo(np.float64).eps)),
+                 PickRule.MODIFIED: 1e-9}
+
+
+def pick_chunk(
+    rule: PickRule, p_new: float, post: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, bool]:
+    """The pick step for the rows of an (r, k) posterior chunk in order,
+    drawing from rng exactly what a loop of crp_pick_standard or mod_crp_pick
+    over the rows would draw until one of them opens a class.
+
+    Returns the labels of the rows before the first row that opens a class,
+    and whether a row opens one (the row after those labels). Each row costs
+    a coin against its new-class probability and, on tails, the one uniform
+    that rng.choice compares with the row's normalised cumulative sum."""
+    if not np.all(post >= 0.0):
+        raise ValueError("posterior has negative or NaN entries")
+    if np.any(np.abs(post.sum(axis=1) - 1.0) > SUM_TOLERANCE[rule]):
+        raise ValueError("posterior rows do not sum to 1")
+    q = p_new if rule is PickRule.STANDARD else mod_new_class_probabilities(p_new, post)
+    start_state = rng.bit_generator.state
+    coins, uniforms = rng.random((len(post), 2)).T
+    opens = np.flatnonzero(coins < q)
+    stop = opens[0] if len(opens) else len(post)
+    if len(opens):
+        # rewind to leave the stream where the opening row's coin left it
+        rng.bit_generator.state = start_state
+        rng.random(2 * stop + 1)
+    cdf = np.cumsum(post[:stop], axis=1)
+    cdf = cdf / cdf[:, -1:]
+    return np.count_nonzero(cdf <= uniforms[:stop, None], axis=1), len(opens) > 0
+
+
 def crp_gibbs(d: Dataset, p: SeedPartition, cfg: CrpConfig) -> RunResult:
     """Seeded Gibbs sampling over unlabeled labels with on-the-fly class
     creation. Parameters are refreshed once per epoch (block style), so an
@@ -92,13 +135,10 @@ def crp_gibbs(d: Dataset, p: SeedPartition, cfg: CrpConfig) -> RunResult:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, 11]))
 
     state = init_from_seeds(d, p, cfg.family, cfg.kappa_init)
-    k = state.num_classes
     # random seeded-class start for the unlabeled pool
-    for i in unlabeled:
-        state.assignments[i] = rng.integers(k)
+    state.assignments[unlabeled] = rng.integers(state.num_classes, size=len(unlabeled))
     state = m_step(state, d)
 
-    pick = crp_pick_standard if cfg.pick is PickRule.STANDARD else mod_crp_pick
     ll_trace: list[float] = []
     class_trace: list[int] = []
 
@@ -109,17 +149,17 @@ def crp_gibbs(d: Dataset, p: SeedPartition, cfg: CrpConfig) -> RunResult:
             post = scores.posteriors(state, start)
             if not np.all(np.isfinite(post)):
                 raise FloatingPointError(f"non-finite posterior at epoch {epoch}")
-            for row in post:
-                i = unlabeled[start]
-                label, created = pick(cfg.p_new, row, rng)
-                if created:
-                    params = init_new_class(d.instances[i], cfg.family, d.vocab_size, cfg.kappa_init)
-                    label = state.add_class(params, n)
-                    scores.add_class(state, start)
-                state.assignments[i] = label
-                start += 1
-                if created:
-                    break  # the rows after it must see the new class
+            labels, opens = pick_chunk(cfg.pick, cfg.p_new, post, rng)
+            stop = start + len(labels)
+            state.assignments[unlabeled[start:stop]] = labels
+            if opens:
+                # the rows after it must see the new class
+                i = unlabeled[stop]
+                params = init_new_class(d.instances[i], cfg.family, d.vocab_size, cfg.kappa_init)
+                state.assignments[i] = state.add_class(params, n)
+                scores.add_class(state, stop)
+                stop += 1
+            start = stop
         # refresh parameters and prune emptied introduced classes
         state = m_step(state, d)
         ll_trace.append(data_log_likelihood(state, d))

@@ -70,6 +70,7 @@ class ModelState:
         self.seed_class_ids = seed_class_ids  # gold id per seeded class, None otherwise
         self.assignments = assignments  # (n,), -1 = not yet assigned
         self.kappas = kappas  # (m,), vMF only
+        self._rows = None  # room add_class grows into: vectors is its first m rows
         self._validate()
 
     def _validate(self):
@@ -102,18 +103,25 @@ class ModelState:
         """
         if params.family is not self.family:
             raise ValueError("class params family mismatch")
-        m_new = self.num_classes + 1
-        if m_new == 1:
+        m = self.num_classes
+        if m == 0:
             self.priors = np.array([1.0])
         else:
-            p_new = 2.0 / (n_instances + m_new)
+            p_new = 2.0 / (n_instances + m + 1)
             self.priors = np.append(self.priors * (1.0 - p_new), p_new)
-        self.vectors = np.vstack([self.vectors, params.vector[None, :]])
+        rows = self._rows
+        if rows is None or len(rows) == m or self.vectors.base is not rows:
+            # double the room, so that c openings copy O(c) rows in all
+            rows = np.empty((2 * (m + 1), self.vocab_size))
+            rows[:m] = self.vectors
+            self._rows = rows
+        rows[m] = params.vector
+        self.vectors = rows[: m + 1]
         self.seeded_flags.append(False)
         self.seed_class_ids.append(None)
         if self.family is ModelFamily.VMF:
             self.kappas = np.append(self.kappas, params.kappa)
-        return m_new - 1
+        return m
 
     def copy(self) -> "ModelState":
         return ModelState(
@@ -134,6 +142,7 @@ class ModelState:
         if m_keep < self.num_seeded:
             raise ValueError("cannot truncate below the seeded classes")
         self.vectors = self.vectors[:m_keep]
+        self._rows = None  # never write over rows an earlier vectors showed
         self.priors = self.priors[:m_keep] / self.priors[:m_keep].sum()
         self.seeded_flags = self.seeded_flags[:m_keep]
         self.seed_class_ids = self.seed_class_ids[:m_keep]

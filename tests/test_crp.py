@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exploressl.crp import (
     CrpConfig,
@@ -8,10 +9,11 @@ from exploressl.crp import (
     crp_pick_standard,
     mod_crp_pick,
     mod_new_class_probability,
+    pick_chunk,
 )
 from exploressl.criteria import js_divergence
 from exploressl.data import make_partitions
-from exploressl.models import ModelFamily
+from exploressl.models import ModelFamily, PassScores
 from exploressl.synth import SyntheticSpec, generate_synthetic
 
 
@@ -153,3 +155,127 @@ class TestCrpGibbs:
             CrpConfig(p_new=0.0)
         with pytest.raises(ValueError):
             CrpConfig(p_new=0.5, num_epochs=5, burn_in=5)
+
+
+def _reference_pick(rule, p_new, post, rng):
+    """The per-row pick loop: one crp_pick_standard or mod_crp_pick call
+    (coin, then rng.choice on tails) per row until a row opens a class."""
+    pick = crp_pick_standard if rule is PickRule.STANDARD else mod_crp_pick
+    labels = []
+    for r, row in enumerate(post):
+        label, created = pick(p_new, row, rng)
+        if created:
+            return labels, r
+        labels.append(label)
+    return labels, None
+
+
+def _assert_pick_matches_reference(rule, p_new, post, seed):
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref_labels, ref_opened = _reference_pick(rule, p_new, post, ref_rng)
+    labels, opens = pick_chunk(rule, p_new, post, rng)
+    assert labels.tolist() == ref_labels
+    assert (len(labels) if opens else None) == ref_opened
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return ref_opened
+
+
+@st.composite
+def _chunks(draw):
+    """(r, k) posterior chunks: dense rows, rows with exact zeros (cdf
+    plateaus), peaked rows and exactly uniform rows, mixed per row."""
+    r, k = draw(st.integers(1, 40)), draw(st.integers(1, 8))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = g.random((r, k))
+    kind = g.integers(4, size=r)
+    w[kind == 1] = np.where(g.random((np.sum(kind == 1), k)) < 0.5, 0.0, w[kind == 1])
+    w[kind == 1, g.integers(k)] += 0.1  # keep one entry positive
+    w[kind == 2] **= 8
+    w[kind == 3] = 1.0
+    return w / w.sum(axis=1, keepdims=True)
+
+
+P_NEWS = st.one_of(
+    st.sampled_from([1e-12, 1e-6, 1.0 - 1e-6, 1.0 - 1e-12]), st.floats(1e-6, 1.0 - 1e-6)
+)
+
+
+class TestPickChunk:
+    @given(_chunks(), P_NEWS, st.sampled_from(list(PickRule)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_row_pick(self, post, p_new, rule, seed):
+        _assert_pick_matches_reference(rule, p_new, post, seed)
+
+    @pytest.mark.parametrize(
+        "rule,p_new,post,opened",
+        [
+            # k = 1: the standard rule draws the (forced) choice on tails
+            (PickRule.STANDARD, 1e-12, np.ones((6, 1)), None),
+            # and the modified rule sees d = 0, so q = 1
+            (PickRule.MODIFIED, 1e-12, np.ones((6, 1)), 0),
+            # uniform rows give q = 1 under the modified rule
+            (PickRule.MODIFIED, 1e-12, np.full((5, 4), 0.25), 0),
+            # p_new near 1 opens at row 0, near 0 at no row
+            (PickRule.STANDARD, 1.0 - 1e-12, np.full((5, 3), 1 / 3), 0),
+            (PickRule.STANDARD, 1e-12, np.tile([0.0, 0.5, 0.0, 0.5, 0.0], (30, 1)), None),
+            # peaked rows (q about 1e-12) then a uniform one: opens at the last row
+            (PickRule.MODIFIED, 1e-12,
+             np.vstack([np.tile([1.0, 0.0, 0.0], (9, 1)), np.full((1, 3), 1 / 3)]), 9),
+        ],
+    )
+    def test_edge_chunks(self, rule, p_new, post, opened):
+        for seed in range(20):
+            assert _assert_pick_matches_reference(rule, p_new, post, seed) == opened
+
+    def test_sum_tolerance_per_rule(self):
+        # rng.choice accepts a sum off by sqrt(eps) (about 1.5e-8); the JS
+        # divergence of the modified rule accepts 1e-9
+        post = np.array([[0.5, 0.5 + 1e-8]])
+        labels, _ = pick_chunk(PickRule.STANDARD, 1e-12, post, np.random.default_rng(0))
+        assert len(labels) == 1
+        with pytest.raises(ValueError):
+            pick_chunk(PickRule.MODIFIED, 1e-12, post, np.random.default_rng(0))
+
+
+def _negative(post):
+    post[0, :2] = [post[0, 0] + post[0, 1] + 1e-3, -1e-3]
+
+
+def _off_sum(post):
+    post[-1] *= 1.0 + 1e-6
+
+
+def _nan(post):
+    post[0, 0] = np.nan
+
+
+@pytest.mark.parametrize("rule", list(PickRule))
+@pytest.mark.parametrize(
+    "corrupt,error", [(_negative, ValueError), (_off_sum, ValueError), (_nan, FloatingPointError)]
+)
+def test_gibbs_rejects_bad_posterior_chunks(monkeypatch, rule, corrupt, error):
+    chunk_posteriors = PassScores.posteriors
+
+    def corrupted(self, state, start):
+        post = chunk_posteriors(self, state, start)
+        corrupt(post)
+        return post
+
+    monkeypatch.setattr(PassScores, "posteriors", corrupted)
+    d, p = setup_run(5)
+    cfg = CrpConfig(p_new=0.05, num_epochs=1, pick=rule, family=ModelFamily.NB, rng_seed=1)
+    with pytest.raises(error):
+        crp_gibbs(d, p, cfg)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 7, 20])
+def test_seeded_start_draws_match_one_draw_per_row(k):
+    """crp_gibbs draws the seeded-class start of all unlabeled rows in one
+    call; it yields the values and leaves the generator state of one scalar
+    rng.integers(k) call per row."""
+    for n in (0, 1, 17, 3801):
+        seq = np.random.SeedSequence([k, n, 11])
+        one_per_row, at_once = np.random.default_rng(seq), np.random.default_rng(seq)
+        scalar = np.array([one_per_row.integers(k) for _ in range(n)], dtype=np.int64)
+        assert np.array_equal(at_once.integers(k, size=n), scalar)
+        assert at_once.bit_generator.state == one_per_row.bit_generator.state

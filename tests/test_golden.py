@@ -7,6 +7,13 @@ batched Gibbs posterior and the reuse of the previous likelihood change no
 result. The "blocks" corpus has disjoint vocabulary blocks, so classes open
 in the middle of an E-step pass and change the posteriors of the instances
 after them.
+
+The "wide" corpus has 1740 unlabeled rows, so a Gibbs epoch spans four
+E_STEP_CHUNK windows and classes open in every one of them. Its CRP digests
+were captured from the per-row pick (crp_pick_standard and mod_crp_pick,
+one rng.choice per row) before the batched pick replaced it, so they pin
+down that drawing a chunk's labels at once leaves every label and the RNG
+stream unchanged.
 """
 
 import hashlib
@@ -25,6 +32,7 @@ from exploressl.synth import SyntheticSpec, generate_synthetic
 CORPORA = {
     "overlap": SyntheticSpec(4, 40, 80, separation=4.0, rng_seed=11),
     "blocks": SyntheticSpec(6, 40, 36, separation=1e6, rng_seed=7),
+    "wide": SyntheticSpec(6, 300, 120, separation=4.0, rng_seed=13),
 }
 RUN_SEED = 5
 
@@ -67,6 +75,12 @@ GOLDEN = {
     ("blocks", "vmf", "semisup"): ("99bc6ce54bc0e3db64c2952a6b16a22af5103be80d7b9f6ffb7e43838ff2e5ad", 2, 2, [2, 2]),
     ("blocks", "vmf", "crp-standard"): ("f147c0c22c72c19a2db736101df0bc34f7d66e3d3e87557d9af52ad3d8f83340", 20, 4, [10, 25, 27, 20]),
     ("blocks", "vmf", "crp-modified"): ("0339605d5c997af0f579cb4df2966baedde7358e7c913b9ec9417772c2d71e62", 7, 4, [8, 9, 8, 7]),
+    ("wide", "nb", "crp-standard"): ("2db2a0b9f3a09f87918a4a29e6dad1ebd47f7e86d3983554b39058edb76d4593", 331, 4, [83, 188, 256, 331]),
+    ("wide", "nb", "crp-modified"): ("ef609f4427dcd49dce6ea2df41d28cb4645c3f0c65c3d9f1990df9a4319fc3cc", 29, 4, [19, 25, 27, 29]),
+    ("wide", "kmeans", "crp-standard"): ("95a8f849467b487feb2923f631cea67d40c55d492e01f64929efe3d6fc5ba108", 299, 4, [83, 180, 231, 299]),
+    ("wide", "kmeans", "crp-modified"): ("bb10af77de1d644b263937399a938a66f53bb9a5d6b7b002e8bb81f858709bc3", 28, 4, [19, 25, 25, 28]),
+    ("wide", "vmf", "crp-standard"): ("fc4ae33d4731b1f93491ea9fa393e6ddb488a1e426d7a3975ddf707f656e4369", 162, 4, [83, 189, 180, 162]),
+    ("wide", "vmf", "crp-modified"): ("e4f386fb26e5565edefc2d94e801ba4167b9bfef1526f3f3f24df4f86441e903", 12, 4, [18, 25, 11, 12]),
 }
 
 # blocks/vmf/random opens vMF classes from single documents with small

@@ -182,6 +182,36 @@ class TestInitNewClass:
             assert int(np.argmax(posterior(s, xv))) == 2
 
 
+class TestAddClass:
+    def test_grown_state_matches_stacked_rows(self):
+        rng = np.random.default_rng(0)
+        s = kmeans_state([[0.5, 0.5, 0.0]], [1.0], assignments=[0])
+        rows, priors = [s.vectors[0].copy()], s.priors.copy()
+        for m in range(1, 40):
+            params = init_new_class(SparseVector.from_dense(rng.random(3)), ModelFamily.KMEANS, 3)
+            assert s.add_class(params, 50) == m
+            p_new = 2.0 / (50 + m + 1)
+            priors = np.append(priors * (1.0 - p_new), p_new)
+            rows.append(params.vector)
+            assert s.vectors.shape == (m + 1, 3)
+            assert np.array_equal(s.priors, priors)
+        assert np.array_equal(s.vectors, np.vstack(rows))
+
+    def test_earlier_vectors_never_overwritten(self):
+        s = nb_state([[0.5, 0.5], [0.25, 0.75]], [0.5, 0.5], assignments=[0, 1])
+        new = init_new_class(SparseVector.from_pairs([(0, 3.0)]), ModelFamily.NB, 2)
+        s.add_class(new, 10)
+        before = s.vectors
+        kept = before.copy()
+        s.truncate(2)
+        s.add_class(init_new_class(SparseVector.from_pairs([(1, 3.0)]), ModelFamily.NB, 2), 10)
+        twin = s.copy()
+        s.add_class(new, 10)
+        assert np.array_equal(before, kept)
+        assert twin.vectors.shape == (3, 2) and s.vectors.shape == (4, 2)
+        assert np.array_equal(s.vectors[:3], twin.vectors)
+
+
 class TestMStep:
     def test_supervised_reduces_to_init(self):
         d = dataset([[(0, 2.0)], [(1, 3.0)]], [0, 1], 2)
