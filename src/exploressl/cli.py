@@ -8,6 +8,7 @@ import csv
 import json
 import logging
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .config import coerce, merge, parse_config
@@ -19,23 +20,7 @@ from .synth import GeneratorFamily, SyntheticSpec, generate_synthetic
 log = logging.getLogger(__name__)
 
 RUN_DEFAULTS = {
-    "dataset_format": "sparse-triplet",
-    "families": ["kmeans"],
-    "algorithms": ["exploratory", "semisup"],
-    "criteria": ["minmax"],
-    "num_seed_classes": 2,
-    "seeds_fraction": 0.05,
-    "num_partitions": 10,
-    "selection": "aicc",
-    "p_new": [1e-4],
-    "rng_seed": 0,
-    "max_iterations": 15,
-    "ll_rel_tolerance": 1e-4,
-    "crp_epochs": 50,
-    "random_reference": "minmax",
-    "sweep_m_values": [0, 1, 2, 5, 10, 20, 40],
-    "workers": 1,
-    "include_seeds_in_eval": False,
+    f.name: f.default for f in fields(ExperimentSpec) if f.default is not MISSING
 }
 
 

@@ -5,20 +5,14 @@ CLI flags override file values, which override defaults.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
-# keys whose values are comma-separated lists
-LIST_KEYS = {"families", "algorithms", "criteria", "p_new", "sweep_m_values"}
-FLOAT_KEYS = {"seeds_fraction", "ll_rel_tolerance"}
-INT_KEYS = {
-    "num_seed_classes",
-    "num_partitions",
-    "rng_seed",
-    "max_iterations",
-    "crp_epochs",
-    "workers",
-}
-BOOL_KEYS = {"include_seeds_in_eval"}
+from .experiments import ExperimentSpec
+
+# a key's value type is the annotation of the ExperimentSpec field it names
+FIELD_TYPES = {f.name: f.type for f in fields(ExperimentSpec)}
+SCALARS = {"str": str, "int": int, "float": float}
 
 
 class ConfigError(ValueError):
@@ -42,24 +36,17 @@ def parse_config(path: str | Path) -> dict:
 def coerce(key: str, raw):
     if not isinstance(raw, str):
         return raw
-    if key in LIST_KEYS:
-        items = [v.strip() for v in raw.split(",") if v.strip()]
-        if key == "p_new":
-            return [float(v) for v in items]
-        if key == "sweep_m_values":
-            return [int(v) for v in items]
-        return items
-    if key in FLOAT_KEYS:
-        return float(raw)
-    if key in INT_KEYS:
-        return int(raw)
-    if key in BOOL_KEYS:
+    kind = FIELD_TYPES.get(key, "str")
+    if kind.startswith("Sequence["):
+        item = SCALARS[kind[len("Sequence["):-1]]
+        return [item(v.strip()) for v in raw.split(",") if v.strip()]
+    if kind == "bool":
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    return raw
+    return SCALARS[kind](raw)
 
 
 def merge(defaults: dict, file_values: dict, flag_values: dict) -> dict:

@@ -155,7 +155,7 @@ def crp_gibbs(d: Dataset, p: SeedPartition, cfg: CrpConfig) -> RunResult:
             if opens:
                 # the rows after it must see the new class
                 i = unlabeled[stop]
-                params = init_new_class(d.instances[i], cfg.family, d.vocab_size, cfg.kappa_init)
+                params = init_new_class(d.row(i), cfg.family, d.vocab_size, cfg.kappa_init)
                 state.assignments[i] = state.add_class(params, n)
                 scores.add_class(state, stop)
                 stop += 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -14,6 +15,8 @@ import numpy as np
 import scipy.sparse as sp
 
 log = logging.getLogger(__name__)
+
+LINES_PER_PARSE = 256  # sparse-triplet lines whose entries are parsed together
 
 
 class Norm(Enum):
@@ -40,23 +43,16 @@ class SparseVector:
         val = np.asarray(self.values, dtype=np.float64)
         if idx.shape != val.shape or idx.ndim != 1:
             raise ValueError("indices and values must be parallel 1-d arrays")
-        if idx.size and (np.any(idx[:-1] >= idx[1:]) or idx[0] < 0):
-            raise ValueError("feature ids must be non-negative and strictly increasing")
-        if not np.all(np.isfinite(val)):
-            raise ValueError("weights must be finite")
-        if np.any(val == 0.0):
-            raise ValueError("explicit zero weights are not allowed")
+        fault = _row_fault(np.array([0, idx.size]), idx, val)
+        if fault:
+            raise ValueError(fault[1])
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", val)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "SparseVector":
-        items = sorted((int(i), float(w)) for i, w in pairs)
-        items = [(i, w) for i, w in items if w != 0.0]
-        if items:
-            idx, val = zip(*items)
-        else:
-            idx, val = (), ()
+        items = sorted((int(i), float(w)) for i, w in pairs if w != 0.0)
+        idx, val = zip(*items) if items else ((), ())
         return cls(np.array(idx, dtype=np.int64), np.array(val, dtype=np.float64))
 
     @classmethod
@@ -98,69 +94,94 @@ def normalize(x: SparseVector, norm: Norm) -> SparseVector:
 class Dataset:
     """Immutable collection of sparse instances with optional gold labels.
 
-    ``gold_labels[i]`` is a dense class id or None. ``label_names`` maps
-    class id back to the original label string.
+    The instances are the rows of one canonical CSR matrix (n x vocab_size):
+    int64 feature ids strictly increasing within each row, float64 weights
+    finite and nonzero, checked once here. ``gold_labels[i]`` is a dense
+    class id or None. ``label_names`` maps class id back to the original
+    label string.
     """
 
     def __init__(
         self,
-        instances: Sequence[SparseVector],
+        X: sp.csr_matrix,
         gold_labels: Sequence[Optional[int]],
-        vocab_size: int,
         instance_ids: Optional[Sequence[str]] = None,
         label_names: Optional[Sequence[str]] = None,
     ):
-        if not instances:
+        if not (sp.issparse(X) and X.format == "csr"):
+            raise TypeError("instances must be a scipy CSR matrix")
+        n, vocab_size = X.shape
+        if n == 0:
             raise DataFormatError("no instances")
-        if len(gold_labels) != len(instances):
+        if len(gold_labels) != n:
             raise ValueError("gold_labels length mismatch")
         if vocab_size <= 0:
             raise ValueError("vocab_size must be positive")
-        for i, x in enumerate(instances):
-            if x.nnz and int(x.indices[-1]) >= vocab_size:
-                raise DataFormatError(
-                    f"instance {i}: feature id {int(x.indices[-1])} >= vocab size {vocab_size}"
-                )
-        self.instances = list(instances)
+        X = sp.csr_matrix(X, dtype=np.float64)  # a new object; the arrays are shared
+        X.indices = X.indices.astype(np.int64, copy=False)
+        X.indptr = X.indptr.astype(np.int64, copy=False)
+        if np.any(np.diff(X.indptr) < 0):
+            raise DataFormatError("row pointers must not decrease")
+        fault = _row_fault(X.indptr, X.indices, X.data, vocab_size)
+        if fault:
+            raise DataFormatError(f"instance {fault[0]}: {fault[1]}")
+        self._X = X
         self.gold_labels = list(gold_labels)
         self.vocab_size = int(vocab_size)
         self.instance_ids = (
-            list(instance_ids)
-            if instance_ids is not None
-            else [str(i) for i in range(len(instances))]
+            list(instance_ids) if instance_ids is not None else [str(i) for i in range(n)]
         )
-        if len(self.instance_ids) != len(self.instances):
+        if len(self.instance_ids) != n:
             raise ValueError("instance_ids length mismatch")
         self.label_names = list(label_names) if label_names is not None else None
-        self._matrix: Optional[sp.csr_matrix] = None
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[SparseVector], gold_labels: Sequence[Optional[int]],
+                  vocab_size: int, instance_ids: Optional[Sequence[str]] = None,
+                  label_names: Optional[Sequence[str]] = None) -> "Dataset":
+        """Dataset whose instance i is rows[i]."""
+        indptr = np.cumsum([0] + [x.nnz for x in rows])
+        indices = np.concatenate([x.indices for x in rows] + [np.zeros(0, np.int64)])
+        values = np.concatenate([x.values for x in rows] + [np.zeros(0)])
+        X = sp.csr_matrix((values, indices, indptr), shape=(len(rows), max(vocab_size, 0)))
+        return cls(X, gold_labels, instance_ids, label_names)
 
     def __len__(self) -> int:
-        return len(self.instances)
-
-    @property
-    def num_classes(self) -> int:
-        labels = [y for y in self.gold_labels if y is not None]
-        return len(set(labels))
+        return self._X.shape[0]
 
     def matrix(self) -> sp.csr_matrix:
-        """CSR matrix view (n x vocab_size), built once and cached."""
-        if self._matrix is None:
-            indptr = np.zeros(len(self.instances) + 1, dtype=np.int64)
-            for i, x in enumerate(self.instances):
-                indptr[i + 1] = indptr[i] + x.nnz
-            indices = np.concatenate([x.indices for x in self.instances]) if indptr[-1] else np.zeros(0, dtype=np.int64)
-            data = np.concatenate([x.values for x in self.instances]) if indptr[-1] else np.zeros(0)
-            self._matrix = sp.csr_matrix(
-                (data, indices, indptr), shape=(len(self.instances), self.vocab_size)
-            )
-        return self._matrix
+        """The instances as one CSR matrix (n x vocab_size)."""
+        return self._X
+
+    def row(self, i: int) -> SparseVector:
+        """Instance i, as a view of its row of the matrix."""
+        i = range(len(self))[i]
+        a, b = self._X.indptr[i], self._X.indptr[i + 1]
+        return SparseVector(self._X.indices[a:b], self._X.data[a:b])
+
+    @property
+    def instances(self) -> list[SparseVector]:
+        """Every instance, in order; built on each access."""
+        return [self.row(i) for i in range(len(self))]
 
     def class_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for y in self.gold_labels:
-            if y is not None:
-                counts[y] = counts.get(y, 0) + 1
-        return counts
+        return dict(Counter(y for y in self.gold_labels if y is not None))
+
+
+def _row_fault(indptr, indices, values, width=np.inf) -> Optional[tuple[int, str]]:
+    """The first row of CSR arrays that is not canonical, and its fault."""
+    step_up = np.ones(len(indices), dtype=bool)
+    step_up[1:] = indices[1:] > indices[:-1]
+    step_up[indptr[:-1][np.diff(indptr) > 0]] = True  # no entry of its row precedes it
+    for bad, what in (
+        (indices >= width, f"feature id >= vocab size {width}"),
+        (~step_up | (indices < 0), "feature ids must be non-negative and strictly increasing"),
+        (~np.isfinite(values), "weights must be finite"),
+        (values == 0.0, "explicit zero weights are not allowed"),
+    ):
+        if bad.any():
+            return int(np.searchsorted(indptr, np.argmax(bad), side="right")) - 1, what
+    return None
 
 
 @dataclass(frozen=True)
@@ -206,55 +227,99 @@ def load_dataset(
 
 
 def _load_sparse_triplet(path: Path, vocab_size: Optional[int]) -> Dataset:
-    raw_labels: list[str] = []
-    vectors: list[SparseVector] = []
-    declared = vocab_size
-    max_fid = -1
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("%%vocab"):
-                try:
-                    declared = int(line.split()[1])
-                except (IndexError, ValueError):
-                    raise DataFormatError(f"line {lineno}: malformed vocab header")
-                continue
-            parts = line.split()
-            pairs = []
-            for token in parts[1:]:
-                try:
-                    fid_s, cnt_s = token.split(":", 1)
-                    fid, cnt = int(fid_s), float(cnt_s)
-                except ValueError:
-                    raise DataFormatError(f"line {lineno}: malformed entry {token!r}")
-                if fid < 0:
-                    raise DataFormatError(f"line {lineno}: negative feature id")
-                if cnt != 0.0:
-                    pairs.append((fid, cnt))
-                    max_fid = max(max_fid, fid)
-            raw_labels.append(parts[0])
+        lines = fh.read().split("\n")  # the lines iterating fh gives
+    # parse the entries a block of lines at a time, which bounds the strings
+    # alive at once; on any fault, reading the lines one entry at a time
+    # names the first bad line, so errors come in file order
+    try:
+        raw_labels, entries, declared = _read_lines(lines, vocab_size)
+        if not raw_labels:
+            raise DataFormatError("no instances")
+        blocks = range(0, len(entries), LINES_PER_PARSE)
+        parsed = [_parse_entries(entries[i : i + LINES_PER_PARSE]) for i in blocks]
+        fids, counts, lengths = (np.concatenate(column) for column in zip(*parsed))
+        if np.any(fids < 0):
+            raise ValueError("negative feature id")
+        keep = counts != 0.0
+        max_fid = int(fids[keep].max()) if keep.any() else -1
+        vocab = declared if declared is not None else max_fid + 1
+        if max_fid >= vocab:
+            raise DataFormatError(f"feature id {max_fid} >= declared vocab size {vocab}")
+        rows = np.repeat(np.arange(len(raw_labels)), lengths)[keep]
+        indptr = np.cumsum(np.bincount(rows + 1, minlength=len(raw_labels) + 1))
+        X = sp.csr_matrix((counts[keep], fids[keep], indptr), shape=(len(raw_labels), vocab))
+        X.sort_indices()
+        return _finish(X, raw_labels)
+    except (ValueError, OverflowError) as e:
+        error = e
+    _read_lines(lines, vocab_size, check=True)
+    raise error
+
+
+def _parse_entries(entries: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Feature ids, counts and entries per line of the entry text of some
+    lines; ValueError or OverflowError if an entry is not <int>:<float>."""
+    tokens = " ".join(entries).split()
+    joined = " ".join(tokens)
+    seps = np.frombuffer(joined.encode(), np.uint8)
+    seps = seps[(seps == ord(":")) | (seps == ord(" "))]
+    if len(seps) != max(2 * len(tokens) - 1, 0) or np.any(seps[0::2] != ord(":")):
+        raise ValueError("an entry without exactly one ':'")
+    fields = joined.replace(":", " ").split(" ") if tokens else []
+    lengths = np.array([e.count(":") for e in entries], dtype=np.int64)  # one ':' per entry
+    # converting a string to int64 or float64 calls int() or float() on it
+    fids = np.array(fields[0::2], dtype=np.int64)
+    return fids, np.array(fields[1::2], dtype=np.float64), lengths
+
+
+def _read_lines(lines: Sequence[str], declared: Optional[int], check: bool = False):
+    """The labels, the text after each label and the declared vocabulary size
+    of a sparse-triplet file. With check, every entry is also read on its
+    own, and the first bad line raises DataFormatError."""
+    labels: list[str] = []
+    entries: list[str] = []
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split(None, 1)
+        if not parts:
+            continue
+        if parts[0].startswith("%%vocab"):
             try:
-                vectors.append(SparseVector.from_pairs(pairs))
-            except ValueError as e:
-                raise DataFormatError(f"line {lineno}: {e}")
-    if not vectors:
-        raise DataFormatError("no instances")
-    vocab = declared if declared is not None else max_fid + 1
-    if max_fid >= vocab:
-        raise DataFormatError(f"feature id {max_fid} >= declared vocab size {vocab}")
-    return _finish(vectors, raw_labels, vocab)
+                declared = int(line.split()[1])
+            except (IndexError, ValueError):
+                raise DataFormatError(f"line {lineno}: malformed vocab header") from None
+            continue
+        labels.append(parts[0])
+        entries.append(parts[1] if len(parts) > 1 else "")
+        if not check:
+            continue
+        pairs = []
+        for token in entries[-1].split():
+            try:
+                fid_s, cnt_s = token.split(":", 1)
+                fid, cnt = int(fid_s), float(cnt_s)
+                if fid >= 2**63:
+                    raise ValueError("feature id beyond int64")
+            except ValueError:
+                raise DataFormatError(f"line {lineno}: malformed entry {token!r}") from None
+            if fid < 0:
+                raise DataFormatError(f"line {lineno}: negative feature id")
+            if cnt != 0.0:
+                pairs.append((fid, cnt))
+        try:
+            SparseVector.from_pairs(pairs)
+        except ValueError as e:
+            raise DataFormatError(f"line {lineno}: {e}") from None
+    return labels, entries, declared
 
 
 def _load_dense_csv(path: Path) -> Dataset:
-    vectors: list[SparseVector] = []
+    rows: list[list[float]] = []
     raw_labels: list[str] = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = next(reader, None)
+        if header is None:
             raise DataFormatError("no instances")
         vocab = len(header) - 1
         if vocab <= 0:
@@ -264,24 +329,27 @@ def _load_dense_csv(path: Path) -> Dataset:
                 continue
             if len(row) != vocab + 1:
                 raise DataFormatError(f"line {lineno}: expected {vocab + 1} columns")
-            raw_labels.append(row[0])
             try:
-                vectors.append(SparseVector.from_dense([float(v) for v in row[1:]]))
+                values = [float(v) for v in row[1:]]
+                if not all(map(math.isfinite, values)):
+                    raise ValueError("non-finite value")
             except ValueError:
                 raise DataFormatError(f"line {lineno}: non-numeric value")
-    if not vectors:
+            raw_labels.append(row[0])
+            rows.append(values)
+    if not rows:
         raise DataFormatError("no instances")
-    return _finish(vectors, raw_labels, vocab)
+    return _finish(sp.csr_matrix(np.array(rows)), raw_labels)
 
 
 _MISSING_LABEL = ""
 
 
-def _finish(vectors: list[SparseVector], raw_labels: list[str], vocab: int) -> Dataset:
+def _finish(X: sp.csr_matrix, raw_labels: list[str]) -> Dataset:
     names = sorted({s for s in raw_labels if s != _MISSING_LABEL})
     to_id = {name: i for i, name in enumerate(names)}
     gold = [to_id[s] if s != _MISSING_LABEL else None for s in raw_labels]
-    return Dataset(vectors, gold, vocab, label_names=names)
+    return Dataset(X, gold, label_names=names)
 
 
 def write_label_map(d: Dataset, path: str | Path) -> None:
@@ -295,13 +363,17 @@ def write_label_map(d: Dataset, path: str | Path) -> None:
 
 def write_sparse_triplet(d: Dataset, path: str | Path) -> None:
     """Write a dataset in sparse-triplet format (inverse of load_dataset)."""
+    X = d.matrix()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"%%vocab {d.vocab_size}\n")
-        for x, y in zip(d.instances, d.gold_labels):
+        for row, y in enumerate(d.gold_labels):
             label = d.label_names[y] if (y is not None and d.label_names) else (
                 str(y) if y is not None else _MISSING_LABEL
             )
-            entries = " ".join(f"{i}:{v:g}" for i, v in zip(x.indices, x.values))
+            part = slice(X.indptr[row], X.indptr[row + 1])
+            entries = " ".join(
+                f"{i}:{v:g}" for i, v in zip(X.indices[part].tolist(), X.data[part].tolist())
+            )
             fh.write(f"{label} {entries}\n".rstrip() + "\n")
 
 
@@ -309,56 +381,63 @@ def tfidf_weight(d: Dataset) -> Dataset:
     """Reweight raw counts to tf * ln(N / df).
 
     Terms appearing in every instance get weight 0 and vanish from the
-    sparsity pattern. Instances that become all-zero are dropped with a
-    warning (their removal is reported so partitions stay consistent).
+    sparsity pattern. Instances that become all-zero are dropped, and one
+    warning gives their count (their removal is reported so partitions stay
+    consistent).
     """
-    n = len(d)
-    df = np.zeros(d.vocab_size)
-    for x in d.instances:
-        df[x.indices] += 1.0
-    with np.errstate(divide="ignore"):
-        idf = np.where(df > 0, np.log(n / np.maximum(df, 1.0)), 0.0)
+    X = d.matrix()
+    df = np.bincount(X.indices, minlength=d.vocab_size)
+    idf = np.log(len(d) / np.maximum(df, 1))  # read only where df >= 1
+    # copies, as eliminate_zeros compacts the arrays in place
+    W = sp.csr_matrix((X.data * idf[X.indices], X.indices, X.indptr), shape=X.shape, copy=True)
+    W.eliminate_zeros()
+    empty = np.diff(W.indptr) == 0
+    if empty.any():
+        dropped = [d.instance_ids[i] for i in np.flatnonzero(empty)]
+        log.warning(
+            "dropping %d instance(s) all-zero after tf-idf: %s%s",
+            len(dropped), ", ".join(dropped[:5]), ", ..." if len(dropped) > 5 else "",
+        )
+        if empty.all():
+            raise DataFormatError("no instances survive tf-idf weighting")
+    weighted = Dataset(W, d.gold_labels, d.instance_ids, d.label_names)
+    return subset(weighted, np.flatnonzero(~empty)) if empty.any() else weighted
 
-    new_instances: list[SparseVector] = []
-    keep: list[int] = []
-    for i, x in enumerate(d.instances):
-        w = x.values * idf[x.indices]
-        mask = w != 0.0
-        vec = SparseVector(x.indices[mask], w[mask])
-        if vec.nnz == 0:
-            log.warning("dropping instance %s: all-zero after tf-idf", d.instance_ids[i])
-            continue
-        keep.append(i)
-        new_instances.append(vec)
-    if not new_instances:
-        raise DataFormatError("no instances survive tf-idf weighting")
-    return Dataset(
-        new_instances,
-        [d.gold_labels[i] for i in keep],
-        d.vocab_size,
-        [d.instance_ids[i] for i in keep],
-        d.label_names,
-    )
+
+def _row_norms(X: sp.csr_matrix, norm: Norm) -> np.ndarray:
+    """SparseVector.norm of every row of X, bit for bit.
+
+    np.sum adds a row's entries pairwise. Summing a (rows, L) gather of the
+    rows with L entries along axis 1 keeps that order; a sum over a padded
+    block or np.add.reduceat does not."""
+    v = np.abs(X.data) if norm is Norm.L1 else X.data**2
+    lengths = np.diff(X.indptr)
+    sums = np.zeros(X.shape[0])
+    for length in np.unique(lengths):
+        rows = np.flatnonzero(lengths == length)
+        sums[rows] = v[X.indptr[rows, None] + np.arange(length)].sum(axis=1)
+    return sums if norm is Norm.L1 else np.sqrt(sums)
 
 
 def normalize_dataset(d: Dataset, norm: Norm) -> Dataset:
-    return Dataset(
-        [normalize(x, norm) for x in d.instances],
-        d.gold_labels,
-        d.vocab_size,
-        d.instance_ids,
-        d.label_names,
-    )
+    """normalize() applied to every instance, as one scale per row."""
+    X = d.matrix()
+    norms = _row_norms(X, norm)
+    if not norms.all():
+        raise ValueError("degenerate instance: cannot normalize all-zero vector")
+    scaled = X.data / np.repeat(norms, np.diff(X.indptr))
+    Y = sp.csr_matrix((scaled, X.indices, X.indptr), shape=X.shape, copy=True)
+    Y.eliminate_zeros()  # subnormal weights can underflow to exactly zero
+    return Dataset(Y, d.gold_labels, d.instance_ids, d.label_names)
 
 
 def subset(d: Dataset, indices: Sequence[int]) -> Dataset:
     """Dataset restricted to the given instance indices, order preserved."""
-    idx = list(indices)
+    idx = np.asarray(indices, dtype=np.int64)
     return Dataset(
-        [d.instances[i] for i in idx],
-        [d.gold_labels[i] for i in idx],
-        d.vocab_size,
-        [d.instance_ids[i] for i in idx],
+        d.matrix()[idx],
+        [d.gold_labels[i] for i in idx.tolist()],
+        [d.instance_ids[i] for i in idx.tolist()],
         d.label_names,
     )
 

@@ -26,6 +26,7 @@ from .models import (
     ModelState,
     PassScores,
     data_log_likelihood,
+    free_parameter_count,
     init_from_seeds,
     init_new_class,
     m_step,
@@ -67,11 +68,6 @@ class RunResult:
     wall_time: float = 0.0
 
 
-def _free_params(family: ModelFamily, m: int, vocab_size: int) -> int:
-    base = m * (vocab_size - 1) + (m - 1)
-    return base + m if family is ModelFamily.VMF else base
-
-
 def _e_step(
     state: ModelState,
     d: Dataset,
@@ -99,7 +95,7 @@ def _e_step(
         state.assignments[idx] = labels
         if len(hits):
             i = rows[stop]
-            params = init_new_class(d.instances[i], state.family, d.vocab_size, kappa_init)
+            params = init_new_class(d.row(i), state.family, d.vocab_size, kappa_init)
             j = state.add_class(params, len(d))
             changed += int(state.assignments[i] != j)
             state.assignments[i] = j
@@ -129,7 +125,7 @@ def _run_em(
         rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, 7]))
         picked = rng.choice(len(unlabeled), size=cfg.extra_classes, replace=False)
         for pos in picked:
-            x = d.instances[unlabeled[pos]]
+            x = d.row(unlabeled[pos])
             state.add_class(init_new_class(x, cfg.family, d.vocab_size, cfg.kappa_init), n)
 
     if state.num_classes == 0:
@@ -139,7 +135,7 @@ def _run_em(
             raise ValueError("no seeded classes and no way to create any")
         first = unlabeled[0]
         state.add_class(
-            init_new_class(d.instances[first], cfg.family, d.vocab_size, cfg.kappa_init),
+            init_new_class(d.row(first), cfg.family, d.vocab_size, cfg.kappa_init),
             n,
         )
         state.assignments[first] = 0
@@ -161,6 +157,7 @@ def _run_em(
     for t in range(1, cfg.max_iterations + 1):
         iterations = t
         m_old = state.num_classes
+        v_old = free_parameter_count(state)
         # the state is unchanged since the likelihood of the last M-step
         baseline_ll = ll
 
@@ -172,8 +169,7 @@ def _run_em(
         if not (np.isfinite(baseline_ll) and np.isfinite(explore_ll)):
             raise FloatingPointError(f"non-finite likelihood at iteration {t}")
 
-        v_old = _free_params(cfg.family, m_old, d.vocab_size)
-        v_new = _free_params(cfg.family, m_new, d.vocab_size)
+        v_new = free_parameter_count(state)
         sel = cfg.selection
         if sel is SelectionCriterion.AICC and n <= max(v_old, v_new) + 1:
             # both gate scores must use one criterion, so the engine falls
@@ -203,12 +199,7 @@ def _run_em(
         ll_trace.append(ll)
         class_trace.append(m_now)
 
-        score_now = score_with_fallback(
-            ll,
-            _free_params(cfg.family, m_now, d.vocab_size),
-            n,
-            sel,
-        ).score
+        score_now = score_with_fallback(ll, free_parameter_count(state), n, sel).score
         if changed == 0 and m_now == m_old:
             break
         if (

@@ -3,7 +3,6 @@ paired significance tests across partitions."""
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -56,15 +55,10 @@ def majority_label_clusters(
 ) -> dict[int, int]:
     """Map every non-empty cluster to its most frequent gold class
     (ties to the lowest gold id). Many-to-one mappings are allowed."""
-    if len(assignments) != len(gold_labels):
-        raise ValueError("assignments and gold_labels must align")
-    votes: dict[int, Counter] = defaultdict(Counter)
-    for c, y in zip(assignments, gold_labels):
-        votes[c][y] += 1
-    return {
-        c: min(y for y, n in counter.items() if n == max(counter.values()))
-        for c, counter in votes.items()
-    }
+    cm = build_confusion(assignments, gold_labels)
+    if not cm.row_ids:
+        return {}
+    return dict(zip(cm.row_ids, (cm.col_ids[j] for j in cm.counts.argmax(axis=1))))
 
 
 def per_class_prf(
@@ -74,19 +68,25 @@ def per_class_prf(
 ) -> list[dict]:
     """Precision/recall/F1 per gold class after majority labeling of the
     clusters. A class with neither predictions nor gold members scores 0."""
-    mapping = majority_label_clusters(assignments, gold_labels)
-    predicted = [mapping[c] for c in assignments]
+    cm = build_confusion(assignments, gold_labels)
+    label = cm.counts.argmax(axis=1) if cm.row_ids else np.zeros(0, dtype=np.int64)
+    k = len(cm.col_ids)
+    # per gold class: instances labeled with it, those of them in it, its size
+    predicted = np.bincount(label, cm.counts.sum(axis=1), k)
+    correct = np.bincount(label, cm.counts[np.arange(len(label)), label], k)
+    counts = {
+        y: (int(correct[j]), int(predicted[j]), int(cm.counts[:, j].sum()))
+        for j, y in enumerate(cm.col_ids)
+    }
     rows = []
     for c in sorted(class_ids):
-        tp = sum(1 for p, y in zip(predicted, gold_labels) if p == c and y == c)
-        fp = sum(1 for p, y in zip(predicted, gold_labels) if p == c and y != c)
-        fn = sum(1 for p, y in zip(predicted, gold_labels) if p != c and y == c)
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
+        tp, n_pred, n_gold = counts.get(c, (0, 0, 0))
+        precision = tp / n_pred if n_pred else 0.0
+        recall = tp / n_gold if n_gold else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         rows.append(
             {"class_id": c, "precision": precision, "recall": recall, "f1": f1,
-             "support": tp + fn}
+             "support": n_gold}
         )
     return rows
 
@@ -106,14 +106,24 @@ def seed_macro_f1(
 def build_confusion(
     assignments: Sequence[int], gold_labels: Sequence[int]
 ) -> ConfusionMatrix:
-    row_ids = sorted(set(assignments))
-    col_ids = sorted(set(gold_labels))
-    r_index = {c: i for i, c in enumerate(row_ids)}
-    c_index = {y: i for i, y in enumerate(col_ids)}
-    counts = np.zeros((len(row_ids), len(col_ids)), dtype=np.int64)
-    for c, y in zip(assignments, gold_labels):
-        counts[r_index[c], c_index[y]] += 1
-    return ConfusionMatrix(counts, row_ids, col_ids)
+    """Counts of (cluster, gold class) pairs; rows and columns in sorted id order."""
+    if len(assignments) != len(gold_labels):
+        raise ValueError("assignments and gold_labels must align")
+    row_ids, r = np.unique(np.asarray(assignments), return_inverse=True)
+    col_ids, c = np.unique(np.asarray(gold_labels), return_inverse=True)
+    shape = (len(row_ids), len(col_ids))
+    counts = np.bincount(r * shape[1] + c, minlength=shape[0] * shape[1]).reshape(shape)
+    return ConfusionMatrix(counts.astype(np.int64), row_ids.tolist(), col_ids.tolist())
+
+
+def _matching(cm: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The counts zero-padded to a square, and a maximum-weight matching on it."""
+    r, c = cm.counts.shape
+    size = max(r, c)
+    padded = np.zeros((size, size), dtype=np.int64)
+    padded[:r, :c] = cm.counts
+    row_ind, col_ind = linear_sum_assignment(padded, maximize=True)
+    return padded, row_ind, col_ind
 
 
 def align_confusion(cm: ConfusionMatrix) -> ConfusionMatrix:
@@ -122,10 +132,7 @@ def align_confusion(cm: ConfusionMatrix) -> ConfusionMatrix:
     if cm.counts.size == 0:
         raise ValueError("confusion matrix is empty")
     r, c = cm.counts.shape
-    size = max(r, c)
-    padded = np.zeros((size, size), dtype=np.int64)
-    padded[:r, :c] = cm.counts
-    row_ind, col_ind = linear_sum_assignment(padded, maximize=True)
+    padded, row_ind, col_ind = _matching(cm)
     # order rows by the column each one was matched to
     perm = [int(i) for i in row_ind[np.argsort(col_ind)]]
     new_counts = padded[perm, :][:, :c]
@@ -137,11 +144,7 @@ def align_confusion(cm: ConfusionMatrix) -> ConfusionMatrix:
 
 def aligned_diagonal_weight(cm: ConfusionMatrix) -> int:
     """Weight of the optimal cluster-to-class matching (one-to-one)."""
-    r, c = cm.counts.shape
-    size = max(r, c)
-    padded = np.zeros((size, size), dtype=np.int64)
-    padded[:r, :c] = cm.counts
-    row_ind, col_ind = linear_sum_assignment(padded, maximize=True)
+    padded, row_ind, col_ind = _matching(cm)
     return int(padded[row_ind, col_ind].sum())
 
 

@@ -8,7 +8,7 @@ import json
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -18,11 +18,9 @@ from . import crp as crp_mod
 from .criteria import CriterionConfig, CriterionKind
 from .data import (
     Dataset,
-    Norm,
     SeedPartition,
     load_dataset,
     make_partitions,
-    normalize_dataset,
     subset,
     tfidf_weight,
     write_label_map,
@@ -35,7 +33,7 @@ from .engine import (
     semisup_em,
 )
 from .evaluation import paired_significance, seed_macro_f1
-from .models import ModelFamily
+from .models import ModelFamily, prepare_dataset
 from .selection import SelectionCriterion
 
 log = logging.getLogger(__name__)
@@ -93,9 +91,8 @@ def prepare_family_datasets(raw: Dataset) -> dict[ModelFamily, Dataset]:
         kept = set(weighted.instance_ids)
         raw = subset(raw, [i for i, iid in enumerate(raw.instance_ids) if iid in kept])
     return {
-        ModelFamily.NB: raw,
-        ModelFamily.KMEANS: normalize_dataset(weighted, Norm.L1),
-        ModelFamily.VMF: normalize_dataset(weighted, Norm.L2),
+        f: prepare_dataset(raw if f is ModelFamily.NB else weighted, f, apply_tfidf=False)
+        for f in ModelFamily
     }
 
 
@@ -143,14 +140,7 @@ def _run_one(task: dict) -> dict:
                 crit = CriterionConfig(kind, random_rate=rate, rng_seed=run_seed)
             else:
                 crit = CriterionConfig(kind, rng_seed=run_seed)
-            result = exploratory_em(d, p, EngineConfig(
-                family=family,
-                criterion=crit,
-                selection=cfg.selection,
-                max_iterations=cfg.max_iterations,
-                ll_rel_tolerance=cfg.ll_rel_tolerance,
-                rng_seed=run_seed,
-            ))
+            result = exploratory_em(d, p, replace(cfg, criterion=crit))
         elif algorithm == "semisup":
             result = semisup_em(d, p, cfg)
         elif algorithm == "semisup-sweep":

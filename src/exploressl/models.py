@@ -90,10 +90,6 @@ class ModelState:
     def num_seeded(self) -> int:
         return sum(self.seeded_flags)
 
-    def class_params(self, j: int) -> ClassParams:
-        kappa = float(self.kappas[j]) if self.kappas is not None else None
-        return ClassParams(self.family, self.vectors[j].copy(), kappa)
-
     def add_class(self, params: ClassParams, n_instances: int) -> int:
         """Append a freshly created (unseeded) class.
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -51,28 +52,24 @@ def multinomial_class_distributions(spec: SyntheticSpec) -> np.ndarray:
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     rng = np.random.default_rng(np.random.SeedSequence([spec.rng_seed, 3]))
-    if spec.family is GeneratorFamily.MULTINOMIAL:
-        return _generate_multinomial(spec, rng)
-    return _generate_hypersphere(spec, rng)
-
-
-def _generate_multinomial(spec: SyntheticSpec, rng: np.random.Generator) -> Dataset:
-    dists = multinomial_class_distributions(spec)
-    instances, labels = [], []
-    for c in range(spec.num_classes):
-        for _ in range(spec.instances_per_class):
-            counts = rng.multinomial(spec.doc_length, dists[c])
-            instances.append(SparseVector.from_dense(counts.astype(np.float64)))
-            labels.append(c)
-    return Dataset(
-        instances,
-        labels,
+    multinomial = spec.family is GeneratorFamily.MULTINOMIAL
+    rows = _multinomial_rows(spec, rng) if multinomial else _hypersphere_rows(spec, rng)
+    return Dataset.from_rows(
+        [SparseVector.from_dense(row) for row in rows],
+        np.repeat(np.arange(spec.num_classes), spec.instances_per_class).tolist(),
         spec.vocab_size,
         label_names=[f"class_{c}" for c in range(spec.num_classes)],
     )
 
 
-def _generate_hypersphere(spec: SyntheticSpec, rng: np.random.Generator) -> Dataset:
+def _multinomial_rows(spec: SyntheticSpec, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    dists = multinomial_class_distributions(spec)
+    for c in range(spec.num_classes):
+        for _ in range(spec.instances_per_class):
+            yield rng.multinomial(spec.doc_length, dists[c]).astype(np.float64)
+
+
+def _hypersphere_rows(spec: SyntheticSpec, rng: np.random.Generator) -> Iterator[np.ndarray]:
     """Unit-norm points around per-class mean directions; the means drift
     apart from a shared direction as separation grows."""
     V = spec.vocab_size
@@ -80,18 +77,9 @@ def _generate_hypersphere(spec: SyntheticSpec, rng: np.random.Generator) -> Data
     means = []
     for _ in range(spec.num_classes):
         means.append(_unit(shared + spec.separation * _unit(rng.normal(size=V))))
-    instances, labels = [], []
     for c in range(spec.num_classes):
         for _ in range(spec.instances_per_class):
-            point = _unit(means[c] + spec.noise * rng.normal(size=V))
-            instances.append(SparseVector.from_dense(point))
-            labels.append(c)
-    return Dataset(
-        instances,
-        labels,
-        V,
-        label_names=[f"class_{c}" for c in range(spec.num_classes)],
-    )
+            yield _unit(means[c] + spec.noise * rng.normal(size=V))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

@@ -96,7 +96,7 @@ def test_posteriors_match_posterior_row_by_row(family, seed, m, V, n):
     rng = np.random.default_rng(seed)
     state = _state(family, rng, m, V)
     xs = _instances(rng, n, V)
-    d = Dataset(xs, [None] * n, V)
+    d = Dataset.from_rows(xs, [None] * n, V)
     rows = np.arange(n)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -125,7 +125,7 @@ def test_chunks_grow_back_after_an_opening():
     V, n = 6, 1300
     state = _state(ModelFamily.VMF, rng, 2, V)
     xs = _instances(rng, n, V)
-    d = Dataset(xs, [None] * n, V)
+    d = Dataset.from_rows(xs, [None] * n, V)
     scores = PassScores(state, d, np.arange(n))
     # open classes at 10, in the first window, and at 700, in the second,
     # as the E-step does when the criterion fires there; every row handed
@@ -156,7 +156,7 @@ def test_kmeans_all_zero_scores_fall_back_to_uniform():
     rng = np.random.default_rng(0)
     state = _state(ModelFamily.KMEANS, rng, 4, 6)
     x = SparseVector.from_pairs([(4, 1.0), (5, 2.0)])
-    d = Dataset([x], [None], 6)
+    d = Dataset.from_rows([x], [None], 6)
     batch = PassScores(state, d, np.arange(1)).posteriors(state, 0)
     assert np.array_equal(batch[0], np.full(4, 0.25))
     assert np.array_equal(batch[0], posterior(state, x))

@@ -1,8 +1,10 @@
+import logging
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from exploressl.data import (
     DataFormatError,
@@ -13,6 +15,7 @@ from exploressl.data import (
     load_dataset,
     make_partitions,
     normalize,
+    normalize_dataset,
     subset,
     tfidf_weight,
     write_sparse_triplet,
@@ -23,7 +26,7 @@ def make_dataset(rows, vocab=None, labels=None):
     vecs = [SparseVector.from_pairs(r) for r in rows]
     vocab = vocab or (max(int(v.indices[-1]) for v in vecs if v.nnz) + 1)
     labels = labels if labels is not None else [None] * len(rows)
-    return Dataset(vecs, labels, vocab)
+    return Dataset.from_rows(vecs, labels, vocab)
 
 
 class TestSparseVector:
@@ -117,7 +120,193 @@ class TestLoadDataset:
         assert d.instances[1].entries == [(1, 2.0)]
 
 
+# (file contents, format, the DataFormatError message): every bad input names
+# the line the first bad entry is on, in file order, as the per-line loader did
+BAD_INPUTS = [
+    ("a 0:1\nb 3:x\n", "sparse-triplet", "line 2: malformed entry '3:x'"),
+    ("a 0:1\nb 3\n", "sparse-triplet", "line 2: malformed entry '3'"),
+    ("a 3:4:5\n", "sparse-triplet", "line 1: malformed entry '3:4:5'"),
+    ("a :1\n", "sparse-triplet", "line 1: malformed entry ':1'"),
+    ("a 3.5:1\n", "sparse-triplet", "line 1: malformed entry '3.5:1'"),
+    ("a 3 4:5:6\n", "sparse-triplet", "line 1: malformed entry '3'"),
+    ("a 0:1\n\nb -2:1\n", "sparse-triplet", "line 3: negative feature id"),
+    ("a -2:0\n", "sparse-triplet", "line 1: negative feature id"),
+    ("a 1:1 1:2\n", "sparse-triplet",
+     "line 1: feature ids must be non-negative and strictly increasing"),
+    ("a 1:nan\n", "sparse-triplet", "line 1: weights must be finite"),
+    ("a 0:1\nb 2:1 1:-inf\n", "sparse-triplet", "line 2: weights must be finite"),
+    ("%%vocab x\na 0:1\n", "sparse-triplet", "line 1: malformed vocab header"),
+    ("a 0:1\n%%vocab\n", "sparse-triplet", "line 2: malformed vocab header"),
+    ("%%vocab 4\na 5:1\n", "sparse-triplet", "feature id 5 >= declared vocab size 4"),
+    ("%%vocab 3\na 1:1\nb 0:1 7:2\n", "sparse-triplet",
+     "feature id 7 >= declared vocab size 3"),
+    ("", "sparse-triplet", "no instances"),
+    (" \n\t\n\n", "sparse-triplet", "no instances"),
+    ("%%vocab 3\n", "sparse-triplet", "no instances"),
+    # within a line the first bad token wins; a malformed or negative token
+    # comes before a duplicate id, and a duplicate before a non-finite count
+    ("a -1:1 3:x\n", "sparse-triplet", "line 1: negative feature id"),
+    ("a 3:x -1:1\n", "sparse-triplet", "line 1: malformed entry '3:x'"),
+    ("a 1:nan 1:2\n", "sparse-triplet",
+     "line 1: feature ids must be non-negative and strictly increasing"),
+    # the first bad line wins, whatever its kind
+    ("a 0:1\nb 1:inf\n%%vocab x\n", "sparse-triplet", "line 2: weights must be finite"),
+    ("%%vocab x\nb 1:inf\n", "sparse-triplet", "line 1: malformed vocab header"),
+    ("a 2:1 2:1\nb 1:y\n", "sparse-triplet",
+     "line 1: feature ids must be non-negative and strictly increasing"),
+    ("", "dense-csv", "no instances"),
+    ("label,f0,f1\n", "dense-csv", "no instances"),
+    ("label\na\n", "dense-csv", "dense-csv header must declare at least one feature"),
+    ("label,f0,f1\na,1,0\nb,1\n", "dense-csv", "line 3: expected 3 columns"),
+    ("label,f0,f1\na,1,0\nb,1,x\n", "dense-csv", "line 3: non-numeric value"),
+    ("label,f0,f1\na,1,nan\n", "dense-csv", "line 2: non-numeric value"),
+]
+
+
+class TestLoaderErrors:
+    @pytest.mark.parametrize("text,fmt,message", BAD_INPUTS)
+    def test_names_the_first_bad_line(self, tmp_path, text, fmt, message):
+        f = tmp_path / "d.txt"
+        f.write_text(text)
+        with pytest.raises(DataFormatError) as e:
+            load_dataset(f, format=fmt)
+        assert str(e.value) == message
+
+    def test_zero_counts_dropped(self, tmp_path):
+        f = tmp_path / "d.txt"
+        f.write_text("a 0:1 2:0 3:2\nb 1:0 5:0\n")
+        d = load_dataset(f)
+        assert d.instances[0].entries == [(0, 1.0), (3, 2.0)]
+        assert d.instances[1].nnz == 0
+        assert d.vocab_size == 4  # a zero count does not widen the vocabulary
+        f.write_text("a 1:0 1:2\n")  # a zero count is no duplicate
+        assert load_dataset(f).instances[0].entries == [(1, 2.0)]
+
+    def test_any_whitespace_and_any_id_order(self, tmp_path):
+        f = tmp_path / "d.txt"
+        f.write_text("a\t5:1   2:3 \r\n\x0cb 0:1\n")
+        d = load_dataset(f)
+        assert [x.entries for x in d.instances] == [[(2, 3.0), (5, 1.0)], [(0, 1.0)]]
+
+    def test_feature_id_beyond_int64_is_malformed(self, tmp_path):
+        f = tmp_path / "d.txt"
+        f.write_text("a 0:1\nb 9223372036854775808:0\n")
+        with pytest.raises(DataFormatError, match="line 2: malformed entry"):
+            load_dataset(f)
+
+    def test_label_only_line_survives_load_and_drops_at_tfidf(self, tmp_path):
+        f = tmp_path / "d.txt"
+        f.write_text("a 0:1 1:1\nb\nc 1:2\n")
+        d = load_dataset(f)
+        assert len(d) == 3 and d.instances[1].nnz == 0
+        assert d.gold_labels == [0, 1, 2]
+        w = tfidf_weight(d)
+        assert w.instance_ids == ["0", "2"]
+        assert w.gold_labels == [0, 2]
+
+
+INCREASING = "feature ids must be non-negative and strictly increasing"
+
+
+class TestDatasetMatrix:
+    @pytest.mark.parametrize("data,indices,indptr,message", [
+        ([1.0, 2.0], [3, 1], [0, 2], "instance 0: " + INCREASING),
+        ([1.0, 2.0, 3.0], [0, 2, 2], [0, 1, 3], "instance 1: " + INCREASING),
+        ([1.0, 1.0], [0, -1], [0, 1, 2], "instance 1: " + INCREASING),
+        ([1.0, 0.0], [0, 1], [0, 1, 2], "instance 1: explicit zero weights are not allowed"),
+        ([np.nan], [2], [0, 0, 1], "instance 1: weights must be finite"),
+        ([1.0, 1.0], [0, 4], [0, 2, 2], "instance 0: feature id >= vocab size 4"),
+    ])
+    def test_rejects_non_canonical_rows(self, data, indices, indptr, message):
+        X = sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, 4))
+        with pytest.raises(DataFormatError) as e:
+            Dataset(X, [None] * X.shape[0])
+        assert str(e.value) == message
+
+    def test_rejects_other_formats(self):
+        with pytest.raises(TypeError):
+            Dataset(sp.coo_matrix(np.eye(2)), [None, None])
+        with pytest.raises(TypeError):
+            Dataset(np.eye(2), [None, None])
+
+    def test_rows_are_views_of_the_canonical_matrix(self):
+        d = make_dataset([[(2, 1.0), (0, 3.0)], [], [(1, 2.0)]], vocab=3)
+        X = d.matrix()
+        assert X.dtype == np.float64 and X.indices.dtype == np.int64
+        assert X.indptr.tolist() == [0, 2, 2, 3]
+        assert d.row(0).entries == [(0, 3.0), (2, 1.0)]
+        assert d.row(-1).entries == [(1, 2.0)]
+        assert np.shares_memory(d.row(2).values, X.data)
+        assert [x.nnz for x in d.instances] == [2, 0, 1]
+        with pytest.raises(IndexError):
+            d.row(3)
+
+
+def loop_tfidf_normalize(d, norm):
+    """tfidf_weight then normalize_dataset, one instance at a time, as the
+    per-row code computed them: the reference the matrix versions must match
+    bit for bit."""
+    df = np.zeros(d.vocab_size)
+    for x in d.instances:
+        df[x.indices] += 1.0
+    idf = np.where(df > 0, np.log(len(d) / np.maximum(df, 1.0)), 0.0)
+    out = []
+    for x in d.instances:
+        w = x.values * idf[x.indices]
+        vec = SparseVector(x.indices[w != 0.0], w[w != 0.0])
+        if vec.nnz:
+            out.append(normalize(vec, norm))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 300), min_size=1, max_size=12),
+    st.sampled_from([Norm.L1, Norm.L2]),
+)
+def test_tfidf_and_normalize_match_row_loop(seed, lengths, norm):
+    # rows longer than 128 entries take numpy's recursive pairwise sum
+    rng = np.random.default_rng(seed)
+    V = 400
+    rows = [
+        [(int(j), float(v)) for j, v in zip(
+            rng.choice(V, size=k, replace=False), rng.lognormal(0.0, 3.0, size=k))]
+        for k in lengths
+    ]
+    rows.append([(0, 1.0)])  # one row whose only term may be everywhere
+    d = make_dataset(rows, vocab=V)
+    expected = loop_tfidf_normalize(d, norm)
+    if not expected:  # every term is in every row
+        with pytest.raises(DataFormatError, match="no instances survive"):
+            tfidf_weight(d)
+        return
+    got = normalize_dataset(tfidf_weight(d), norm).instances
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.indices.tolist() == b.indices.tolist()
+        assert a.values.tobytes() == b.values.tobytes()
+
+
 class TestTfidf:
+    def test_one_counted_warning_for_all_drops(self, caplog):
+        rows = [[(0, 1.0)] for _ in range(8)] + [[(0, 1.0), (1, 1.0)]]
+        d = make_dataset(rows, vocab=2)
+        with caplog.at_level(logging.WARNING, logger="exploressl.data"):
+            w = tfidf_weight(d)
+        assert len(w) == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            "dropping 8 instance(s) all-zero after tf-idf: 0, 1, 2, 3, 4, ..."
+        ]
+
+    def test_nothing_left_raises(self, caplog):
+        d = make_dataset([[(0, 1.0)], [(0, 2.0)]], vocab=1)
+        with caplog.at_level(logging.WARNING, logger="exploressl.data"):
+            with pytest.raises(DataFormatError, match="no instances survive"):
+                tfidf_weight(d)
+        assert len(caplog.records) == 1
+
+
     def test_everywhere_term_vanishes(self):
         d = make_dataset([[(0, 1.0), (1, 2.0)], [(0, 3.0)]], vocab=2)
         w = tfidf_weight(d)

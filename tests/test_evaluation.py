@@ -1,3 +1,4 @@
+from collections import Counter, defaultdict
 from itertools import permutations, product
 
 import numpy as np
@@ -113,6 +114,49 @@ class TestPrf:
     def test_empty_seeded_rejected(self):
         with pytest.raises(ValueError):
             seed_macro_f1([0], [0], [])
+
+
+def loop_per_class_prf(assignments, gold_labels, class_ids):
+    """per_class_prf as the O(n k) loop over instances computed it: the
+    reference the confusion-matrix version must match exactly."""
+    votes = defaultdict(Counter)
+    for c, y in zip(assignments, gold_labels):
+        votes[c][y] += 1
+    mapping = {
+        c: min(y for y, n in counter.items() if n == max(counter.values()))
+        for c, counter in votes.items()
+    }
+    predicted = [mapping[c] for c in assignments]
+    rows = []
+    for c in sorted(class_ids):
+        tp = sum(1 for p, y in zip(predicted, gold_labels) if p == c and y == c)
+        fp = sum(1 for p, y in zip(predicted, gold_labels) if p == c and y != c)
+        fn = sum(1 for p, y in zip(predicted, gold_labels) if p != c and y == c)
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        rows.append({"class_id": c, "precision": precision, "recall": recall, "f1": f1,
+                     "support": tp + fn})
+    return rows, mapping
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-1, 12), st.integers(0, 6)), max_size=60),
+    st.sets(st.integers(0, 8), max_size=6),
+)
+def test_per_class_prf_matches_instance_loop(pairs, class_ids):
+    a = [c for c, _ in pairs]
+    y = [g for _, g in pairs]
+    rows, mapping = loop_per_class_prf(a, y, class_ids)
+    assert per_class_prf(a, y, class_ids) == rows  # same counts, same float formula
+    assert majority_label_clusters(a, y) == mapping
+    if class_ids:
+        assert seed_macro_f1(a, y, class_ids) == float(np.mean([r["f1"] for r in rows]))
+    cm = build_confusion(a, y)
+    for (c, g), n in Counter(pairs).items():
+        assert cm.counts[cm.row_ids.index(c), cm.col_ids.index(g)] == n
+    assert cm.total() == len(pairs)
 
 
 class TestAlignment:

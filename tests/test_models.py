@@ -17,7 +17,7 @@ from exploressl.models import (
 
 
 def dataset(rows, labels, vocab):
-    return Dataset([SparseVector.from_pairs(r) for r in rows], labels, vocab)
+    return Dataset.from_rows([SparseVector.from_pairs(r) for r in rows], labels, vocab)
 
 
 def partition(d, labeled, seeded):
@@ -253,7 +253,7 @@ class TestMStep:
             dd = d
             if fam is not ModelFamily.NB:
                 norm = Norm.L1 if fam is ModelFamily.KMEANS else Norm.L2
-                dd = Dataset(
+                dd = Dataset.from_rows(
                     [normalize(x, norm) for x in d.instances], d.gold_labels, 3
                 )
             s = init_from_seeds(dd, p, fam)
