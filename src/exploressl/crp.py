@@ -138,15 +138,17 @@ def crp_gibbs(d: Dataset, p: SeedPartition, cfg: CrpConfig) -> RunResult:
     # random seeded-class start for the unlabeled pool
     state.assignments[unlabeled] = rng.integers(state.num_classes, size=len(unlabeled))
     state = m_step(state, d)
+    X = d.matrix()
+    scores = X @ state.vectors.T  # read by the epoch's pass; refreshed per M-step
 
     ll_trace: list[float] = []
     class_trace: list[int] = []
 
     for epoch in range(1, cfg.num_epochs + 1):
-        scores = PassScores(state, d, unlabeled)
+        batch = PassScores(state, d, unlabeled, scores)
         start = 0
         while start < len(unlabeled):
-            post = scores.posteriors(state, start)
+            post = batch.posteriors(state, start)
             if not np.all(np.isfinite(post)):
                 raise FloatingPointError(f"non-finite posterior at epoch {epoch}")
             labels, opens = pick_chunk(cfg.pick, cfg.p_new, post, rng)
@@ -157,12 +159,13 @@ def crp_gibbs(d: Dataset, p: SeedPartition, cfg: CrpConfig) -> RunResult:
                 i = unlabeled[stop]
                 params = init_new_class(d.row(i), cfg.family, d.vocab_size, cfg.kappa_init)
                 state.assignments[i] = state.add_class(params, n)
-                scores.add_class(state, stop)
+                batch.add_class(state, stop)
                 stop += 1
             start = stop
         # refresh parameters and prune emptied introduced classes
         state = m_step(state, d)
-        ll_trace.append(data_log_likelihood(state, d))
+        scores = X @ state.vectors.T
+        ll_trace.append(data_log_likelihood(state, d, scores))
         class_trace.append(state.num_classes)
 
     return RunResult(

@@ -72,21 +72,23 @@ def _e_step(
     state: ModelState,
     d: Dataset,
     rows: np.ndarray,
+    base: np.ndarray,
     kappa_init: float,
     fires: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
 ) -> int:
     """Hard E-step over `rows` in order; returns how many assignments changed.
 
+    base is X @ vectors.T under the state's current parameters (PassScores).
     Without `fires` every row takes its argmax class. With it, the first row
     it flags opens a new class seeded by that instance and takes it; the rows
     after it are scored again with the new class and the rescaled priors, so
     each row sees the model exactly as a one-at-a-time pass would leave it.
     """
-    scores = PassScores(state, d, rows)
+    batch = PassScores(state, d, rows, base)
     changed = 0
     start = 0
     while start < len(rows):
-        post = scores.posteriors(state, start)
+        post = batch.posteriors(state, start)
         hits = np.flatnonzero(fires(post, start)) if fires is not None else ()
         stop = start + (hits[0] if len(hits) else len(post))
         idx = rows[start:stop]
@@ -99,7 +101,7 @@ def _e_step(
             j = state.add_class(params, len(d))
             changed += int(state.assignments[i] != j)
             state.assignments[i] = j
-            scores.add_class(state, stop)
+            batch.add_class(state, stop)
             stop += 1
         start = stop
     return changed
@@ -140,10 +142,15 @@ def _run_em(
         )
         state.assignments[first] = 0
 
+    # every row's scores under the current parameters, computed once per
+    # parameter update and read by each E-step pass and likelihood until the
+    # next M-step; a class opened since is scored on its own
+    X = d.matrix()
+    scores = X @ state.vectors.T
     # initial hard labels for the unlabeled pool, so the first baseline
     # likelihood is well defined
-    _e_step(state, d, unlabeled, cfg.kappa_init)
-    ll = data_log_likelihood(state, d)
+    _e_step(state, d, unlabeled, scores, cfg.kappa_init)
+    ll = data_log_likelihood(state, d, scores)
 
     can_add = allow_creation
     latched_at: Optional[int] = None
@@ -162,10 +169,10 @@ def _run_em(
         baseline_ll = ll
 
         fires = criterion.for_pass(len(unlabeled)) if can_add else None
-        changed = _e_step(state, d, unlabeled, cfg.kappa_init, fires)
+        changed = _e_step(state, d, unlabeled, scores, cfg.kappa_init, fires)
 
         m_new = state.num_classes
-        explore_ll = data_log_likelihood(state, d)
+        explore_ll = data_log_likelihood(state, d, scores)
         if not (np.isfinite(baseline_ll) and np.isfinite(explore_ll)):
             raise FloatingPointError(f"non-finite likelihood at iteration {t}")
 
@@ -186,15 +193,16 @@ def _run_em(
 
         if not accept_exploratory(explore_score, baseline_score):
             if m_new > m_old:
-                state.truncate(m_old)
+                state.truncate(m_old)  # leaves exactly the classes scores covers
                 dropped = unlabeled[state.assignments[unlabeled] >= m_old]
-                _e_step(state, d, dropped, cfg.kappa_init)
+                _e_step(state, d, dropped, scores, cfg.kappa_init)
             if can_add and latched_at is None:
                 latched_at = t
             can_add = False
 
         state = m_step(state, d)
-        ll = data_log_likelihood(state, d)
+        scores = X @ state.vectors.T
+        ll = data_log_likelihood(state, d, scores)
         m_now = state.num_classes
         ll_trace.append(ll)
         class_trace.append(m_now)

@@ -96,9 +96,12 @@ def prepare_family_datasets(raw: Dataset) -> dict[ModelFamily, Dataset]:
     }
 
 
-def _eval_indices(d: Dataset, p: SeedPartition, include_seeds: bool) -> list[int]:
-    pool = range(len(d)) if include_seeds else sorted(p.unlabeled_idx)
-    return [i for i in pool if d.gold_labels[i] is not None]
+def _eval_gold(d: Dataset, p: SeedPartition, include_seeds: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The evaluated rows, in order, and their gold class ids."""
+    pool = np.arange(len(d)) if include_seeds else np.sort(np.fromiter(p.unlabeled_idx, np.int64))
+    gold = np.array(d.gold_labels, dtype=np.float64)[pool]  # None becomes nan
+    known = ~np.isnan(gold)
+    return pool[known], gold[known].astype(np.int64)
 
 
 def _run_one(task: dict) -> dict:
@@ -172,22 +175,16 @@ def _run_one(task: dict) -> dict:
                     rng_seed=run_seed,
                 ),
             )
-        eval_idx = _eval_indices(d, p, spec.include_seeds_in_eval)
-        f1 = seed_macro_f1(
-            [int(result.final_state.assignments[i]) for i in eval_idx],
-            [d.gold_labels[i] for i in eval_idx],
-            p.seeded_class_ids,
-        )
+        eval_idx, gold = _eval_gold(d, p, spec.include_seeds_in_eval)
+        assignments = result.final_state.assignments  # int64, aligned with d.instance_ids
+        f1 = seed_macro_f1(assignments[eval_idx], gold, p.seeded_class_ids)
         row.update(
             seed_f1=f"{f1:.6f}",
             clusters=result.final_state.num_classes,
             iterations=result.iterations_run,
             runtime_s=f"{result.wall_time:.3f}",
         )
-        row["assignments"] = {
-            d.instance_ids[i]: int(result.final_state.assignments[i])
-            for i in range(len(d))
-        }
+        row["assignments"] = assignments
     except Exception as e:  # noqa: BLE001 - per-run failures become tagged rows
         log.exception("run failed: %s", row)
         row["error"] = f"{type(e).__name__}: {e}"
@@ -253,7 +250,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
         rows = [_run_one(t) for t in tasks]
 
     _write_rows(rows, out / "runs.csv")
-    _write_assignments(rows, out)
+    _write_assignments(rows, out, any_d.instance_ids)
     summary = summarize(rows)
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -280,7 +277,9 @@ def _run_id(row: dict) -> str:
     return "_".join(bits)
 
 
-def _write_assignments(rows: list[dict], out: Path) -> None:
+def _write_assignments(rows: list[dict], out: Path, instance_ids: list[str]) -> None:
+    """Per run, assign_<run id>.csv: each instance id (every family's dataset
+    has the same instances, in the same order) with its final cluster."""
     for row in rows:
         sweep_table = row.pop("sweep_table", None)
         if sweep_table is not None:
@@ -293,8 +292,7 @@ def _write_assignments(rows: list[dict], out: Path) -> None:
                   newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["instance_id", "cluster"])
-            for iid, cluster in assignments.items():
-                writer.writerow([iid, cluster])
+            writer.writerows(zip(instance_ids, assignments.tolist()))
 
 
 def _group_key(row: dict) -> tuple:

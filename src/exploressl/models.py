@@ -211,7 +211,10 @@ def posteriors(state: ModelState, scores: np.ndarray) -> np.ndarray:
     non-negative and sums to 1.
 
     scores[i, j] is the inner product x_i . vectors[j], as PassScores computes
-    it. A K-Means row whose scores are all non-positive is uniform."""
+    it. A K-Means row whose scores are all non-positive is uniform. The vMF
+    logits leave out the per-class log normalizer log c_d(kappa_j) that
+    data_log_likelihood includes, so the two describe different models
+    whenever the kappas differ (ROADMAP item 2)."""
     m = state.num_classes
     if m == 0:
         raise ValueError("model has no classes")
@@ -244,8 +247,10 @@ class PassScores:
     """Posteriors of the rows `rows` of a dataset, in pass order, for one
     E-step pass, handed out a chunk at a time.
 
-    The scores of the classes that exist when the pass starts come from one
-    sparse product over the dataset's cached CSR matrix. The pass is worked
+    The scores of the classes that exist when the pass starts are `base`,
+    the product X @ vectors.T over every row of the dataset's CSR matrix. A
+    driver computes it once per parameter update and shares it between the
+    passes and likelihoods that see those parameters. The pass is worked
     in windows of at most E_STEP_CHUNK positions, and each window takes its
     rows of that product. A class opened during the pass is scored on the
     window's rows of the matrix, copied when the first class opens in the
@@ -262,10 +267,12 @@ class PassScores:
 
     SPARE_COLUMNS = 64  # room for classes opened while a window is held
 
-    def __init__(self, state: ModelState, d: Dataset, rows: np.ndarray):
+    def __init__(self, state: ModelState, d: Dataset, rows: np.ndarray, base: np.ndarray):
+        if base.shape != (len(d), state.num_classes):
+            raise ValueError("base scores must cover every row and live class")
         self._X = d.matrix()
         self._rows = rows
-        self._base = self._X @ state.vectors.T  # (len(d), classes at the start)
+        self._base = base
         self._opened_at = -E_STEP_CHUNK
         self._window = (0, 0)  # the pass positions that _scores holds
         self._scores = self._base[:0]  # (window rows, >= live classes)
@@ -310,6 +317,33 @@ class PassScores:
         )
 
 
+def class_sums(X: sp.csr_matrix, y: np.ndarray, m: int) -> np.ndarray:
+    """(m, V) sums of the rows of X per class label y[row], all y in [0, m).
+
+    bincount adds the weights in entry order, so each (class, word) sum adds
+    its rows in row order, as the product of a class-indicator matrix with X
+    and X[rows].sum(axis=0) do."""
+    V = X.shape[1]
+    row_class = np.repeat(y, np.diff(X.indptr))
+    return np.bincount(row_class * V + X.indices, weights=X.data, minlength=m * V).reshape(m, V)
+
+
+def _fit_class(
+    family: ModelFamily, s: np.ndarray, count: float, V: int
+) -> Optional[tuple[np.ndarray, Optional[float]]]:
+    """(vector, kappa) of a class whose members' rows sum to s, kappa None
+    outside vMF; None when s is degenerate (K-Means all-zero sum, vMF mean
+    resultant 0)."""
+    if family is ModelFamily.NB:
+        smoothed = s + 1.0
+        return np.log(smoothed / smoothed.sum()), None
+    if family is ModelFamily.KMEANS:
+        total = np.abs(s).sum()
+        return (s / total, None) if total > 0.0 else None
+    r = float(np.linalg.norm(s))
+    return (s / r, _banerjee_kappa(r / max(count, 1.0), V)) if r > 1e-12 else None
+
+
 def init_from_seeds(
     d: Dataset,
     p: SeedPartition,
@@ -332,43 +366,31 @@ def init_from_seeds(
             np.full(len(d), -1, dtype=np.int64),
             np.zeros(0) if family is ModelFamily.VMF else None,
         )
-    members: dict[int, list[int]] = {c: [] for c in seeded}
-    for i in sorted(p.labeled_idx):
-        members[d.gold_labels[i]].append(i)
-    for c in seeded:
-        if not members[c]:
-            raise ValueError(f"seeded class {c} has no labeled instances")
-
     k = len(seeded)
     V = d.vocab_size
-    X = d.matrix()
+    class_index = {c: j for j, c in enumerate(seeded)}
+    labeled = np.array(sorted(p.labeled_idx), dtype=np.int64)
+    y = np.array([class_index[d.gold_labels[i]] for i in labeled], dtype=np.int64)
+    counts = np.bincount(y, minlength=k).astype(np.float64)
+    if not counts.all():
+        raise ValueError(f"seeded class {seeded[np.argmin(counts)]} has no labeled instances")
+
+    sums = class_sums(d.matrix()[labeled], y, k)
     vectors = np.zeros((k, V))
     kappas = np.zeros(k) if family is ModelFamily.VMF else None
-    counts = np.zeros(k)
     for j, c in enumerate(seeded):
-        rows = members[c]
-        counts[j] = len(rows)
-        s = np.asarray(X[rows].sum(axis=0)).ravel()
-        if family is ModelFamily.NB:
-            smoothed = s + 1.0
-            vectors[j] = np.log(smoothed / smoothed.sum())
-        elif family is ModelFamily.KMEANS:
-            total = np.abs(s).sum()
-            if total == 0.0:
-                raise ValueError(f"seeded class {c}: degenerate all-zero seed mean")
-            vectors[j] = s / total
-        else:
-            r = float(np.linalg.norm(s))
-            if r <= 1e-12:
-                raise ValueError(f"seeded class {c}: seed directions cancel (mean resultant 0)")
-            vectors[j] = s / r
-            kappas[j] = _banerjee_kappa(r / len(rows), V)
+        fit = _fit_class(family, sums[j], int(counts[j]), V)
+        if fit is None:
+            why = ("degenerate all-zero seed mean" if family is ModelFamily.KMEANS
+                   else "seed directions cancel (mean resultant 0)")
+            raise ValueError(f"seeded class {c}: {why}")
+        vectors[j], kappa = fit
+        if kappas is not None:
+            kappas[j] = kappa
 
     priors = (counts + 1.0) / (counts.sum() + k)
     assignments = np.full(len(d), -1, dtype=np.int64)
-    class_index = {c: j for j, c in enumerate(seeded)}
-    for i in p.labeled_idx:
-        assignments[i] = class_index[d.gold_labels[i]]
+    assignments[labeled] = y
     return ModelState(
         family,
         V,
@@ -412,44 +434,23 @@ def m_step(state: ModelState, d: Dataset) -> ModelState:
     m = state.num_classes
     counts = np.bincount(y, minlength=m).astype(np.float64)
 
-    keep = [j for j in range(m) if state.seeded_flags[j] or counts[j] > 0]
+    keep = np.flatnonzero(np.array(state.seeded_flags, dtype=bool) | (counts > 0))
     remap = np.full(m, -1, dtype=np.int64)
-    for new_j, old_j in enumerate(keep):
-        remap[old_j] = new_j
+    remap[keep] = np.arange(len(keep))
     y_new = remap[y]
     m_new = len(keep)
     counts = counts[keep]
 
-    n = len(d)
     V = d.vocab_size
-    X = d.matrix()
-    # class-membership indicator (m_new x n) for grouped sums
-    A = sp.csr_matrix(
-        (np.ones(n), (y_new, np.arange(n))), shape=(m_new, n)
-    )
-    sums = np.asarray((A @ X).todense())  # (m_new, V)
-
+    sums = class_sums(d.matrix(), y_new, m_new)
     vectors = np.zeros((m_new, V))
     kappas = np.zeros(m_new) if state.family is ModelFamily.VMF else None
-    for j in range(m_new):
-        s = sums[j]
-        if state.family is ModelFamily.NB:
-            smoothed = s + 1.0
-            vectors[j] = np.log(smoothed / smoothed.sum())
-        elif state.family is ModelFamily.KMEANS:
-            total = np.abs(s).sum()
-            if total > 0.0:
-                vectors[j] = s / total
-            else:
-                vectors[j] = state.vectors[keep[j]]  # empty seeded class: keep params
-        else:
-            r = float(np.linalg.norm(s))
-            if r > 1e-12:
-                vectors[j] = s / r
-                kappas[j] = _banerjee_kappa(r / max(counts[j], 1.0), V)
-            else:
-                vectors[j] = state.vectors[keep[j]]
-                kappas[j] = KAPPA_MIN
+    for j, old_j in enumerate(keep):
+        # a degenerate sum (an empty seeded class) keeps its parameters
+        fit = _fit_class(state.family, sums[j], counts[j], V)
+        vectors[j], kappa = fit or (state.vectors[old_j], KAPPA_MIN)
+        if kappas is not None:
+            kappas[j] = kappa
 
     priors = (counts + 1.0) / (counts.sum() + m_new)
     return ModelState(
@@ -464,31 +465,40 @@ def m_step(state: ModelState, d: Dataset) -> ModelState:
     )
 
 
-def data_log_likelihood(state: ModelState, d: Dataset) -> float:
+def data_log_likelihood(
+    state: ModelState, d: Dataset, scores: Optional[np.ndarray] = None
+) -> float:
     """Complete-data log-likelihood sum_i log[P(C_{y_i}) P(x_i | C_{y_i})]
     under the current hard assignments.
 
+    scores, if given, is X @ vectors.T for the first scores.shape[1] classes,
+    as a driver computed it after its last parameter update; the rows
+    assigned to a class opened since then are scored here. Without it the
+    whole product is computed.
+
     K-Means uses the documented surrogate log[P(C_j)(x . c_j + eps)]; it is a
     scoring surrogate, not a probability. vMF uses the asymptotic log
-    normalizer shared across classes."""
+    normalizer of each row's own class, log c_d(kappa_{y_i})."""
     y = state.assignments
     if np.any(y < 0):
         raise ValueError("all instances must be assigned")
     X = d.matrix()
-    m = state.num_classes
-    n = len(d)
+    if scores is None:
+        scores = X @ state.vectors.T  # (n, m)
+    m0 = scores.shape[1]
+    if scores.shape[0] != len(d) or m0 > state.num_classes:
+        raise ValueError("scores must cover every row and no more than the live classes")
+    own = np.zeros(len(d))  # each row's dot with its own class's vector
+    early = y < m0
+    own[early] = scores[early, y[early]]
+    late = np.flatnonzero(~early)
+    if len(late):
+        own[late] = (X[late] @ state.vectors[m0:].T)[np.arange(len(late)), y[late] - m0]
     log_priors = np.log(state.priors)
     if state.family is ModelFamily.NB:
-        # per-instance dot with its own class's log word probs
-        per_class = X @ state.vectors.T  # (n, m)
-        ll = log_priors[y].sum() + per_class[np.arange(n), y].sum()
-        return float(ll)
+        return float(log_priors[y].sum() + own.sum())
     if state.family is ModelFamily.KMEANS:
-        sims = X @ state.vectors.T
-        own = sims[np.arange(n), y]
         return float(np.sum(log_priors[y] + np.log(np.maximum(own, 0.0) + KMEANS_LL_EPS)))
-    dots = X @ state.vectors.T
-    own = dots[np.arange(n), y]
     logc = _vmf_log_normalizer(state.kappas, d.vocab_size)
     return float(np.sum(log_priors[y] + state.kappas[y] * own + logc[y]))
 

@@ -26,7 +26,7 @@ from exploressl.crp import CrpConfig, PickRule, crp_gibbs
 from exploressl.data import make_partitions
 from exploressl.engine import EngineConfig, calibrate_random_rate, exploratory_em, semisup_em
 from exploressl.experiments import prepare_family_datasets
-from exploressl.models import ModelFamily
+from exploressl.models import ModelFamily, data_log_likelihood
 from exploressl.synth import SyntheticSpec, generate_synthetic
 
 CORPORA = {
@@ -139,4 +139,7 @@ def test_golden_assignments(corpora, corpus, family, algorithm):
     )
     key = (corpus, family, algorithm)
     assert got == GOLDEN[key] or got == TIE_BROKEN_BY_SUMMATION_ORDER.get(key)
+    # the drivers read the likelihood from a score matrix they keep across a
+    # parameter update; a stale one would show here against a fresh product
+    assert r.ll_trace[-1] == data_log_likelihood(r.final_state, datasets[fam])
 
