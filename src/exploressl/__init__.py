@@ -37,7 +37,6 @@ from .evaluation import (
     seed_macro_f1,
 )
 from .models import (
-    ClassParams,
     ModelFamily,
     ModelState,
     data_log_likelihood,

@@ -11,7 +11,7 @@ import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-from .config import coerce, merge, parse_config
+from .config import ConfigError, coerce, merge, parse_config
 from .data import load_dataset, write_sparse_triplet
 from .evaluation import evaluate_run
 from .experiments import ExperimentSpec, run_experiment
@@ -94,12 +94,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    file_values = parse_config(args.config) if args.config else {}
-    flag_values = {
-        k: coerce(k, v)
-        for k, v in vars(args).items()
-        if k in {**RUN_DEFAULTS, "dataset_path": None, "output_dir": None}
-    }
+    try:
+        file_values = parse_config(args.config) if args.config else {}
+        flag_values = {
+            k: coerce(k, v)
+            for k, v in vars(args).items()
+            if k in {**RUN_DEFAULTS, "dataset_path": None, "output_dir": None}
+        }
+    except ConfigError as e:
+        raise SystemExit(f"run: {e}") from None
     values = merge(RUN_DEFAULTS, file_values, flag_values)
     if not values.get("dataset_path"):
         raise SystemExit("run: --dataset (or config key dataset_path) is required")

@@ -125,7 +125,3 @@ class Criterion:
         post = _check_distribution(posterior, "posterior")[None, :]
         return bool(self.for_pass(1)(post, 0)[0])
 
-
-def never_fires() -> Criterion:
-    """A criterion that never triggers class creation (rate-0 random)."""
-    return Criterion(CriterionConfig(CriterionKind.RANDOM, random_rate=0.0))

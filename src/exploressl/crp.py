@@ -12,13 +12,12 @@ import numpy as np
 
 from .criteria import _check_distribution, _js_rows
 from .data import Dataset, SeedPartition
-from .engine import RunResult
+from .engine import RunResult, _pass
 from .models import (
     ModelFamily,
-    PassScores,
     data_log_likelihood,
     init_from_seeds,
-    init_new_class,
+    init_new_class,  # noqa: F401 - kept as a module attribute: benchmarks/ trace it by name
     m_step,
     posterior,  # noqa: F401 - kept as a module attribute: benchmarks/ trace it by name
 )
@@ -36,7 +35,6 @@ class CrpConfig:
     pick: PickRule = PickRule.STANDARD
     family: ModelFamily = ModelFamily.KMEANS
     rng_seed: int = 0
-    burn_in: int = 0
     kappa_init: float = 1.0
 
     def __post_init__(self):
@@ -44,8 +42,6 @@ class CrpConfig:
             raise ValueError("p_new must lie strictly between 0 and 1")
         if self.num_epochs < 1:
             raise ValueError("num_epochs must be positive")
-        if not (0 <= self.burn_in < self.num_epochs):
-            raise ValueError("burn_in must be in [0, num_epochs)")
 
 
 def crp_pick_standard(
@@ -130,11 +126,10 @@ def crp_gibbs(d: Dataset, p: SeedPartition, cfg: CrpConfig) -> RunResult:
     labels are the output."""
     t_start = time.perf_counter()
     p.validate(d)
-    n = len(d)
     unlabeled = np.array(sorted(p.unlabeled_idx), dtype=np.int64)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, 11]))
 
-    state = init_from_seeds(d, p, cfg.family, cfg.kappa_init)
+    state = init_from_seeds(d, p, cfg.family)
     # random seeded-class start for the unlabeled pool
     state.assignments[unlabeled] = rng.integers(state.num_classes, size=len(unlabeled))
     state = m_step(state, d)
@@ -145,23 +140,12 @@ def crp_gibbs(d: Dataset, p: SeedPartition, cfg: CrpConfig) -> RunResult:
     class_trace: list[int] = []
 
     for epoch in range(1, cfg.num_epochs + 1):
-        batch = PassScores(state, d, unlabeled, scores)
-        start = 0
-        while start < len(unlabeled):
-            post = batch.posteriors(state, start)
+        def pick(post: np.ndarray, start: int) -> tuple[np.ndarray, bool]:
             if not np.all(np.isfinite(post)):
                 raise FloatingPointError(f"non-finite posterior at epoch {epoch}")
-            labels, opens = pick_chunk(cfg.pick, cfg.p_new, post, rng)
-            stop = start + len(labels)
-            state.assignments[unlabeled[start:stop]] = labels
-            if opens:
-                # the rows after it must see the new class
-                i = unlabeled[stop]
-                params = init_new_class(d.row(i), cfg.family, d.vocab_size, cfg.kappa_init)
-                state.assignments[i] = state.add_class(params, n)
-                batch.add_class(state, stop)
-                stop += 1
-            start = stop
+            return pick_chunk(cfg.pick, cfg.p_new, post, rng)
+
+        _pass(state, d, unlabeled, scores, cfg.kappa_init, pick)
         # refresh parameters and prune emptied introduced classes
         state = m_step(state, d)
         scores = X @ state.vectors.T

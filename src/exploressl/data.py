@@ -208,32 +208,31 @@ class SeedPartition:
 def load_dataset(
     path: str | Path,
     format: str = "sparse-triplet",
-    vocab_size: Optional[int] = None,
 ) -> Dataset:
     """Load a dataset file.
 
     sparse-triplet: one instance per line, ``<label> <fid>:<count> ...``,
     0-based feature ids. An optional first line ``%%vocab <N>`` declares the
-    vocabulary size; otherwise it is inferred (or taken from ``vocab_size``).
+    vocabulary size; otherwise it is inferred.
 
     dense-csv: header ``label,f0,f1,...`` then one row per instance.
     """
     path = Path(path)
     if format == "sparse-triplet":
-        return _load_sparse_triplet(path, vocab_size)
+        return _load_sparse_triplet(path)
     if format == "dense-csv":
         return _load_dense_csv(path)
     raise ValueError(f"unknown dataset format: {format!r}")
 
 
-def _load_sparse_triplet(path: Path, vocab_size: Optional[int]) -> Dataset:
+def _load_sparse_triplet(path: Path) -> Dataset:
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")  # the lines iterating fh gives
     # parse the entries a block of lines at a time, which bounds the strings
     # alive at once; on any fault, reading the lines one entry at a time
     # names the first bad line, so errors come in file order
     try:
-        raw_labels, entries, declared = _read_lines(lines, vocab_size)
+        raw_labels, entries, declared = _read_lines(lines)
         if not raw_labels:
             raise DataFormatError("no instances")
         blocks = range(0, len(entries), LINES_PER_PARSE)
@@ -253,7 +252,7 @@ def _load_sparse_triplet(path: Path, vocab_size: Optional[int]) -> Dataset:
         return _finish(X, raw_labels)
     except (ValueError, OverflowError) as e:
         error = e
-    _read_lines(lines, vocab_size, check=True)
+    _read_lines(lines, check=True)
     raise error
 
 
@@ -273,12 +272,13 @@ def _parse_entries(entries: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.n
     return fids, np.array(fields[1::2], dtype=np.float64), lengths
 
 
-def _read_lines(lines: Sequence[str], declared: Optional[int], check: bool = False):
+def _read_lines(lines: Sequence[str], check: bool = False):
     """The labels, the text after each label and the declared vocabulary size
     of a sparse-triplet file. With check, every entry is also read on its
     own, and the first bad line raises DataFormatError."""
     labels: list[str] = []
     entries: list[str] = []
+    declared: Optional[int] = None
     for lineno, line in enumerate(lines, start=1):
         parts = line.split(None, 1)
         if not parts:

@@ -18,7 +18,6 @@ from .criteria import (
     CriterionKind,
     js_fires,
     minmax_fires,
-    never_fires,
 )
 from .data import Dataset, SeedPartition
 from .models import (
@@ -68,58 +67,67 @@ class RunResult:
     wall_time: float = 0.0
 
 
+def _pass(
+    state: ModelState, d: Dataset, rows: np.ndarray, base: np.ndarray, kappa_init: float,
+    pick: Callable[[np.ndarray, int], tuple[np.ndarray, bool]],
+) -> None:
+    """One sequential pass over `rows` in which each row takes a class or
+    opens a new one seeded by itself.
+
+    base is X @ vectors.T under the state's current parameters (PassScores).
+    pick(post, start) gets the posteriors of pass positions start onward and
+    returns the labels of the leading rows and whether the row after them
+    opens a class. The rows after an opening are scored again with the new
+    class and the rescaled priors, so each row sees the model exactly as a
+    one-at-a-time pass would leave it.
+    """
+    batch = PassScores(state, d, rows, base)
+    start = 0
+    while start < len(rows):
+        labels, opens = pick(batch.posteriors(state, start), start)
+        stop = start + len(labels)
+        state.assignments[rows[start:stop]] = labels
+        if opens:
+            i = rows[stop]
+            params = init_new_class(d.row(i), state.family, d.vocab_size, kappa_init)
+            state.assignments[i] = state.add_class(params, len(d))
+            batch.add_class(state, stop)
+            stop += 1
+        start = stop
+
+
 def _e_step(
-    state: ModelState,
-    d: Dataset,
-    rows: np.ndarray,
-    base: np.ndarray,
-    kappa_init: float,
+    state: ModelState, d: Dataset, rows: np.ndarray, base: np.ndarray, kappa_init: float,
     fires: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
 ) -> int:
     """Hard E-step over `rows` in order; returns how many assignments changed.
 
-    base is X @ vectors.T under the state's current parameters (PassScores).
     Without `fires` every row takes its argmax class. With it, the first row
-    it flags opens a new class seeded by that instance and takes it; the rows
-    after it are scored again with the new class and the rescaled priors, so
-    each row sees the model exactly as a one-at-a-time pass would leave it.
+    it flags in a chunk opens a new class (_pass).
     """
-    batch = PassScores(state, d, rows, base)
-    changed = 0
-    start = 0
-    while start < len(rows):
-        post = batch.posteriors(state, start)
+    before = state.assignments[rows]
+
+    def pick(post: np.ndarray, start: int) -> tuple[np.ndarray, bool]:
         hits = np.flatnonzero(fires(post, start)) if fires is not None else ()
-        stop = start + (hits[0] if len(hits) else len(post))
-        idx = rows[start:stop]
-        labels = post[: stop - start].argmax(axis=1)
-        changed += int(np.count_nonzero(state.assignments[idx] != labels))
-        state.assignments[idx] = labels
-        if len(hits):
-            i = rows[stop]
-            params = init_new_class(d.row(i), state.family, d.vocab_size, kappa_init)
-            j = state.add_class(params, len(d))
-            changed += int(state.assignments[i] != j)
-            state.assignments[i] = j
-            batch.add_class(state, stop)
-            stop += 1
-        start = stop
-    return changed
+        stop = hits[0] if len(hits) else len(post)
+        return post[:stop].argmax(axis=1), len(hits) > 0
+
+    _pass(state, d, rows, base, kappa_init, pick)
+    # each row is visited once, and a row that opens a class always changes
+    return int(np.count_nonzero(state.assignments[rows] != before))
 
 
 def _run_em(
-    d: Dataset,
-    p: SeedPartition,
-    cfg: EngineConfig,
-    criterion: Criterion,
-    allow_creation: bool,
+    d: Dataset, p: SeedPartition, cfg: EngineConfig, criterion: Optional[Criterion]
 ) -> RunResult:
+    """Hard EM from the seeded classes; a criterion, if given, may open
+    classes during the E-step until the selection gate first rejects."""
     t_start = time.perf_counter()
     p.validate(d)
     n = len(d)
     unlabeled = np.array(sorted(p.unlabeled_idx), dtype=np.int64)
 
-    state = init_from_seeds(d, p, cfg.family, cfg.kappa_init)
+    state = init_from_seeds(d, p, cfg.family)
 
     if cfg.extra_classes:
         if cfg.extra_classes > len(unlabeled):
@@ -133,7 +141,7 @@ def _run_em(
     if state.num_classes == 0:
         # no seeded classes at all: bootstrap one class from the first
         # unlabeled instance so the run proceeds as plain clustering
-        if not (allow_creation and len(unlabeled)):
+        if criterion is None or not len(unlabeled):
             raise ValueError("no seeded classes and no way to create any")
         first = unlabeled[0]
         state.add_class(
@@ -152,7 +160,7 @@ def _run_em(
     _e_step(state, d, unlabeled, scores, cfg.kappa_init)
     ll = data_log_likelihood(state, d, scores)
 
-    can_add = allow_creation
+    can_add = criterion is not None
     latched_at: Optional[int] = None
     ll_trace: list[float] = []
     class_trace: list[int] = []
@@ -239,13 +247,13 @@ def exploratory_em(d: Dataset, p: SeedPartition, cfg: EngineConfig) -> RunResult
         raise ValueError("exploratory mode requires a class-creation criterion")
     if crit_cfg.kind is CriterionKind.RANDOM and crit_cfg.random_rate is None:
         raise ValueError("random criterion must be calibrated (random_rate set)")
-    return _run_em(d, p, cfg, Criterion(crit_cfg), allow_creation=True)
+    return _run_em(d, p, cfg, Criterion(crit_cfg))
 
 
 def semisup_em(d: Dataset, p: SeedPartition, cfg: EngineConfig) -> RunResult:
     """Standard classification EM over the seeded classes plus
     cfg.extra_classes classes initialized from random unlabeled instances."""
-    return _run_em(d, p, cfg, never_fires(), allow_creation=False)
+    return _run_em(d, p, cfg, None)
 
 
 def calibrate_random_rate(
@@ -253,7 +261,6 @@ def calibrate_random_rate(
     p: SeedPartition,
     family: ModelFamily,
     reference: CriterionKind = CriterionKind.MINMAX,
-    kappa_init: float = 1.0,
 ) -> float:
     """Empirical firing rate of a reference criterion over one pass of the
     seed-initialized model's posteriors; used to parameterize the random
@@ -261,7 +268,7 @@ def calibrate_random_rate(
     if reference is CriterionKind.RANDOM:
         raise ValueError("reference must be minmax or js")
     ref = minmax_fires if reference is CriterionKind.MINMAX else js_fires
-    state = init_from_seeds(d, p, family, kappa_init)
+    state = init_from_seeds(d, p, family)
     unlabeled = np.array(sorted(p.unlabeled_idx), dtype=np.int64)
     if not len(unlabeled):
         return 0.0

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import stats
@@ -28,7 +28,6 @@ class EvaluationReport:
     per_class_prf: list[dict]
     num_clusters: int
     aligned_confusion: ConfusionMatrix
-    runtime_s: float = 0.0
 
 
 class SignificanceOutcome(Enum):
@@ -178,15 +177,12 @@ def evaluate_run(
     assignments: Sequence[int],
     gold_labels: Sequence[int],
     seeded_class_ids: Iterable[int],
-    num_clusters: Optional[int] = None,
-    runtime_s: float = 0.0,
 ) -> EvaluationReport:
     """Full report for one run over the evaluated (test) instances."""
     seeded = sorted(seeded_class_ids)
     return EvaluationReport(
         macro_f1_seed=seed_macro_f1(assignments, gold_labels, seeded),
         per_class_prf=per_class_prf(assignments, gold_labels, seeded),
-        num_clusters=num_clusters if num_clusters is not None else len(set(assignments)),
+        num_clusters=len(set(assignments)),
         aligned_confusion=align_confusion(build_confusion(assignments, gold_labels)),
-        runtime_s=runtime_s,
     )

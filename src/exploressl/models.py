@@ -11,9 +11,7 @@ penalized model selection.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -34,22 +32,16 @@ class ModelFamily(Enum):
     VMF = "vmf"
 
 
-@dataclass
-class ClassParams:
-    """Parameters of one class.
-
-    vector holds log word probabilities (NB), an L1-normalized centroid
-    (K-Means) or a unit mean direction (vMF). kappa is vMF-only.
-    """
-
-    family: ModelFamily
-    vector: np.ndarray
-    kappa: Optional[float] = None
-
-
 class ModelState:
-    """Full model: per-class parameters, priors, seeded flags and the current
-    hard assignments (labeled entries are fixed by contract)."""
+    """Full model: per-class parameters, priors, the gold ids of the seeded
+    classes and the current hard assignments (labeled entries are fixed by
+    contract).
+
+    A class's vector holds log word probabilities (NB), an L1-normalized
+    centroid (K-Means) or a unit mean direction (vMF); kappas are vMF-only.
+    The seeded classes come first: class j < len(seed_class_ids) is seeded
+    with gold class seed_class_ids[j], and every later class was opened by
+    add_class."""
 
     def __init__(
         self,
@@ -57,8 +49,7 @@ class ModelState:
         vocab_size: int,
         vectors: np.ndarray,
         priors: np.ndarray,
-        seeded_flags: list[bool],
-        seed_class_ids: list[Optional[int]],
+        seed_class_ids: list[int],
         assignments: np.ndarray,
         kappas: Optional[np.ndarray] = None,
     ):
@@ -66,8 +57,7 @@ class ModelState:
         self.vocab_size = int(vocab_size)
         self.vectors = vectors  # (m, V)
         self.priors = priors  # (m,)
-        self.seeded_flags = seeded_flags
-        self.seed_class_ids = seed_class_ids  # gold id per seeded class, None otherwise
+        self.seed_class_ids = seed_class_ids
         self.assignments = assignments  # (n,), -1 = not yet assigned
         self.kappas = kappas  # (m,), vMF only
         self._rows = None  # room add_class grows into: vectors is its first m rows
@@ -77,8 +67,8 @@ class ModelState:
         m = len(self.priors)
         if self.vectors.shape != (m, self.vocab_size):
             raise ValueError("parameter matrix shape mismatch")
-        if len(self.seeded_flags) != m or len(self.seed_class_ids) != m:
-            raise ValueError("per-class metadata length mismatch")
+        if len(self.seed_class_ids) > m:
+            raise ValueError("more seeded classes than classes")
         if self.family is ModelFamily.VMF and (self.kappas is None or len(self.kappas) != m):
             raise ValueError("vMF state requires one kappa per class")
 
@@ -88,17 +78,17 @@ class ModelState:
 
     @property
     def num_seeded(self) -> int:
-        return sum(self.seeded_flags)
+        return len(self.seed_class_ids)
 
-    def add_class(self, params: ClassParams, n_instances: int) -> int:
-        """Append a freshly created (unseeded) class.
+    def add_class(self, params: tuple[np.ndarray, Optional[float]], n_instances: int) -> int:
+        """Append a freshly created (unseeded) class with the (vector, kappa)
+        that init_new_class gives.
 
         Its prior is the add-1 smoothed share of a single member over
         n_instances data points and the grown class count; existing priors
         are rescaled so the vector still sums to 1.
         """
-        if params.family is not self.family:
-            raise ValueError("class params family mismatch")
+        vector, kappa = params
         m = self.num_classes
         if m == 0:
             self.priors = np.array([1.0])
@@ -111,25 +101,11 @@ class ModelState:
             rows = np.empty((2 * (m + 1), self.vocab_size))
             rows[:m] = self.vectors
             self._rows = rows
-        rows[m] = params.vector
+        rows[m] = vector
         self.vectors = rows[: m + 1]
-        self.seeded_flags.append(False)
-        self.seed_class_ids.append(None)
         if self.family is ModelFamily.VMF:
-            self.kappas = np.append(self.kappas, params.kappa)
+            self.kappas = np.append(self.kappas, kappa)
         return m
-
-    def copy(self) -> "ModelState":
-        return ModelState(
-            self.family,
-            self.vocab_size,
-            self.vectors.copy(),
-            self.priors.copy(),
-            list(self.seeded_flags),
-            list(self.seed_class_ids),
-            self.assignments.copy(),
-            self.kappas.copy() if self.kappas is not None else None,
-        )
 
     def truncate(self, m_keep: int) -> None:
         """Drop all classes with index >= m_keep (used when a grown model is
@@ -140,54 +116,8 @@ class ModelState:
         self.vectors = self.vectors[:m_keep]
         self._rows = None  # never write over rows an earlier vectors showed
         self.priors = self.priors[:m_keep] / self.priors[:m_keep].sum()
-        self.seeded_flags = self.seeded_flags[:m_keep]
-        self.seed_class_ids = self.seed_class_ids[:m_keep]
         if self.kappas is not None:
             self.kappas = self.kappas[:m_keep]
-
-    # -- snapshot serialization (inspection and test fixtures) --
-
-    def to_snapshot(self) -> dict:
-        snap = {
-            "family": self.family.value,
-            "vocab_size": self.vocab_size,
-            "priors": self.priors.tolist(),
-            "seeded_flags": list(self.seeded_flags),
-            "seed_class_ids": list(self.seed_class_ids),
-            "assignments": self.assignments.tolist(),
-            "vectors": [
-                {"idx": np.nonzero(row)[0].tolist(), "val": row[np.nonzero(row)[0]].tolist()}
-                for row in self.vectors
-            ],
-        }
-        if self.kappas is not None:
-            snap["kappas"] = self.kappas.tolist()
-        return snap
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_snapshot(), sort_keys=True)
-
-    @classmethod
-    def from_snapshot(cls, snap: dict) -> "ModelState":
-        m = len(snap["priors"])
-        vocab = snap["vocab_size"]
-        vectors = np.zeros((m, vocab))
-        for j, row in enumerate(snap["vectors"]):
-            vectors[j, row["idx"]] = row["val"]
-        return cls(
-            ModelFamily(snap["family"]),
-            vocab,
-            vectors,
-            np.asarray(snap["priors"], dtype=np.float64),
-            list(snap["seeded_flags"]),
-            list(snap["seed_class_ids"]),
-            np.asarray(snap["assignments"], dtype=np.int64),
-            np.asarray(snap["kappas"], dtype=np.float64) if "kappas" in snap else None,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelState":
-        return cls.from_snapshot(json.loads(text))
 
 
 def _vmf_log_normalizer(kappa: np.ndarray, dim: int) -> np.ndarray:
@@ -344,28 +274,11 @@ def _fit_class(
     return (s / r, _banerjee_kappa(r / max(count, 1.0), V)) if r > 1e-12 else None
 
 
-def init_from_seeds(
-    d: Dataset,
-    p: SeedPartition,
-    family: ModelFamily,
-    kappa_init: float = 1.0,
-) -> ModelState:
+def init_from_seeds(d: Dataset, p: SeedPartition, family: ModelFamily) -> ModelState:
     """Supervised initialization: one class per seeded gold class, parameters
     estimated from its labeled instances, priors add-1 smoothed on seed
     counts. Unlabeled instances start unassigned (-1)."""
-    seeded = sorted(p.seeded_class_ids)
-    if not seeded:
-        # fully unsupervised start: zero classes, everything unassigned
-        return ModelState(
-            family,
-            d.vocab_size,
-            np.zeros((0, d.vocab_size)),
-            np.zeros(0),
-            [],
-            [],
-            np.full(len(d), -1, dtype=np.int64),
-            np.zeros(0) if family is ModelFamily.VMF else None,
-        )
+    seeded = sorted(p.seeded_class_ids)  # none: a fully unsupervised start
     k = len(seeded)
     V = d.vocab_size
     class_index = {c: j for j, c in enumerate(seeded)}
@@ -391,16 +304,7 @@ def init_from_seeds(
     priors = (counts + 1.0) / (counts.sum() + k)
     assignments = np.full(len(d), -1, dtype=np.int64)
     assignments[labeled] = y
-    return ModelState(
-        family,
-        V,
-        vectors,
-        priors,
-        [True] * k,
-        [c for c in seeded],
-        assignments,
-        kappas,
-    )
+    return ModelState(family, V, vectors, priors, seeded, assignments, kappas)
 
 
 def init_new_class(
@@ -408,19 +312,19 @@ def init_new_class(
     family: ModelFamily,
     vocab_size: int,
     kappa_init: float = 1.0,
-) -> ClassParams:
-    """Parameters for a brand-new class seeded by a single instance."""
+) -> tuple[np.ndarray, Optional[float]]:
+    """(vector, kappa) of a brand-new class seeded by a single instance,
+    kappa None outside vMF."""
     if x.nnz == 0:
         raise ValueError("cannot initialize a class from an all-zero instance")
     dense = x.to_dense(vocab_size)
     if family is ModelFamily.NB:
         smoothed = dense + 1.0
-        return ClassParams(family, np.log(smoothed / smoothed.sum()))
+        return np.log(smoothed / smoothed.sum()), None
     if family is ModelFamily.KMEANS:
         smoothed = dense + 1.0 / vocab_size
-        return ClassParams(family, smoothed / smoothed.sum())
-    mu = dense / np.linalg.norm(dense)
-    return ClassParams(family, mu, kappa=float(kappa_init))
+        return smoothed / smoothed.sum(), None
+    return dense / np.linalg.norm(dense), float(kappa_init)
 
 
 def m_step(state: ModelState, d: Dataset) -> ModelState:
@@ -434,7 +338,7 @@ def m_step(state: ModelState, d: Dataset) -> ModelState:
     m = state.num_classes
     counts = np.bincount(y, minlength=m).astype(np.float64)
 
-    keep = np.flatnonzero(np.array(state.seeded_flags, dtype=bool) | (counts > 0))
+    keep = np.flatnonzero((np.arange(m) < state.num_seeded) | (counts > 0))
     remap = np.full(m, -1, dtype=np.int64)
     remap[keep] = np.arange(len(keep))
     y_new = remap[y]
@@ -453,16 +357,7 @@ def m_step(state: ModelState, d: Dataset) -> ModelState:
             kappas[j] = kappa
 
     priors = (counts + 1.0) / (counts.sum() + m_new)
-    return ModelState(
-        state.family,
-        V,
-        vectors,
-        priors,
-        [state.seeded_flags[j] for j in keep],
-        [state.seed_class_ids[j] for j in keep],
-        y_new,
-        kappas,
-    )
+    return ModelState(state.family, V, vectors, priors, state.seed_class_ids, y_new, kappas)
 
 
 def data_log_likelihood(

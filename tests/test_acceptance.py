@@ -84,7 +84,7 @@ def test_acceptance_1_reduction_identities():
             family=ModelFamily.NB, criterion=CriterionConfig(CriterionKind.MINMAX)
         )
         r = exploratory_em(d, p, cfg)
-        init = init_from_seeds(d, p, ModelFamily.NB, 1.0)
+        init = init_from_seeds(d, p, ModelFamily.NB)
         if not np.array_equal(r.final_state.assignments, init.assignments):
             ok, detail = False, "supervised run differs from the initializer"
     elapsed = time.perf_counter() - t0

@@ -9,15 +9,20 @@ escape.
 The class sums behind init_from_seeds and m_step, and the likelihood read
 from a score matrix shared across a parameter update, must equal the
 formulas they replaced (kept below as references) bit for bit.
+
+The E-step pass, however its chunks fall, must leave the same model as a
+pass that takes one row at a time.
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from exploressl import models
 from exploressl.criteria import (
     Criterion,
     CriterionConfig,
@@ -28,6 +33,7 @@ from exploressl.criteria import (
     minmax_fires,
 )
 from exploressl.data import Dataset, SeedPartition, SparseVector
+from exploressl.engine import _e_step
 from exploressl.models import (
     KAPPA_MIN,
     KMEANS_LL_EPS,
@@ -62,7 +68,6 @@ def _state(family, rng, m, V):
         V,
         vectors,
         rng.dirichlet(np.ones(m)),
-        [True] * m,
         list(range(m)),
         np.full(0, -1, dtype=np.int64),
         rng.uniform(0.5, 1e4, size=m) if family is ModelFamily.VMF else None,
@@ -344,7 +349,7 @@ def test_m_step_and_seed_init_match_the_former_sums(family, seed, k, extra, V, n
     state.assignments = rng.choice(rng.choice(m, size=int(rng.integers(1, m + 1))), size=n)
     old = state.vectors.copy()
     counts = np.bincount(state.assignments, minlength=m).astype(np.float64)
-    keep = [j for j in range(m) if state.seeded_flags[j] or counts[j] > 0]
+    keep = [j for j in range(m) if j < state.num_seeded or counts[j] > 0]
     remap = np.full(m, -1, dtype=np.int64)
     remap[keep] = np.arange(len(keep))
     sums = _indicator_sums(X, remap[state.assignments], len(keep))
@@ -415,3 +420,56 @@ def test_scores_of_another_shape_are_refused():
             data_log_likelihood(state, d, bad)
         with pytest.raises(ValueError, match="scores"):
             PassScores(state, d, np.arange(4), bad)
+
+
+def _reference_e_step(state, d, rows, kappa_init, opens):
+    """The hard E-step one row at a time: a row flagged in opens starts a
+    class seeded by itself, any other row takes its argmax class."""
+    changed = 0
+    for pos, i in enumerate(rows):
+        if opens[pos]:
+            params = init_new_class(d.row(i), state.family, d.vocab_size, kappa_init)
+            j = state.add_class(params, len(d))
+        else:
+            j = int(np.argmax(posterior(state, d.row(i))))
+        changed += int(state.assignments[i] != j)
+        state.assignments[i] = j
+    return changed
+
+
+@given(
+    st.sampled_from(list(ModelFamily)),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 5),
+    st.integers(3, 12),
+    st.integers(1, 40),
+    st.floats(0.0, 0.5),
+    st.sampled_from([1, 3, 7, models.E_STEP_CHUNK]),
+)
+@settings(max_examples=150, deadline=None)
+def test_e_step_pass_matches_one_row_at_a_time(family, seed, m, V, n, rate, chunk):
+    batched, reference = (_state(family, np.random.default_rng(seed), m, V) for _ in range(2))
+    rng = np.random.default_rng([seed, 1])
+    d = Dataset.from_rows(_instances(rng, n, V), [None] * n, V)
+    rows = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+    opens = rng.random(len(rows)) < rate
+    kappa_init = float(rng.uniform(0.5, 5.0))
+    batched.assignments = rng.integers(-1, m, size=n)
+    reference.assignments = batched.assignments.copy()
+
+    def fires(post, start):
+        return opens[start : start + len(post)]
+
+    base = d.matrix() @ batched.vectors.T
+    with warnings.catch_warnings(), mock.patch.object(models, "E_STEP_CHUNK", chunk):
+        warnings.simplefilter("error", RuntimeWarning)
+        # a pass that opens nothing runs without a criterion, as semisup_em's do
+        changed = _e_step(batched, d, rows, base, kappa_init, fires if opens.any() else None)
+    want = _reference_e_step(reference, d, rows, kappa_init, opens)
+    assert changed == want
+    assert np.array_equal(batched.assignments, reference.assignments)
+    assert batched.num_classes == reference.num_classes == m + int(opens.sum())
+    assert np.array_equal(batched.vectors, reference.vectors)
+    assert np.array_equal(batched.priors, reference.priors)
+    if family is ModelFamily.VMF:
+        assert np.array_equal(batched.kappas, reference.kappas)

@@ -127,6 +127,24 @@ class TestRunCommand:
         with pytest.raises(SystemExit):
             main(["run", "--output", str(tmp_path / "out")])
 
+    @pytest.mark.parametrize("line, message", [
+        ("num_partition = 3", "line 2: unknown key 'num_partition'"),
+        ("max_iterations = abc", "line 2: max_iterations: "),
+    ])
+    def test_config_fault_is_one_line_with_its_line_number(
+        self, dataset_file, tmp_path, line, message
+    ):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"families = nb\n{line}\n")
+        with pytest.raises(SystemExit, match=f"^run: {message}"):
+            main(["run", "--config", str(cfg), "--dataset", str(dataset_file),
+                  "--output", str(tmp_path / "out")])
+
+    def test_bad_flag_value_is_one_line(self, dataset_file, tmp_path):
+        with pytest.raises(SystemExit, match="^run: p_new: "):
+            main(["run", "--dataset", str(dataset_file), "--output", str(tmp_path / "out"),
+                  "--p-new", "0.1,often"])
+
 
 class TestEvalCommand:
     def test_rescore_assignments(self, dataset_file, tmp_path):
@@ -195,6 +213,18 @@ class TestConfigModule:
         path = tmp_path / "c.cfg"
         path.write_text("families nb\n")
         with pytest.raises(ConfigError, match="line 1"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("families = nb\nnum_partition = 3\n", "line 2: unknown key 'num_partition'"),
+        ("max_iterations = abc\n", "line 1: max_iterations: invalid literal"),
+        ("\np_new = 0.1, often\n", "line 2: p_new: could not convert"),
+        ("include_seeds_in_eval = maybe\n", "line 1: include_seeds_in_eval: expected a boolean"),
+    ])
+    def test_fault_names_its_line(self, tmp_path, text, message):
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{message}"):
             parse_config(path)
 
     def test_bad_bool(self):

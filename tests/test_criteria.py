@@ -11,7 +11,6 @@ from exploressl.criteria import (
     js_criterion,
     js_divergence,
     minmax_criterion,
-    never_fires,
 )
 
 
@@ -138,7 +137,7 @@ class TestMinMaxCriterion:
 class TestRandomCriterion:
     def test_rate_zero_and_one(self):
         always = Criterion(CriterionConfig(CriterionKind.RANDOM, random_rate=1.0))
-        never = never_fires()
+        never = Criterion(CriterionConfig(CriterionKind.RANDOM, random_rate=0.0))
         p = [0.5, 0.5]
         assert all(always(p) for _ in range(100))
         assert not any(never(p) for _ in range(100))

@@ -131,7 +131,7 @@ class TestCrpGibbs:
             r.final_state.assignments, minlength=r.final_state.num_classes
         )
         for j in range(r.final_state.num_classes):
-            assert counts[j] > 0 or r.final_state.seeded_flags[j]
+            assert counts[j] > 0 or j < r.final_state.num_seeded
 
     def test_deterministic(self):
         d, p = setup_run(3)
@@ -154,7 +154,7 @@ class TestCrpGibbs:
         with pytest.raises(ValueError):
             CrpConfig(p_new=0.0)
         with pytest.raises(ValueError):
-            CrpConfig(p_new=0.5, num_epochs=5, burn_in=5)
+            CrpConfig(p_new=0.5, num_epochs=0)
 
 
 def _reference_pick(rule, p_new, post, rng):

@@ -292,10 +292,9 @@ class TestPairedSignificance:
 
 class TestEvaluateRun:
     def test_report_fields(self):
-        rep = evaluate_run([0, 0, 1, 1], [0, 0, 1, 1], [0, 1], runtime_s=1.5)
+        rep = evaluate_run([0, 0, 1, 1], [0, 0, 1, 1], [0, 1])
         assert rep.macro_f1_seed == 1.0
         assert rep.num_clusters == 2
-        assert rep.runtime_s == 1.5
         assert rep.aligned_confusion.total() == 4
 
     def test_extra_clusters_counted(self):
