@@ -14,7 +14,7 @@ from pathlib import Path
 from .config import ConfigError, coerce, merge, parse_config
 from .data import load_dataset, write_sparse_triplet
 from .evaluation import evaluate_run
-from .experiments import ExperimentSpec, run_experiment
+from .experiments import CHOICES, ExperimentSpec, run_experiment
 from .synth import GeneratorFamily, SyntheticSpec, generate_synthetic
 
 log = logging.getLogger(__name__)
@@ -35,8 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run an experiment grid")
     run.add_argument("--config", help="flat key = value config file")
     run.add_argument("--dataset", dest="dataset_path")
-    run.add_argument("--format", dest="dataset_format",
-                     choices=["sparse-triplet", "dense-csv"])
+    run.add_argument("--format", dest="dataset_format", choices=CHOICES["dataset_format"])
     run.add_argument("--output", dest="output_dir")
     run.add_argument("--families", help="comma list: nb,kmeans,vmf")
     run.add_argument("--algorithms",
@@ -72,15 +71,15 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--assignments", required=True,
                     help="CSV with columns instance_id,cluster")
     ev.add_argument("--dataset", required=True)
-    ev.add_argument("--format", default="sparse-triplet",
-                    choices=["sparse-triplet", "dense-csv"])
+    ev.add_argument("--format", default="sparse-triplet", choices=CHOICES["dataset_format"])
     ev.add_argument("--seed-classes", required=True,
                     help="comma list of dense class ids to average F1 over")
     ev.add_argument("--output", help="write the JSON report here (default stdout)")
 
     sweep = sub.add_parser("sweep-pnew", help="CRP concentration-parameter sweep")
     sweep.add_argument("--dataset", dest="dataset_path", required=True)
-    sweep.add_argument("--format", dest="dataset_format", default="sparse-triplet")
+    sweep.add_argument("--format", dest="dataset_format", default="sparse-triplet",
+                       choices=CHOICES["dataset_format"])
     sweep.add_argument("--output", dest="output_dir", required=True)
     sweep.add_argument("--p-new", dest="p_new", required=True,
                        help="comma list of floats")

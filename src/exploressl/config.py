@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import fields
 from pathlib import Path
 
-from .experiments import ExperimentSpec
+from .experiments import ExperimentSpec, check_choice
 
 # a key's value type is the annotation of the ExperimentSpec field it names
 FIELD_TYPES = {f.name: f.type for f in fields(ExperimentSpec)}
@@ -40,24 +40,33 @@ def parse_config(path: str | Path) -> dict:
 
 
 def coerce(key: str, raw):
-    """raw parsed as the type of the ExperimentSpec field named key; a value
-    that is not a string passes through."""
+    """raw parsed as the type of the ExperimentSpec field named key and
+    checked against the key's choices; a value that is not a string passes
+    through."""
     if not isinstance(raw, str):
         return raw
-    kind = FIELD_TYPES.get(key, "str")
     try:
-        if kind.startswith("Sequence["):
-            item = SCALARS[kind[len("Sequence["):-1]]
-            return [item(v.strip()) for v in raw.split(",") if v.strip()]
-        if kind == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(f"expected a boolean, got {raw!r}")
-        return SCALARS[kind](raw)
+        value = _parse(FIELD_TYPES.get(key, "str"), raw)
     except ValueError as e:
         raise ConfigError(f"{key}: {e}") from None
+    try:
+        check_choice(key, value)  # its message names the key
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    return value
+
+
+def _parse(kind: str, raw: str):
+    if kind.startswith("Sequence["):
+        item = SCALARS[kind[len("Sequence["):-1]]
+        return [item(v.strip()) for v in raw.split(",") if v.strip()]
+    if kind == "bool":
+        if raw.lower() in ("true", "1", "yes"):
+            return True
+        if raw.lower() in ("false", "0", "no"):
+            return False
+        raise ValueError(f"expected a boolean, got {raw!r}")
+    return SCALARS[kind](raw)
 
 
 def merge(defaults: dict, file_values: dict, flag_values: dict) -> dict:

@@ -8,8 +8,6 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
-from scipy.optimize import linear_sum_assignment
 
 
 @dataclass
@@ -117,6 +115,9 @@ def build_confusion(
 
 def _matching(cm: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The counts zero-padded to a square, and a maximum-weight matching on it."""
+    # imported on first use: at import time it would cost every process ~26 MB
+    from scipy.optimize import linear_sum_assignment
+
     r, c = cm.counts.shape
     size = max(r, c)
     padded = np.zeros((size, size), dtype=np.int64)
@@ -165,6 +166,9 @@ def paired_significance(
             return SignificanceResult(SignificanceOutcome.NONE, 1.0, 0.0)
         p = 0.0
     else:
+        # imported on first use: at import time it would cost every process ~49 MB
+        from scipy import stats
+
         p = float(stats.ttest_rel(f1_a, f1_b).pvalue)
     if p < level and mean_diff > 0:
         return SignificanceResult(SignificanceOutcome.A_SIG, p, mean_diff)

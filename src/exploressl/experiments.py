@@ -40,6 +40,16 @@ log = logging.getLogger(__name__)
 
 ALGORITHMS = ("exploratory", "semisup", "semisup-sweep", "crp-standard", "crp-modified")
 SWEEP_M_VALUES = (0, 1, 2, 5, 10, 20, 40)
+# the ExperimentSpec fields whose value (or each item of whose list) is one of
+# a fixed set of names
+CHOICES = {
+    "dataset_format": ("sparse-triplet", "dense-csv"),  # what load_dataset reads
+    "families": tuple(f.value for f in ModelFamily),
+    "algorithms": ALGORITHMS,
+    "criteria": tuple(c.value for c in CriterionKind),
+    "selection": tuple(s.value for s in SelectionCriterion),
+    "random_reference": (CriterionKind.MINMAX.value, CriterionKind.JS.value),
+}
 
 
 @dataclass
@@ -65,14 +75,19 @@ class ExperimentSpec:
     include_seeds_in_eval: bool = False
 
     def __post_init__(self):
-        for a in self.algorithms:
-            if a not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {a!r}")
-        for f in self.families:
-            ModelFamily(f)
-        for c in self.criteria:
-            CriterionKind(c)
-        SelectionCriterion(self.selection)
+        for key in CHOICES:
+            check_choice(key, getattr(self, key))
+
+
+def check_choice(key: str, value) -> None:
+    """ValueError naming the key unless value, or each item of a list value,
+    is one of the key's CHOICES; keys without choices pass."""
+    allowed = CHOICES.get(key)
+    if allowed is None:
+        return
+    for v in [value] if isinstance(value, str) else value:
+        if v not in allowed:
+            raise ValueError(f"{key}: {v!r} is not one of {', '.join(allowed)}")
 
 
 def derive_seed(root: int, *coords: int) -> int:
@@ -104,12 +119,25 @@ def _eval_gold(d: Dataset, p: SeedPartition, include_seeds: bool) -> tuple[np.nd
     return pool[known], gold[known].astype(np.int64)
 
 
-def _run_one(task: dict) -> dict:
+# a pool worker's dataset per family, set once by its initializer: tasks carry
+# only the family name, so the datasets are not sent again with every task
+_WORKER_DATASETS: dict[ModelFamily, Dataset] = {}
+
+
+def _init_worker(datasets: dict[ModelFamily, Dataset]) -> None:
+    _WORKER_DATASETS.update(datasets)
+
+
+def _run_in_worker(task: dict) -> dict:
+    return _run_one(task, _WORKER_DATASETS)
+
+
+def _run_one(task: dict, datasets: dict[ModelFamily, Dataset]) -> dict:
     """Execute one grid cell on one partition; returns a result row."""
-    d: Dataset = task["dataset"]
     p: SeedPartition = task["partition"]
     spec: ExperimentSpec = task["spec"]
     family = ModelFamily(task["family"])
+    d = datasets[family]
     algorithm = task["algorithm"]
     row = {
         "dataset": Path(spec.dataset_path).name,
@@ -191,11 +219,9 @@ def _run_one(task: dict) -> dict:
     return row
 
 
-def build_tasks(spec: ExperimentSpec, datasets: dict[ModelFamily, Dataset],
-                partitions: list[SeedPartition]) -> list[dict]:
+def build_tasks(spec: ExperimentSpec, partitions: list[SeedPartition]) -> list[dict]:
     tasks = []
     for fi, family in enumerate(spec.families):
-        d = datasets[ModelFamily(family)]
         for ai, algorithm in enumerate(spec.algorithms):
             crits = list(spec.criteria) if algorithm == "exploratory" else [None]
             pnews = list(spec.p_new) if algorithm.startswith("crp") else [None]
@@ -205,7 +231,6 @@ def build_tasks(spec: ExperimentSpec, datasets: dict[ModelFamily, Dataset],
                         tasks.append(
                             {
                                 "spec": spec,
-                                "dataset": d,
                                 "partition": partition,
                                 "partition_index": pi,
                                 "family": family,
@@ -241,13 +266,14 @@ def run_experiment(spec: ExperimentSpec) -> int:
         spec.num_partitions,
         spec.rng_seed,
     )
-    tasks = build_tasks(spec, datasets, partitions)
+    tasks = build_tasks(spec, partitions)
 
     if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            rows = list(pool.map(_run_one, tasks))
+        with ProcessPoolExecutor(max_workers=spec.workers, initializer=_init_worker,
+                                 initargs=(datasets,)) as pool:
+            rows = list(pool.map(_run_in_worker, tasks))
     else:
-        rows = [_run_one(t) for t in tasks]
+        rows = [_run_one(t, datasets) for t in tasks]
 
     _write_rows(rows, out / "runs.csv")
     _write_assignments(rows, out, any_d.instance_ids)

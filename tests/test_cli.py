@@ -145,6 +145,27 @@ class TestRunCommand:
             main(["run", "--dataset", str(dataset_file), "--output", str(tmp_path / "out"),
                   "--p-new", "0.1,often"])
 
+    @pytest.mark.parametrize("line, message", [
+        ("selection = aicx", "line 2: selection: 'aicx' is not one of bic, aic, aicc$"),
+        ("dataset_format = csv", "line 2: dataset_format: 'csv' is not one of "),
+        ("algorithms = semisup, explore", "line 2: algorithms: 'explore' is not one of "),
+        ("criteria = kl", "line 2: criteria: 'kl' is not one of minmax, js, random$"),
+        ("random_reference = random", "line 2: random_reference: 'random' is not one of "),
+    ])
+    def test_config_invalid_choice_is_one_line_with_its_line_number(
+        self, dataset_file, tmp_path, line, message
+    ):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"families = nb\n{line}\n")
+        with pytest.raises(SystemExit, match=f"^run: {message}"):
+            main(["run", "--config", str(cfg), "--dataset", str(dataset_file),
+                  "--output", str(tmp_path / "out")])
+
+    def test_invalid_choice_flag_is_one_line(self, dataset_file, tmp_path):
+        with pytest.raises(SystemExit, match="^run: families: 'nbx' is not one of nb, "):
+            main(["run", "--dataset", str(dataset_file), "--output", str(tmp_path / "out"),
+                  "--families", "nb,nbx"])
+
 
 class TestEvalCommand:
     def test_rescore_assignments(self, dataset_file, tmp_path):

@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 from collections import Counter, defaultdict
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exploressl
 from exploressl.evaluation import (
     ConfusionMatrix,
     SignificanceOutcome,
@@ -300,3 +305,14 @@ class TestEvaluateRun:
     def test_extra_clusters_counted(self):
         rep = evaluate_run([0, 1, 2, 3], [0, 0, 1, 1], [0, 1])
         assert rep.num_clusters == 4
+
+
+def test_import_loads_no_heavy_scipy_module():
+    # scipy.stats and scipy.optimize load on first use, not with the package
+    code = ("import sys, exploressl; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+    src = str(Path(exploressl.__file__).parents[1])  # the package these tests import
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"

@@ -1,0 +1,76 @@
+import csv
+import filecmp
+import gc
+import weakref
+
+import pytest
+
+from exploressl import experiments
+from exploressl.cli import main
+from exploressl.experiments import ExperimentSpec, prepare_family_datasets, run_experiment
+
+
+@pytest.fixture(scope="module")
+def dataset_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "blocks.txt"
+    assert main([
+        "synth", "--classes", "4", "--per-class", "25", "--vocab", "40",
+        "--separation", "1000000", "--rng-seed", "3", "--output", str(path),
+    ]) == 0
+    return path
+
+
+def run_grid(dataset_file, out, workers):
+    spec = ExperimentSpec(
+        dataset_path=str(dataset_file), output_dir=str(out),
+        families=("nb", "kmeans"), algorithms=("exploratory", "semisup", "crp-standard"),
+        criteria=("minmax", "js"), num_seed_classes=2, seeds_fraction=0.1,
+        num_partitions=2, rng_seed=11, crp_epochs=3, workers=workers,
+    )
+    assert run_experiment(spec) == 0
+
+
+def runs_without_runtime(out):
+    with open(out / "runs.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for r in rows:
+        r.pop("runtime_s")
+    return rows
+
+
+def test_parallel_grid_equals_serial(dataset_file, tmp_path):
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    run_grid(dataset_file, serial, workers=1)
+    run_grid(dataset_file, parallel, workers=2)
+    names = sorted(f.name for f in serial.glob("assign_*.csv"))
+    # (exploratory x 2 criteria + semisup + crp-standard) x 2 families x 2 partitions
+    assert len(names) == 16
+    assert names == sorted(f.name for f in parallel.glob("assign_*.csv"))
+    _, mismatch, errors = filecmp.cmpfiles(
+        serial, parallel, names + ["summary.json", "label_map.csv"], shallow=False)
+    assert (mismatch, errors) == ([], [])
+    assert runs_without_runtime(serial) == runs_without_runtime(parallel)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_keeps_no_dataset_alive(dataset_file, tmp_path, monkeypatch, workers):
+    # a grid's datasets must be freed when it returns, or they stay in memory
+    # while the next grid loads its own
+    made = []
+
+    def prepare(raw):
+        datasets = prepare_family_datasets(raw)
+        made.extend(weakref.ref(d) for d in datasets.values())
+        return datasets
+
+    monkeypatch.setattr(experiments, "prepare_family_datasets", prepare)
+    run_grid(dataset_file, tmp_path / "out", workers=workers)
+    gc.collect()
+    assert len(made) == 3 and all(ref() is None for ref in made)
+
+
+def test_tasks_carry_no_dataset():
+    spec = ExperimentSpec(dataset_path="d.txt", output_dir="out", families=("nb", "vmf"))
+    tasks = experiments.build_tasks(spec, partitions=[None])
+    assert [t["family"] for t in tasks] == ["nb", "nb", "vmf", "vmf"]
+    assert all("dataset" not in t for t in tasks)
