@@ -107,7 +107,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise SystemExit("run: --dataset (or config key dataset_path) is required")
     if not values.get("output_dir"):
         raise SystemExit("run: --output (or config key output_dir) is required")
-    return run_experiment(ExperimentSpec(**values))
+    try:
+        spec = ExperimentSpec(**values)
+    except ValueError as e:  # its message names the key
+        raise SystemExit(f"run: {e}") from None
+    return run_experiment(spec)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -159,20 +163,23 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_pnew(args: argparse.Namespace) -> int:
-    spec = ExperimentSpec(
-        dataset_path=args.dataset_path,
-        dataset_format=args.dataset_format,
-        output_dir=args.output_dir,
-        families=[args.family],
-        algorithms=["semisup", "crp-standard", "crp-modified"],
-        criteria=[],
-        num_seed_classes=args.num_seed_classes,
-        seeds_fraction=args.seeds_fraction,
-        num_partitions=args.num_partitions,
-        p_new=[float(v) for v in args.p_new.split(",")],
-        rng_seed=args.rng_seed,
-        crp_epochs=args.crp_epochs,
-    )
+    try:
+        spec = ExperimentSpec(
+            dataset_path=args.dataset_path,
+            dataset_format=args.dataset_format,
+            output_dir=args.output_dir,
+            families=[args.family],
+            algorithms=["semisup", "crp-standard", "crp-modified"],
+            criteria=[],
+            num_seed_classes=args.num_seed_classes,
+            seeds_fraction=args.seeds_fraction,
+            num_partitions=args.num_partitions,
+            p_new=coerce("p_new", args.p_new),
+            rng_seed=args.rng_seed,
+            crp_epochs=args.crp_epochs,
+        )
+    except ValueError as e:  # its message names the key
+        raise SystemExit(f"sweep-pnew: {e}") from None
     return run_experiment(spec)
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import fields
 from pathlib import Path
 
-from .experiments import ExperimentSpec, check_choice
+from .experiments import ExperimentSpec, check_value
 
 # a key's value type is the annotation of the ExperimentSpec field it names
 FIELD_TYPES = {f.name: f.type for f in fields(ExperimentSpec)}
@@ -41,8 +41,8 @@ def parse_config(path: str | Path) -> dict:
 
 def coerce(key: str, raw):
     """raw parsed as the type of the ExperimentSpec field named key and
-    checked against the key's choices; a value that is not a string passes
-    through."""
+    checked against the key's choices and range; a value that is not a
+    string passes through."""
     if not isinstance(raw, str):
         return raw
     try:
@@ -50,7 +50,7 @@ def coerce(key: str, raw):
     except ValueError as e:
         raise ConfigError(f"{key}: {e}") from None
     try:
-        check_choice(key, value)  # its message names the key
+        check_value(key, value)  # its message names the key
     except ValueError as e:
         raise ConfigError(str(e)) from None
     return value

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -228,16 +229,20 @@ def load_dataset(
 def _load_sparse_triplet(path: Path) -> Dataset:
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")  # the lines iterating fh gives
-    # parse the entries a block of lines at a time, which bounds the strings
-    # alive at once; on any fault, reading the lines one entry at a time
-    # names the first bad line, so errors come in file order
+    # integer-count entries are read in one scan, and any others a block of
+    # lines at a time, which bounds the strings alive at once; on any fault,
+    # reading the lines one entry at a time names the first bad line, so
+    # errors come in file order
     try:
         raw_labels, entries, declared = _read_lines(lines)
         if not raw_labels:
             raise DataFormatError("no instances")
-        blocks = range(0, len(entries), LINES_PER_PARSE)
-        parsed = [_parse_entries(entries[i : i + LINES_PER_PARSE]) for i in blocks]
-        fids, counts, lengths = (np.concatenate(column) for column in zip(*parsed))
+        parsed = _scan_int_entries(entries)
+        if parsed is None:
+            blocks = range(0, len(entries), LINES_PER_PARSE)
+            parsed = [_parse_entries(entries[i : i + LINES_PER_PARSE]) for i in blocks]
+            parsed = [np.concatenate(column) for column in zip(*parsed)]
+        fids, counts, lengths = parsed
         if np.any(fids < 0):
             raise ValueError("negative feature id")
         keep = counts != 0.0
@@ -270,6 +275,51 @@ def _parse_entries(entries: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.n
     # converting a string to int64 or float64 calls int() or float() on it
     fids = np.array(fields[0::2], dtype=np.int64)
     return fids, np.array(fields[1::2], dtype=np.float64), lengths
+
+
+# the bytes of <int>:<int> entries and of the spaces that both str.split and
+# the C scanner skip, all of them <= ord(" ")
+_ENTRY_BYTES = b"0123456789+-: \t\n\r\x0b\x0c"
+_INT64 = np.iinfo(np.int64)
+
+
+def _scan_int_entries(
+    entries: Sequence[str],
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """What _parse_entries gives when every entry is <int>:<int> in ASCII,
+    read in one C-level scan; None, for _parse_entries to decide, when an
+    entry is not or the scan might differ from int()."""
+    if entries and entries[0].encode().translate(None, _ENTRY_BYTES):
+        return None  # most other files show it in their first line, before the join
+    raw = ("\n" + "\n".join(entries) + "\n").encode()  # every byte has a neighbour each side
+    if raw.translate(None, _ENTRY_BYTES):  # a byte left after deleting those
+        return None
+    codes = np.frombuffer(raw, np.uint8)
+    space = codes <= ord(" ")
+    edges = np.flatnonzero(space[1:] != space[:-1])
+    first, last = edges[0::2] + 1, edges[1::2]  # the first and last byte of each token
+    colons = np.flatnonzero(codes == ord(":"))
+    # the k-th colon lies strictly inside the k-th token, so each token has one
+    if len(colons) != len(first) or not ((first < colons) & (colons < last)).all():
+        return None
+    # a sign opens a number, and the scanner would also read "- 5" as -5
+    signs = np.flatnonzero((codes == ord("+")) | (codes == ord("-")))
+    before, after = codes[signs - 1], codes[signs + 1]
+    opens = (before <= ord(" ")) | (before == ord(":"))
+    if not (opens & (after >= ord("0")) & (after <= ord("9"))).all():
+        return None
+    try:
+        # numpy < 2 warns and returns the prefix it read instead of raising
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(raw.replace(b":", b" "), dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    # blank text reads as [0], and out-of-range numbers saturate silently
+    if len(values) != 2 * len(first) or ((values == _INT64.min) | (values == _INT64.max)).any():
+        return None
+    lengths = np.diff(np.searchsorted(colons, np.flatnonzero(codes == ord("\n"))))
+    return values[0::2], values[1::2].astype(np.float64), lengths
 
 
 def _read_lines(lines: Sequence[str], check: bool = False):

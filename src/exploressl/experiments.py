@@ -50,6 +50,17 @@ CHOICES = {
     "selection": tuple(s.value for s in SelectionCriterion),
     "random_reference": (CriterionKind.MINMAX.value, CriterionKind.JS.value),
 }
+# the ExperimentSpec fields whose value (or each item of whose list) must lie
+# in a range: the test and the range as the message gives it
+RANGES = {
+    "num_seed_classes": (lambda v: v >= 0, ">= 0"),
+    "seeds_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "num_partitions": (lambda v: v >= 1, ">= 1"),
+    "p_new": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "max_iterations": (lambda v: v >= 1, ">= 1"),
+    "ll_rel_tolerance": (lambda v: v > 0, "> 0"),
+    "crp_epochs": (lambda v: v >= 1, ">= 1"),
+}
 
 
 @dataclass
@@ -75,19 +86,18 @@ class ExperimentSpec:
     include_seeds_in_eval: bool = False
 
     def __post_init__(self):
-        for key in CHOICES:
-            check_choice(key, getattr(self, key))
+        for key in {**CHOICES, **RANGES}:
+            check_value(key, getattr(self, key))
 
 
-def check_choice(key: str, value) -> None:
+def check_value(key: str, value) -> None:
     """ValueError naming the key unless value, or each item of a list value,
-    is one of the key's CHOICES; keys without choices pass."""
-    allowed = CHOICES.get(key)
-    if allowed is None:
-        return
-    for v in [value] if isinstance(value, str) else value:
-        if v not in allowed:
-            raise ValueError(f"{key}: {v!r} is not one of {', '.join(allowed)}")
+    is one of the key's CHOICES and lies in its RANGES; other keys pass."""
+    for v in value if np.ndim(value) else [value]:  # a string has no dimension
+        if key in CHOICES and v not in CHOICES[key]:
+            raise ValueError(f"{key}: {v!r} is not one of {', '.join(CHOICES[key])}")
+        if key in RANGES and not RANGES[key][0](v):
+            raise ValueError(f"{key}: {v} is not {RANGES[key][1]}")
 
 
 def derive_seed(root: int, *coords: int) -> int:

@@ -166,6 +166,31 @@ class TestRunCommand:
             main(["run", "--dataset", str(dataset_file), "--output", str(tmp_path / "out"),
                   "--families", "nb,nbx"])
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--num-partitions", "0"], "num_partitions: 0 is not >= 1$"),
+        (["--seeds-fraction", "1"], "seeds_fraction: 1.0 is not in \\(0, 1\\)$"),
+        (["--max-iterations", "0"], "max_iterations: 0 is not >= 1$"),
+        (["--p-new", "0.1,0"], "p_new: 0.0 is not in \\(0, 1\\)$"),
+    ])
+    def test_out_of_range_flag_fails_before_any_file(
+        self, dataset_file, tmp_path, flags, message
+    ):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match=f"^run: {message}"):
+            main(["run", "--dataset", str(dataset_file), "--output", str(out), *flags])
+        assert not out.exists()
+
+    def test_out_of_range_config_value_is_one_line_with_its_line_number(
+        self, dataset_file, tmp_path
+    ):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("families = nb\nll_rel_tolerance = 0\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match="^run: line 2: ll_rel_tolerance: 0.0 is not > 0$"):
+            main(["run", "--config", str(cfg), "--dataset", str(dataset_file),
+                  "--output", str(out)])
+        assert not out.exists()
+
 
 class TestEvalCommand:
     def test_rescore_assignments(self, dataset_file, tmp_path):
@@ -209,6 +234,17 @@ class TestSweepPnewCommand:
         assert {r["algorithm"] for r in rows} == {
             "semisup", "crp-standard", "crp-modified"
         }
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--p-new", "0.1,often"], "p_new: could not convert string to float: 'often'$"),
+        (["--p-new", "0.1,1.5"], "p_new: 1.5 is not in \\(0, 1\\)$"),
+        (["--p-new", "0.1", "--num-partitions", "0"], "num_partitions: 0 is not >= 1$"),
+    ])
+    def test_bad_value_is_one_line(self, dataset_file, tmp_path, flags, message):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match=f"^sweep-pnew: {message}"):
+            main(["sweep-pnew", "--dataset", str(dataset_file), "--output", str(out), *flags])
+        assert not out.exists()
 
 
 class TestConfigModule:

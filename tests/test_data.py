@@ -1,11 +1,14 @@
 import logging
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from exploressl import data as data_module
 from exploressl.data import (
     DataFormatError,
     Dataset,
@@ -203,6 +206,162 @@ class TestLoaderErrors:
         w = tfidf_weight(d)
         assert w.instance_ids == ["0", "2"]
         assert w.gold_labels == [0, 2]
+
+
+def load_outcome(path):
+    """The loaded Dataset's arrays and labels, or the error's type and message."""
+    try:
+        d = load_dataset(path)
+    except Exception as e:  # noqa: BLE001 - the error is the outcome
+        return type(e), str(e)
+    X = d.matrix()
+    return (X.indptr.tobytes(), X.indices.tobytes(), X.data.tobytes(), X.shape,
+            d.gold_labels, d.label_names)
+
+
+FROMSTRING = np.fromstring
+
+
+def numpy_1_fromstring(string, dtype, sep):
+    """np.fromstring as numpy < 2 reads text it cannot read to its end: it
+    warns and returns the numbers before the fault instead of raising."""
+    try:
+        return FROMSTRING(string, dtype=dtype, sep=sep)
+    except ValueError:
+        warnings.warn("string or file could not be read to its end due to unmatched "
+                      "data; this will raise a ValueError in the future.",
+                      DeprecationWarning, stacklevel=2)
+    prefix = []
+    for word in string.split():
+        number = re.match(rb"[+-]?\d+", word)
+        if number:
+            prefix.append(int(number.group()))
+        if not number or number.end() < len(word):
+            break
+    return np.array(prefix, dtype=dtype)
+
+
+def file_text(token, space, header):
+    """Files of up to 6 lines: entry lines of the given tokens and spaces,
+    label-only, blank and vocabulary lines, with one line ending."""
+    entry_line = st.builds(
+        lambda label, pairs, tail: label + "".join(sep + t for sep, t in pairs) + tail,
+        st.sampled_from(["a", "b", "c"]),
+        st.lists(st.tuples(space, token), max_size=6),
+        st.sampled_from(["", " ", "\t"]),
+    )
+    line = st.one_of(*[entry_line] * 4, st.sampled_from(["", " ", "b"]), header)
+    return st.builds(lambda lines, eol: eol.join(lines) + eol,
+                     st.lists(line, min_size=1, max_size=6),
+                     st.sampled_from(["\n", "\r\n", "\r"]))
+
+
+SMALL = st.integers(0, 30).map(str)
+INT = st.one_of(SMALL, SMALL, SMALL, st.sampled_from(["-0", "+0", "+7", "007", "-007", "-3"]))
+WIDE_INT = st.one_of(
+    INT,
+    st.integers(10**18, 10**21).map(str),  # 19 digits and more
+    st.integers(10**18, 10**21).map(lambda v: f"-{v}"),
+    st.sampled_from([2**63 - 2, 2**63 - 1, 2**63, -(2**63) + 1, -(2**63), -(2**63) - 1]).map(str),
+)
+NUMBER = st.one_of(WIDE_INT, WIDE_INT, st.sampled_from(
+    ["1_0", "1.5", "2e1", "nan", "-inf", "٣", "5-", "-", "+-1", "--1", ""]))
+INT_SPACE = st.sampled_from([" ", " ", "  ", "\t", " \t ", "\x0b", "\x0c"])
+INT_HEADER = st.sampled_from(["%%vocab 5001", "%%vocab 5001", "%%vocab 8"])
+# ids that repeat less often, as a row with a repeated id is a fault
+FID = st.one_of(SMALL, st.integers(0, 5000).map(str), st.sampled_from(["-0", "+7", "007"]))
+INT_FILE = file_text(st.builds("{}:{}".format, FID, INT), INT_SPACE, INT_HEADER)
+WIDE_INT_FILE = file_text(st.builds("{}:{}".format, WIDE_INT, WIDE_INT), INT_SPACE, INT_HEADER)
+ANY_FILE = file_text(
+    st.one_of(
+        *[st.builds("{}:{}".format, NUMBER, NUMBER)] * 4,
+        st.builds("{}::{}".format, NUMBER, NUMBER),
+        st.builds(":{}".format, NUMBER),
+        st.builds("{}:".format, NUMBER),
+        st.builds("{}:{}:{}".format, NUMBER, NUMBER, NUMBER),
+        NUMBER,
+    ),
+    st.sampled_from([" ", " ", " ", "\t", "\x0b", "\x1c", "\xa0"]),
+    st.sampled_from(["%%vocab 5001", "%%vocab 40", "%%vocab x", "%%vocab"]),
+)
+
+
+# entries that are not all <int>:<int>, though a scanner may read two
+# numbers from each
+MALFORMED_ENTRIES = [
+    ["1:2:3 5"],  # as many colons as tokens, two in one token
+    ["1:2 :3"],
+    ["1-:5"],
+    ["-:5 1-2:3"],
+    ["1:2\x00 3:4"],
+    ["1:2\x1c3:4"],
+    ["1:2\xa03:4"],
+    ["1:٣"],
+    ["1:1.5"],
+    ["1:1_0"],
+]
+
+
+class TestIntegerScan:
+    """Integer-count files are read in one C-level scan; every other file,
+    and every fault, is left to the exact parser, so both give one outcome."""
+
+    @pytest.mark.parametrize("fromstring", [np.fromstring, numpy_1_fromstring])
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(INT_FILE, WIDE_INT_FILE, ANY_FILE))
+    def test_scan_equals_exact_parser(self, tmp_path_factory, fromstring, text):
+        path = tmp_path_factory.getbasetemp() / "scan.txt"  # rewritten by each example
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data_module, "_scan_int_entries", lambda entries: None)
+            exact = load_outcome(path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "fromstring", fromstring)
+            assert load_outcome(path) == exact
+
+    def test_integer_files_take_the_scan(self, tmp_path, monkeypatch):
+        def no_parse(entries):
+            raise AssertionError("the exact parser ran")
+
+        monkeypatch.setattr(data_module, "_parse_entries", no_parse)
+        f = tmp_path / "d.txt"
+        f.write_text("%%vocab 9\na 3:2 1:+1\t0:-4\r\nb\n\nc 8:0 -0:007\n")
+        d = load_dataset(f)
+        assert [x.entries for x in d.instances] == [
+            [(0, -4.0), (1, 1.0), (3, 2.0)], [], [(0, 7.0)]]
+        assert d.vocab_size == 9
+
+    @pytest.mark.parametrize("entries", [
+        ["", " \t"],  # blank text scans as one phantom 0
+        ["1:99999999999999999999"],  # out-of-range numbers saturate
+        ["-99999999999999999999:1"],
+        [f"{2**63 - 1}:1"],
+        [f"1:{-(2**63)}"],
+        *MALFORMED_ENTRIES,
+    ])
+    def test_scan_declines(self, entries):
+        assert data_module._scan_int_entries(entries) is None
+
+    @pytest.mark.parametrize("entries", MALFORMED_ENTRIES)
+    def test_structure_checks_decline_what_a_lax_scanner_reads(self, entries, monkeypatch):
+        def lax(string, dtype, sep):  # every signed number, and nothing else
+            numbers = re.findall(rb"[+-]?\s*\d+", string)
+            return np.array([int(re.sub(rb"\s", b"", n)) for n in numbers], dtype=dtype)
+
+        monkeypatch.setattr(np, "fromstring", lax)
+        assert data_module._scan_int_entries(["0:1", *entries]) is None  # a good first line
+
+    def test_a_warning_from_the_scanner_declines(self, tmp_path, monkeypatch):
+        # numpy < 2 warns where numpy 2 raises, and returns what it read so far
+        def warns(string, dtype, sep):
+            warnings.warn("could not be read to its end", DeprecationWarning)
+            return np.arange(4, dtype=dtype)
+
+        monkeypatch.setattr(np, "fromstring", warns)
+        assert data_module._scan_int_entries(["1:2 3:4"]) is None
+        f = tmp_path / "d.txt"
+        f.write_text("a 1:2 3:4\n")
+        assert load_dataset(f).instances[0].entries == [(1, 2.0), (3, 4.0)]
 
 
 INCREASING = "feature ids must be non-negative and strictly increasing"

@@ -3,6 +3,7 @@ import filecmp
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
 from exploressl import experiments
@@ -74,3 +75,30 @@ def test_tasks_carry_no_dataset():
     tasks = experiments.build_tasks(spec, partitions=[None])
     assert [t["family"] for t in tasks] == ["nb", "nb", "vmf", "vmf"]
     assert all("dataset" not in t for t in tasks)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("num_partitions", 0, "num_partitions: 0 is not >= 1"),
+    ("seeds_fraction", 0.0, "seeds_fraction: 0.0 is not in (0, 1)"),
+    ("seeds_fraction", 1.0, "seeds_fraction: 1.0 is not in (0, 1)"),
+    ("num_seed_classes", -1, "num_seed_classes: -1 is not >= 0"),
+    ("max_iterations", 0, "max_iterations: 0 is not >= 1"),
+    ("crp_epochs", 0, "crp_epochs: 0 is not >= 1"),
+    ("ll_rel_tolerance", 0.0, "ll_rel_tolerance: 0.0 is not > 0"),
+    ("ll_rel_tolerance", float("nan"), "ll_rel_tolerance: nan is not > 0"),
+    ("p_new", (1e-4, 1.0), "p_new: 1.0 is not in (0, 1)"),
+])
+def test_spec_rejects_out_of_range_values(key, value, message):
+    with pytest.raises(ValueError) as e:
+        ExperimentSpec(dataset_path="d.txt", output_dir="out", **{key: value})
+    assert str(e.value) == message
+
+
+def test_spec_takes_the_range_limits_and_numpy_values():
+    ExperimentSpec(dataset_path="d.txt", output_dir="out", num_partitions=1,
+                   num_seed_classes=0, max_iterations=1, crp_epochs=1, seeds_fraction=0.5,
+                   p_new=(1e-12, 0.999), ll_rel_tolerance=1e-300)
+    ExperimentSpec(dataset_path="d.txt", output_dir="out", num_partitions=np.int64(2),
+                   p_new=np.array([1e-3, 1e-2]), families=np.array(["nb", "vmf"]))
+    with pytest.raises(ValueError, match="^num_partitions: 0 is not >= 1$"):
+        ExperimentSpec(dataset_path="d.txt", output_dir="out", num_partitions=np.int64(0))
