@@ -8,20 +8,28 @@ import csv
 import json
 import logging
 import sys
-from dataclasses import MISSING, fields
+from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
-from .config import ConfigError, coerce, merge, parse_config
-from .data import load_dataset, write_sparse_triplet
+from .config import FIELD_TYPES, coerce, parse_config
+from .data import DataFormatError, load_dataset, write_sparse_triplet
 from .evaluation import evaluate_run
 from .experiments import CHOICES, ExperimentSpec, run_experiment
 from .synth import GeneratorFamily, SyntheticSpec, generate_synthetic
 
 log = logging.getLogger(__name__)
 
-RUN_DEFAULTS = {
-    f.name: f.default for f in fields(ExperimentSpec) if f.default is not MISSING
+# run's flag for each ExperimentSpec key: --<key with dashes>, but for four
+RUN_FLAGS = {key: "--" + key.replace("_", "-") for key in FIELD_TYPES} | {
+    "dataset_path": "--dataset", "output_dir": "--output",
+    "dataset_format": "--format", "selection": "--model-selection",
 }
+# sweep-pnew is run without --config and with these values; its --family
+# stands for --families
+SWEEP_PNEW = {"algorithms": "semisup,crp-standard,crp-modified", "criteria": ""}
+SWEEP_PNEW_FLAGS = {key: "--family" if key == "families" else flag
+                    for key, flag in RUN_FLAGS.items() if key not in SWEEP_PNEW}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,97 +42,80 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run an experiment grid")
     run.add_argument("--config", help="flat key = value config file")
-    run.add_argument("--dataset", dest="dataset_path")
-    run.add_argument("--format", dest="dataset_format", choices=CHOICES["dataset_format"])
-    run.add_argument("--output", dest="output_dir")
-    run.add_argument("--families", help="comma list: nb,kmeans,vmf")
-    run.add_argument("--algorithms",
-                     help="comma list: exploratory,semisup,semisup-sweep,"
-                          "crp-standard,crp-modified")
-    run.add_argument("--criteria", help="comma list: minmax,js,random")
-    run.add_argument("--num-seed-classes", type=int, dest="num_seed_classes")
-    run.add_argument("--seeds-fraction", type=float, dest="seeds_fraction")
-    run.add_argument("--num-partitions", type=int, dest="num_partitions")
-    run.add_argument("--model-selection", dest="selection",
-                     choices=["aicc", "aic", "bic"])
-    run.add_argument("--p-new", dest="p_new", help="comma list of floats")
-    run.add_argument("--rng-seed", type=int, dest="rng_seed")
-    run.add_argument("--max-iterations", type=int, dest="max_iterations")
-    run.add_argument("--crp-epochs", type=int, dest="crp_epochs")
-    run.add_argument("--workers", type=int)
-    run.add_argument("--include-seeds-in-eval", action="store_const", const=True,
-                     dest="include_seeds_in_eval")
+    _add_spec_flags(run, RUN_FLAGS)
 
     synth = sub.add_parser("synth", help="generate a synthetic dataset file")
-    synth.add_argument("--classes", type=int, required=True)
-    synth.add_argument("--per-class", type=int, required=True)
-    synth.add_argument("--vocab", type=int, required=True)
+    synth.add_argument("--classes", dest="num_classes", type=int, required=True)
+    synth.add_argument("--per-class", dest="instances_per_class", type=int, required=True)
+    synth.add_argument("--vocab", dest="vocab_size", type=int, required=True)
     synth.add_argument("--separation", type=float, required=True)
-    synth.add_argument("--family", choices=["multinomial", "hypersphere"],
-                       default="multinomial")
-    synth.add_argument("--doc-length", type=int, default=30)
-    synth.add_argument("--noise", type=float, default=0.3)
-    synth.add_argument("--rng-seed", type=int, default=0)
+    synth.add_argument("--family", choices=[f.value for f in GeneratorFamily])
+    synth.add_argument("--doc-length", type=int)
+    synth.add_argument("--noise", type=float)
+    synth.add_argument("--rng-seed", type=int)
     synth.add_argument("--output", required=True)
 
     ev = sub.add_parser("eval", help="re-score a saved assignments file")
     ev.add_argument("--assignments", required=True,
                     help="CSV with columns instance_id,cluster")
     ev.add_argument("--dataset", required=True)
-    ev.add_argument("--format", default="sparse-triplet", choices=CHOICES["dataset_format"])
+    ev.add_argument("--format", choices=CHOICES["dataset_format"])
     ev.add_argument("--seed-classes", required=True,
                     help="comma list of dense class ids to average F1 over")
     ev.add_argument("--output", help="write the JSON report here (default stdout)")
 
     sweep = sub.add_parser("sweep-pnew", help="CRP concentration-parameter sweep")
-    sweep.add_argument("--dataset", dest="dataset_path", required=True)
-    sweep.add_argument("--format", dest="dataset_format", default="sparse-triplet",
-                       choices=CHOICES["dataset_format"])
-    sweep.add_argument("--output", dest="output_dir", required=True)
-    sweep.add_argument("--p-new", dest="p_new", required=True,
-                       help="comma list of floats")
-    sweep.add_argument("--family", default="kmeans", choices=["nb", "kmeans", "vmf"])
-    sweep.add_argument("--num-seed-classes", type=int, default=2)
-    sweep.add_argument("--seeds-fraction", type=float, default=0.05)
-    sweep.add_argument("--num-partitions", type=int, default=10)
-    sweep.add_argument("--crp-epochs", type=int, default=50)
-    sweep.add_argument("--rng-seed", type=int, default=0)
+    _add_spec_flags(sweep, SWEEP_PNEW_FLAGS, required=("dataset_path", "output_dir", "p_new"))
     return parser
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _add_spec_flags(parser, flags: dict, required=()) -> None:
+    """One flag per ExperimentSpec key in flags. Its value stays a string
+    for coerce; a bool key's flag takes no value and sets the key true."""
+    for key, flag in flags.items():
+        kind, names = FIELD_TYPES[key], ", ".join(CHOICES.get(key, ()))
+        if kind == "bool":
+            parser.add_argument(flag, dest=key, action="store_const", const="true")
+            continue
+        if kind.startswith("Sequence["):
+            names = f"comma list of {names or kind[len('Sequence['):-1] + 's'}"
+        elif names:
+            names = f"one of {names}"
+        parser.add_argument(flag, dest=key, required=key in required, help=names or None)
+
+
+@contextmanager
+def _reading(path):
+    """A fault in reading a file as a ValueError whose message names it."""
     try:
-        file_values = parse_config(args.config) if args.config else {}
-        flag_values = {
-            k: coerce(k, v)
-            for k, v in vars(args).items()
-            if k in {**RUN_DEFAULTS, "dataset_path": None, "output_dir": None}
-        }
-    except ConfigError as e:
-        raise SystemExit(f"run: {e}") from None
-    values = merge(RUN_DEFAULTS, file_values, flag_values)
-    if not values.get("dataset_path"):
-        raise SystemExit("run: --dataset (or config key dataset_path) is required")
-    if not values.get("output_dir"):
-        raise SystemExit("run: --output (or config key output_dir) is required")
-    try:
-        spec = ExperimentSpec(**values)
-    except ValueError as e:  # its message names the key
-        raise SystemExit(f"run: {e}") from None
-    return run_experiment(spec)
+        yield
+    except OSError as e:
+        raise ValueError(f"{e.filename or path}: {e.strerror or e}") from None
+    except DataFormatError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
+def _experiment_spec(args: argparse.Namespace) -> ExperimentSpec:
+    """The config file's values (run only), then the flags given, then
+    sweep-pnew's preset, each parsed and checked by coerce; ExperimentSpec's
+    defaults fill the keys left unset."""
+    config = getattr(args, "config", None)  # sweep-pnew has no --config
+    with _reading(config):
+        values = parse_config(config) if config else {}
+    given = {k: v for k, v in vars(args).items() if k in FIELD_TYPES and v is not None}
+    preset = SWEEP_PNEW if args.command == "sweep-pnew" else {}
+    values.update((k, coerce(k, v)) for k, v in {**given, **preset}.items())
+    for key in ("dataset_path", "output_dir"):
+        if not values.get(key):
+            raise ValueError(f"{RUN_FLAGS[key]} (or config key {key}) is required")
+    return ExperimentSpec(**values)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    spec = SyntheticSpec(
-        num_classes=args.classes,
-        instances_per_class=args.per_class,
-        vocab_size=args.vocab,
-        separation=args.separation,
-        family=GeneratorFamily(args.family),
-        rng_seed=args.rng_seed,
-        doc_length=args.doc_length,
-        noise=args.noise,
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(SyntheticSpec)}
+    if given["family"]:
+        given["family"] = GeneratorFamily(given["family"])
+    spec = SyntheticSpec(**{k: v for k, v in given.items() if v is not None})
     d = generate_synthetic(spec)
     write_sparse_triplet(d, args.output)
     log.info("wrote %d instances to %s", len(d), args.output)
@@ -132,11 +123,15 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    d = load_dataset(args.dataset, args.format)
+    with _reading(args.dataset):
+        d = load_dataset(args.dataset, args.format or ExperimentSpec.dataset_format)
     by_id = {iid: i for i, iid in enumerate(d.instance_ids)}
     assignments, gold = [], []
-    with open(args.assignments, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
+    with _reading(args.assignments), open(args.assignments, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if not {"instance_id", "cluster"} <= set(reader.fieldnames or ()):
+            raise DataFormatError("expected the columns instance_id,cluster")
+        for row in reader:
             i = by_id.get(row["instance_id"])
             if i is None or d.gold_labels[i] is None:
                 continue
@@ -162,40 +157,20 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep_pnew(args: argparse.Namespace) -> int:
-    try:
-        spec = ExperimentSpec(
-            dataset_path=args.dataset_path,
-            dataset_format=args.dataset_format,
-            output_dir=args.output_dir,
-            families=[args.family],
-            algorithms=["semisup", "crp-standard", "crp-modified"],
-            criteria=[],
-            num_seed_classes=args.num_seed_classes,
-            seeds_fraction=args.seeds_fraction,
-            num_partitions=args.num_partitions,
-            p_new=coerce("p_new", args.p_new),
-            rng_seed=args.rng_seed,
-            crp_epochs=args.crp_epochs,
-        )
-    except ValueError as e:  # its message names the key
-        raise SystemExit(f"sweep-pnew: {e}") from None
-    return run_experiment(spec)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "synth":
-        return _cmd_synth(args)
-    if args.command == "eval":
-        return _cmd_eval(args)
-    return _cmd_sweep_pnew(args)
+    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
+                        format="%(levelname)s %(name)s: %(message)s")
+    try:
+        if args.command == "synth":
+            return _cmd_synth(args)
+        if args.command == "eval":
+            return _cmd_eval(args)
+        spec = _experiment_spec(args)
+        with _reading(spec.dataset_path):
+            return run_experiment(spec)
+    except ValueError as e:  # its message names the key, config line or file
+        raise SystemExit(f"{args.command}: {e}") from None
 
 
 if __name__ == "__main__":

@@ -1,7 +1,6 @@
-"""Flat key = value experiment config files with comma-separated lists.
-
-CLI flags override file values, which override defaults.
-"""
+"""Flat key = value experiment config files with comma-separated lists, and
+the parse of one ExperimentSpec value from its text, which the CLI flags
+share."""
 
 from __future__ import annotations
 
@@ -68,10 +67,3 @@ def _parse(kind: str, raw: str):
         raise ValueError(f"expected a boolean, got {raw!r}")
     return SCALARS[kind](raw)
 
-
-def merge(defaults: dict, file_values: dict, flag_values: dict) -> dict:
-    """Precedence: flag > file > default. Flags set to None are unset."""
-    merged = dict(defaults)
-    merged.update(file_values)
-    merged.update({k: v for k, v in flag_values.items() if v is not None})
-    return merged

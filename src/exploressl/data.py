@@ -250,6 +250,8 @@ def _load_sparse_triplet(path: Path) -> Dataset:
         vocab = declared if declared is not None else max_fid + 1
         if max_fid >= vocab:
             raise DataFormatError(f"feature id {max_fid} >= declared vocab size {vocab}")
+        if vocab == 0:
+            raise DataFormatError("vocabulary size is 0: no entry has a nonzero count")
         rows = np.repeat(np.arange(len(raw_labels)), lengths)[keep]
         indptr = np.cumsum(np.bincount(rows + 1, minlength=len(raw_labels) + 1))
         X = sp.csr_matrix((counts[keep], fids[keep], indptr), shape=(len(raw_labels), vocab))

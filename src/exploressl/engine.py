@@ -281,24 +281,22 @@ def best_extra_classes_sweep(
     p: SeedPartition,
     cfg: EngineConfig,
     m_values: list[int],
+    include_seeds: bool = False,
 ) -> tuple[int, float, list[dict]]:
     """Oracle sweep over extra-class counts: run the baseline per m and pick
-    the m maximizing seed-class macro F1 (ties to the smaller m). Uses test
-    labels, so it is an upper bound, not a practical method."""
-    from .evaluation import seed_macro_f1
+    the m maximizing seed-class macro F1 (ties to the smaller m) on the rows
+    evaluation.eval_rows gives. Uses test labels, so it is an upper bound,
+    not a practical method."""
+    from .evaluation import eval_rows, seed_macro_f1
 
     if not m_values:
         raise ValueError("m_values must be non-empty")
+    eval_idx, gold = eval_rows(d, p, include_seeds)
     rows = []
     best_m, best_f1 = None, -1.0
     for m in m_values:
         result = semisup_em(d, p, replace(cfg, extra_classes=m, criterion=None))
-        eval_idx = [i for i in sorted(p.unlabeled_idx) if d.gold_labels[i] is not None]
-        f1 = seed_macro_f1(
-            [int(result.final_state.assignments[i]) for i in eval_idx],
-            [d.gold_labels[i] for i in eval_idx],
-            p.seeded_class_ids,
-        )
+        f1 = seed_macro_f1(result.final_state.assignments[eval_idx], gold, p.seeded_class_ids)
         rows.append(
             {
                 "extra_classes": m,

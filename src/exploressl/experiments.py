@@ -32,7 +32,7 @@ from .engine import (
     exploratory_em,
     semisup_em,
 )
-from .evaluation import paired_significance, seed_macro_f1
+from .evaluation import eval_rows, paired_significance, seed_macro_f1
 from .models import ModelFamily, prepare_dataset
 from .selection import SelectionCriterion
 
@@ -60,6 +60,7 @@ RANGES = {
     "max_iterations": (lambda v: v >= 1, ">= 1"),
     "ll_rel_tolerance": (lambda v: v > 0, "> 0"),
     "crp_epochs": (lambda v: v >= 1, ">= 1"),
+    "rng_seed": (lambda v: v >= 0, ">= 0"),
 }
 
 
@@ -77,9 +78,9 @@ class ExperimentSpec:
     selection: str = "aicc"
     p_new: Sequence[float] = (1e-4,)
     rng_seed: int = 0
-    max_iterations: int = 15
-    ll_rel_tolerance: float = 1e-4
-    crp_epochs: int = 50
+    max_iterations: int = EngineConfig.max_iterations
+    ll_rel_tolerance: float = EngineConfig.ll_rel_tolerance
+    crp_epochs: int = crp_mod.CrpConfig.num_epochs
     random_reference: str = "minmax"
     sweep_m_values: Sequence[int] = SWEEP_M_VALUES
     workers: int = 1
@@ -119,14 +120,6 @@ def prepare_family_datasets(raw: Dataset) -> dict[ModelFamily, Dataset]:
         f: prepare_dataset(raw if f is ModelFamily.NB else weighted, f, apply_tfidf=False)
         for f in ModelFamily
     }
-
-
-def _eval_gold(d: Dataset, p: SeedPartition, include_seeds: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The evaluated rows, in order, and their gold class ids."""
-    pool = np.arange(len(d)) if include_seeds else np.sort(np.fromiter(p.unlabeled_idx, np.int64))
-    gold = np.array(d.gold_labels, dtype=np.float64)[pool]  # None becomes nan
-    known = ~np.isnan(gold)
-    return pool[known], gold[known].astype(np.int64)
 
 
 # a pool worker's dataset per family, set once by its initializer: tasks carry
@@ -186,7 +179,7 @@ def _run_one(task: dict, datasets: dict[ModelFamily, Dataset]) -> dict:
             result = semisup_em(d, p, cfg)
         elif algorithm == "semisup-sweep":
             best_m, best_f1, per_m = best_extra_classes_sweep(
-                d, p, cfg, list(spec.sweep_m_values)
+                d, p, cfg, list(spec.sweep_m_values), spec.include_seeds_in_eval
             )
             row.update(
                 seed_f1=f"{best_f1:.6f}",
@@ -213,7 +206,7 @@ def _run_one(task: dict, datasets: dict[ModelFamily, Dataset]) -> dict:
                     rng_seed=run_seed,
                 ),
             )
-        eval_idx, gold = _eval_gold(d, p, spec.include_seeds_in_eval)
+        eval_idx, gold = eval_rows(d, p, spec.include_seeds_in_eval)
         assignments = result.final_state.assignments  # int64, aligned with d.instance_ids
         f1 = seed_macro_f1(assignments[eval_idx], gold, p.seeded_class_ids)
         row.update(
@@ -263,9 +256,9 @@ def run_experiment(spec: ExperimentSpec) -> int:
     """Run the full grid x partitions; write per-run CSV rows, per-run
     assignment files and a summary JSON. Returns a process exit code
     (nonzero iff every run failed)."""
+    raw = load_dataset(spec.dataset_path, spec.dataset_format)
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    raw = load_dataset(spec.dataset_path, spec.dataset_format)
     write_label_map(raw, out / "label_map.csv")
     datasets = prepare_family_datasets(raw)
     any_d = datasets[ModelFamily.NB]

@@ -33,6 +33,8 @@ class SyntheticSpec:
             raise ValueError("num_classes, instances_per_class, vocab_size must be positive")
         if self.separation < 0:
             raise ValueError("separation must be non-negative")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
 
 
 def multinomial_class_distributions(spec: SyntheticSpec) -> np.ndarray:

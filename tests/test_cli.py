@@ -1,10 +1,12 @@
 import csv
+import filecmp
 import json
+import re
 
 import pytest
 
 from exploressl.cli import main
-from exploressl.config import ConfigError, coerce, merge, parse_config
+from exploressl.config import ConfigError, coerce, parse_config
 from exploressl.data import load_dataset
 
 
@@ -30,6 +32,19 @@ class TestSynthCommand:
         assert len(d) == 60
         assert d.vocab_size == 24
         assert d.class_counts() == {0: 20, 1: 20, 2: 20}
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--classes", "0"], "num_classes, instances_per_class, vocab_size must be positive$"),
+        (["--separation", "-1"], "separation must be non-negative$"),
+        (["--rng-seed", "-1"], "rng_seed must be non-negative$"),
+    ])
+    def test_bad_spec_is_one_line_and_writes_nothing(self, tmp_path, flags, message):
+        out = tmp_path / "d.txt"
+        argv = ["synth", "--classes", "2", "--per-class", "3", "--vocab", "4",
+                "--separation", "1", "--output", str(out)]
+        with pytest.raises(SystemExit, match=f"^synth: {message}"):
+            main([*argv, *flags])  # a repeated flag's last value wins
+        assert not out.exists()
 
 
 class TestRunCommand:
@@ -121,7 +136,9 @@ class TestRunCommand:
             "run", "--config", str(cfg), "--dataset", str(dataset_file),
             "--output", str(out), "--num-partitions", "2",
         ])
-        assert len(read_runs(out)) == 2
+        rows = read_runs(out)
+        assert len(rows) == 2  # the flag beats the file
+        assert {r["family"] for r in rows} == {"nb"}  # a file value no flag sets survives
 
     def test_missing_dataset_errors(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -139,6 +156,18 @@ class TestRunCommand:
         with pytest.raises(SystemExit, match=f"^run: {message}"):
             main(["run", "--config", str(cfg), "--dataset", str(dataset_file),
                   "--output", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-iterations", "abc"],
+         "max_iterations: invalid literal for int\\(\\) with base 10: 'abc'$"),
+        (["--model-selection", "aicx"], "selection: 'aicx' is not one of bic, aic, aicc$"),
+    ])
+    def test_bad_typed_flag_is_one_line_and_exits_1(self, dataset_file, tmp_path, flags, message):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match=f"^run: {message}") as e:
+            main(["run", "--dataset", str(dataset_file), "--output", str(out), *flags])
+        assert isinstance(e.value.code, str)  # printed with exit status 1; argparse exits 2
+        assert not out.exists()
 
     def test_bad_flag_value_is_one_line(self, dataset_file, tmp_path):
         with pytest.raises(SystemExit, match="^run: p_new: "):
@@ -171,6 +200,7 @@ class TestRunCommand:
         (["--seeds-fraction", "1"], "seeds_fraction: 1.0 is not in \\(0, 1\\)$"),
         (["--max-iterations", "0"], "max_iterations: 0 is not >= 1$"),
         (["--p-new", "0.1,0"], "p_new: 0.0 is not in \\(0, 1\\)$"),
+        (["--rng-seed", "-1"], "rng_seed: -1 is not >= 0$"),
     ])
     def test_out_of_range_flag_fails_before_any_file(
         self, dataset_file, tmp_path, flags, message
@@ -190,6 +220,56 @@ class TestRunCommand:
             main(["run", "--config", str(cfg), "--dataset", str(dataset_file),
                   "--output", str(out)])
         assert not out.exists()
+
+    def test_negative_seed_in_config_fails_before_any_file(self, dataset_file, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("families = nb\nrng_seed = -1\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match="^run: line 2: rng_seed: -1 is not >= 0$"):
+            main(["run", "--config", str(cfg), "--dataset", str(dataset_file),
+                  "--output", str(out)])
+        assert not out.exists()
+
+
+# a dataset file with a malformed entry, and a path with no file
+BAD_DATASETS = [("a 1:x\n", "line 1: malformed entry '1:x'"),
+                (None, "No such file or directory")]
+
+
+def bad_file(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    if text is not None:
+        path.write_text(text)
+    return path
+
+
+class TestFileFaults:
+    """A file that cannot be read gives '<command>: <path>: <message>'."""
+
+    @pytest.mark.parametrize("text, message", BAD_DATASETS)
+    @pytest.mark.parametrize("command, flags", [("run", []), ("sweep-pnew", ["--p-new", "0.1"])])
+    def test_bad_dataset_leaves_no_output(self, tmp_path, command, flags, text, message):
+        path, out = bad_file(tmp_path, text), tmp_path / "out"
+        with pytest.raises(SystemExit, match=f"^{command}: {re.escape(f'{path}: {message}')}$"):
+            main([command, "--dataset", str(path), "--output", str(out), *flags])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", BAD_DATASETS)
+    def test_eval_bad_dataset(self, dataset_file, tmp_path, text, message):
+        path = bad_file(tmp_path, text)
+        with pytest.raises(SystemExit, match=f"^eval: {re.escape(f'{path}: {message}')}$"):
+            main(["eval", "--assignments", str(dataset_file), "--dataset", str(path),
+                  "--seed-classes", "0"])
+
+    @pytest.mark.parametrize("text, message", [
+        ("instance_id,clusters\n0,1\n", "expected the columns instance_id,cluster"),
+        (None, "No such file or directory"),
+    ])
+    def test_eval_bad_assignments(self, dataset_file, tmp_path, text, message):
+        path = bad_file(tmp_path, text)
+        with pytest.raises(SystemExit, match=f"^eval: {re.escape(f'{path}: {message}')}$"):
+            main(["eval", "--assignments", str(path), "--dataset", str(dataset_file),
+                  "--seed-classes", "0"])
 
 
 class TestEvalCommand:
@@ -234,6 +314,22 @@ class TestSweepPnewCommand:
         assert {r["algorithm"] for r in rows} == {
             "semisup", "crp-standard", "crp-modified"
         }
+
+    def test_is_run_with_its_preset(self, dataset_file, tmp_path):
+        flags = ["--dataset", str(dataset_file), "--p-new", "0.0001,0.01",
+                 "--num-partitions", "2", "--seeds-fraction", "0.1", "--crp-epochs", "3"]
+        sweep, run = tmp_path / "sweep", tmp_path / "run"
+        assert main(["sweep-pnew", *flags, "--output", str(sweep), "--family", "nb"]) == 0
+        assert main(["run", *flags, "--output", str(run), "--families", "nb",
+                     "--algorithms", "semisup,crp-standard,crp-modified", "--criteria", ""]) == 0
+        names = sorted(f.name for f in sweep.glob("*.*") if f.name != "runs.csv")
+        assert len(names) == 12  # 10 assignment files, label_map.csv and summary.json
+        _, mismatch, errors = filecmp.cmpfiles(sweep, run, names, shallow=False)
+        assert (mismatch, errors) == ([], [])
+        rows = [read_runs(sweep), read_runs(run)]
+        for r in rows[0] + rows[1]:
+            r.pop("runtime_s")
+        assert rows[0] == rows[1]
 
     @pytest.mark.parametrize("flags, message", [
         (["--p-new", "0.1,often"], "p_new: could not convert string to float: 'often'$"),
@@ -287,11 +383,3 @@ class TestConfigModule:
     def test_bad_bool(self):
         with pytest.raises(ConfigError):
             coerce("include_seeds_in_eval", "maybe")
-
-    def test_merge_precedence(self):
-        merged = merge(
-            {"a": 1, "b": 2, "c": 3},
-            {"b": 20, "c": 30},
-            {"c": 300, "b": None},
-        )
-        assert merged == {"a": 1, "b": 20, "c": 300}

@@ -146,6 +146,11 @@ BAD_INPUTS = [
     ("", "sparse-triplet", "no instances"),
     (" \n\t\n\n", "sparse-triplet", "no instances"),
     ("%%vocab 3\n", "sparse-triplet", "no instances"),
+    # no entry with a nonzero count: the exact parser reads the first two,
+    # the integer scan the third
+    ("a\nb\n", "sparse-triplet", "vocabulary size is 0: no entry has a nonzero count"),
+    ("a 1:0.0\nb\n", "sparse-triplet", "vocabulary size is 0: no entry has a nonzero count"),
+    ("a 1:0\nb\n", "sparse-triplet", "vocabulary size is 0: no entry has a nonzero count"),
     # within a line the first bad token wins; a malformed or negative token
     # comes before a duplicate id, and a duplicate before a non-finite count
     ("a -1:1 3:x\n", "sparse-triplet", "line 1: negative feature id"),

@@ -70,6 +70,23 @@ def test_grid_keeps_no_dataset_alive(dataset_file, tmp_path, monkeypatch, worker
     assert len(made) == 3 and all(ref() is None for ref in made)
 
 
+@pytest.mark.parametrize("include_seeds", [False, True])
+def test_sweep_of_m_0_scores_as_semisup(dataset_file, tmp_path, include_seeds):
+    # with m = 0 alone, semisup-sweep fits semisup's model, which draws no
+    # random numbers, so both must score it on the rows include_seeds_in_eval picks
+    spec = ExperimentSpec(
+        dataset_path=str(dataset_file), output_dir=str(tmp_path), families=("nb", "kmeans"),
+        algorithms=("semisup", "semisup-sweep"), num_partitions=3, seeds_fraction=0.1,
+        sweep_m_values=(0,), include_seeds_in_eval=include_seeds,
+    )
+    assert run_experiment(spec) == 0
+    f1 = {}
+    for r in runs_without_runtime(tmp_path):
+        f1.setdefault(r["algorithm"], []).append((r["family"], r["partition"], r["seed_f1"]))
+    assert len(f1["semisup"]) == 6
+    assert f1["semisup-sweep"] == f1["semisup"]
+
+
 def test_tasks_carry_no_dataset():
     spec = ExperimentSpec(dataset_path="d.txt", output_dir="out", families=("nb", "vmf"))
     tasks = experiments.build_tasks(spec, partitions=[None])
@@ -87,6 +104,7 @@ def test_tasks_carry_no_dataset():
     ("ll_rel_tolerance", 0.0, "ll_rel_tolerance: 0.0 is not > 0"),
     ("ll_rel_tolerance", float("nan"), "ll_rel_tolerance: nan is not > 0"),
     ("p_new", (1e-4, 1.0), "p_new: 1.0 is not in (0, 1)"),
+    ("rng_seed", -1, "rng_seed: -1 is not >= 0"),
 ])
 def test_spec_rejects_out_of_range_values(key, value, message):
     with pytest.raises(ValueError) as e:
@@ -96,7 +114,7 @@ def test_spec_rejects_out_of_range_values(key, value, message):
 
 def test_spec_takes_the_range_limits_and_numpy_values():
     ExperimentSpec(dataset_path="d.txt", output_dir="out", num_partitions=1,
-                   num_seed_classes=0, max_iterations=1, crp_epochs=1, seeds_fraction=0.5,
+                   num_seed_classes=0, rng_seed=0, max_iterations=1, crp_epochs=1, seeds_fraction=0.5,
                    p_new=(1e-12, 0.999), ll_rel_tolerance=1e-300)
     ExperimentSpec(dataset_path="d.txt", output_dir="out", num_partitions=np.int64(2),
                    p_new=np.array([1e-3, 1e-2]), families=np.array(["nb", "vmf"]))
