@@ -45,7 +45,6 @@ from .models import (
     init_new_class,
     m_step,
     posterior,
-    prepare_dataset,
 )
 from .selection import (
     SelectionCriterion,

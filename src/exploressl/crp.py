@@ -35,7 +35,6 @@ class CrpConfig:
     pick: PickRule = PickRule.STANDARD
     family: ModelFamily = ModelFamily.KMEANS
     rng_seed: int = 0
-    kappa_init: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.p_new < 1.0):
@@ -145,7 +144,7 @@ def crp_gibbs(d: Dataset, p: SeedPartition, cfg: CrpConfig) -> RunResult:
                 raise FloatingPointError(f"non-finite posterior at epoch {epoch}")
             return pick_chunk(cfg.pick, cfg.p_new, post, rng)
 
-        _pass(state, d, unlabeled, scores, cfg.kappa_init, pick)
+        _pass(state, d, unlabeled, scores, pick)
         # refresh parameters and prune emptied introduced classes
         state = m_step(state, d)
         scores = X @ state.vectors.T

@@ -46,7 +46,6 @@ class EngineConfig:
     ll_rel_tolerance: float = 1e-4
     extra_classes: int = 0
     rng_seed: int = 0
-    kappa_init: float = 1.0
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -68,7 +67,7 @@ class RunResult:
 
 
 def _pass(
-    state: ModelState, d: Dataset, rows: np.ndarray, base: np.ndarray, kappa_init: float,
+    state: ModelState, d: Dataset, rows: np.ndarray, base: np.ndarray,
     pick: Callable[[np.ndarray, int], tuple[np.ndarray, bool]],
 ) -> None:
     """One sequential pass over `rows` in which each row takes a class or
@@ -89,15 +88,14 @@ def _pass(
         state.assignments[rows[start:stop]] = labels
         if opens:
             i = rows[stop]
-            params = init_new_class(d.row(i), state.family, d.vocab_size, kappa_init)
-            state.assignments[i] = state.add_class(params, len(d))
+            state.assignments[i] = state.add_class(init_new_class(d, i, state.family), len(d))
             batch.add_class(state, stop)
             stop += 1
         start = stop
 
 
 def _e_step(
-    state: ModelState, d: Dataset, rows: np.ndarray, base: np.ndarray, kappa_init: float,
+    state: ModelState, d: Dataset, rows: np.ndarray, base: np.ndarray,
     fires: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
 ) -> int:
     """Hard E-step over `rows` in order; returns how many assignments changed.
@@ -112,7 +110,7 @@ def _e_step(
         stop = hits[0] if len(hits) else len(post)
         return post[:stop].argmax(axis=1), len(hits) > 0
 
-    _pass(state, d, rows, base, kappa_init, pick)
+    _pass(state, d, rows, base, pick)
     # each row is visited once, and a row that opens a class always changes
     return int(np.count_nonzero(state.assignments[rows] != before))
 
@@ -135,8 +133,7 @@ def _run_em(
         rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, 7]))
         picked = rng.choice(len(unlabeled), size=cfg.extra_classes, replace=False)
         for pos in picked:
-            x = d.row(unlabeled[pos])
-            state.add_class(init_new_class(x, cfg.family, d.vocab_size, cfg.kappa_init), n)
+            state.add_class(init_new_class(d, unlabeled[pos], cfg.family), n)
 
     if state.num_classes == 0:
         # no seeded classes at all: bootstrap one class from the first
@@ -144,10 +141,7 @@ def _run_em(
         if criterion is None or not len(unlabeled):
             raise ValueError("no seeded classes and no way to create any")
         first = unlabeled[0]
-        state.add_class(
-            init_new_class(d.row(first), cfg.family, d.vocab_size, cfg.kappa_init),
-            n,
-        )
+        state.add_class(init_new_class(d, first, cfg.family), n)
         state.assignments[first] = 0
 
     # every row's scores under the current parameters, computed once per
@@ -157,7 +151,7 @@ def _run_em(
     scores = X @ state.vectors.T
     # initial hard labels for the unlabeled pool, so the first baseline
     # likelihood is well defined
-    _e_step(state, d, unlabeled, scores, cfg.kappa_init)
+    _e_step(state, d, unlabeled, scores)
     ll = data_log_likelihood(state, d, scores)
 
     can_add = criterion is not None
@@ -177,7 +171,7 @@ def _run_em(
         baseline_ll = ll
 
         fires = criterion.for_pass(len(unlabeled)) if can_add else None
-        changed = _e_step(state, d, unlabeled, scores, cfg.kappa_init, fires)
+        changed = _e_step(state, d, unlabeled, scores, fires)
 
         m_new = state.num_classes
         explore_ll = data_log_likelihood(state, d, scores)
@@ -203,7 +197,7 @@ def _run_em(
             if m_new > m_old:
                 state.truncate(m_old)  # leaves exactly the classes scores covers
                 dropped = unlabeled[state.assignments[unlabeled] >= m_old]
-                _e_step(state, d, dropped, scores, cfg.kappa_init)
+                _e_step(state, d, dropped, scores)
             if can_add and latched_at is None:
                 latched_at = t
             can_add = False

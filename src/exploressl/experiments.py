@@ -18,9 +18,11 @@ from . import crp as crp_mod
 from .criteria import CriterionConfig, CriterionKind
 from .data import (
     Dataset,
+    Norm,
     SeedPartition,
     load_dataset,
     make_partitions,
+    normalize_dataset,
     subset,
     tfidf_weight,
     write_label_map,
@@ -33,7 +35,7 @@ from .engine import (
     semisup_em,
 )
 from .evaluation import eval_rows, paired_significance, seed_macro_f1
-from .models import ModelFamily, prepare_dataset
+from .models import ModelFamily
 from .selection import SelectionCriterion
 
 log = logging.getLogger(__name__)
@@ -53,7 +55,7 @@ CHOICES = {
 # the ExperimentSpec fields whose value (or each item of whose list) must lie
 # in a range: the test and the range as the message gives it
 RANGES = {
-    "num_seed_classes": (lambda v: v >= 0, ">= 0"),
+    "num_seed_classes": (lambda v: v >= 1, ">= 1"),
     "seeds_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
     "num_partitions": (lambda v: v >= 1, ">= 1"),
     "p_new": (lambda v: 0 < v < 1, "in (0, 1)"),
@@ -108,7 +110,8 @@ def derive_seed(root: int, *coords: int) -> int:
 
 
 def prepare_family_datasets(raw: Dataset) -> dict[ModelFamily, Dataset]:
-    """One representation per family over a shared instance set.
+    """One representation per family over a shared instance set: raw counts
+    for NB, L1-normalized TF-IDF for K-Means, L2-normalized TF-IDF for vMF.
 
     TF-IDF drops (all-zero reweighted instances) are applied to every
     representation, so instance indices agree across families."""
@@ -117,8 +120,9 @@ def prepare_family_datasets(raw: Dataset) -> dict[ModelFamily, Dataset]:
         kept = set(weighted.instance_ids)
         raw = subset(raw, [i for i, iid in enumerate(raw.instance_ids) if iid in kept])
     return {
-        f: prepare_dataset(raw if f is ModelFamily.NB else weighted, f, apply_tfidf=False)
-        for f in ModelFamily
+        ModelFamily.NB: raw,
+        ModelFamily.KMEANS: normalize_dataset(weighted, Norm.L1),
+        ModelFamily.VMF: normalize_dataset(weighted, Norm.L2),
     }
 
 
@@ -257,9 +261,6 @@ def run_experiment(spec: ExperimentSpec) -> int:
     assignment files and a summary JSON. Returns a process exit code
     (nonzero iff every run failed)."""
     raw = load_dataset(spec.dataset_path, spec.dataset_format)
-    out = Path(spec.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_label_map(raw, out / "label_map.csv")
     datasets = prepare_family_datasets(raw)
     any_d = datasets[ModelFamily.NB]
     partitions = make_partitions(
@@ -270,6 +271,11 @@ def run_experiment(spec: ExperimentSpec) -> int:
         spec.rng_seed,
     )
     tasks = build_tasks(spec, partitions)
+    # every check that can reject the spec or the dataset has run by now, so
+    # a failed run leaves no output directory behind
+    out = Path(spec.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_label_map(raw, out / "label_map.csv")
 
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers, initializer=_init_worker,

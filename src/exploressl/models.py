@@ -18,10 +18,11 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .data import Dataset, Norm, SeedPartition, SparseVector, normalize_dataset, tfidf_weight
+from .data import Dataset, SeedPartition, SparseVector
 
 KAPPA_MIN = 1e-2
 KAPPA_MAX = 1e4
+KAPPA_NEW = 1.0  # the concentration of a class opened from one instance
 KMEANS_LL_EPS = 1e-12  # floor inside log() for the K-Means likelihood surrogate
 E_STEP_CHUNK = 512  # the most pass positions whose posteriors are computed together
 
@@ -252,112 +253,112 @@ def class_sums(X: sp.csr_matrix, y: np.ndarray, m: int) -> np.ndarray:
 
     bincount adds the weights in entry order, so each (class, word) sum adds
     its rows in row order, as the product of a class-indicator matrix with X
-    and X[rows].sum(axis=0) do."""
+    and X[rows].sum(axis=0) do. Over no entries bincount gives integers, so
+    the result is cast to float."""
     V = X.shape[1]
     row_class = np.repeat(y, np.diff(X.indptr))
-    return np.bincount(row_class * V + X.indices, weights=X.data, minlength=m * V).reshape(m, V)
+    sums = np.bincount(row_class * V + X.indices, weights=X.data, minlength=m * V)
+    return sums.astype(np.float64, copy=False).reshape(m, V)
 
 
-def _fit_class(
-    family: ModelFamily, s: np.ndarray, count: float, V: int
-) -> Optional[tuple[np.ndarray, Optional[float]]]:
-    """(vector, kappa) of a class whose members' rows sum to s, kappa None
-    outside vMF; None when s is degenerate (K-Means all-zero sum, vMF mean
-    resultant 0)."""
+def fit_classes(
+    family: ModelFamily, X: sp.csr_matrix, y: np.ndarray, m: int
+) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray, np.ndarray]:
+    """(vectors, kappas, priors, fitted) of m classes whose members are the
+    rows of X labeled y, all y in [0, m); kappas is None outside vMF.
+
+    A class's vector is its add-one smoothed log word probabilities (NB), its
+    L1-normalized sum (K-Means) or its unit mean direction (vMF), whose
+    concentration is the Banerjee estimate from the mean resultant length.
+    Priors are add-one smoothed member counts. fitted[j] is False where the
+    sum is degenerate (K-Means all-zero sum, vMF mean resultant 0); the caller
+    decides what such a class gets."""
+    vectors = class_sums(X, y, m)  # fitted in place
+    counts = np.bincount(y, minlength=m).astype(np.float64)
+    priors = (counts + 1.0) / (counts.sum() + m)
+    kappas = None
     if family is ModelFamily.NB:
-        smoothed = s + 1.0
-        return np.log(smoothed / smoothed.sum()), None
+        vectors += 1.0
+        np.log(vectors / vectors.sum(axis=1, keepdims=True), out=vectors)
+        return vectors, None, priors, np.ones(m, dtype=bool)
     if family is ModelFamily.KMEANS:
-        total = np.abs(s).sum()
-        return (s / total, None) if total > 0.0 else None
-    r = float(np.linalg.norm(s))
-    return (s / r, _banerjee_kappa(r / max(count, 1.0), V)) if r > 1e-12 else None
+        norms = np.abs(vectors).sum(axis=1)
+        fitted = norms > 0.0
+    else:
+        # each class's dot with itself is the BLAS dot np.linalg.norm takes
+        norms = np.sqrt((vectors[:, None, :] @ vectors[:, :, None])[:, 0, 0])
+        fitted = norms > 1e-12
+        rbar = norms / np.maximum(counts, 1.0)
+        kappas = np.array([_banerjee_kappa(float(r), X.shape[1]) for r in rbar])
+    vectors[fitted] /= norms[fitted, None]
+    return vectors, kappas, priors, fitted
 
 
 def init_from_seeds(d: Dataset, p: SeedPartition, family: ModelFamily) -> ModelState:
-    """Supervised initialization: one class per seeded gold class, parameters
-    estimated from its labeled instances, priors add-1 smoothed on seed
-    counts. Unlabeled instances start unassigned (-1)."""
+    """Supervised initialization: one class per seeded gold class, fitted
+    from its labeled instances. Unlabeled instances start unassigned (-1)."""
     seeded = sorted(p.seeded_class_ids)  # none: a fully unsupervised start
     k = len(seeded)
-    V = d.vocab_size
     class_index = {c: j for j, c in enumerate(seeded)}
     labeled = np.array(sorted(p.labeled_idx), dtype=np.int64)
     y = np.array([class_index[d.gold_labels[i]] for i in labeled], dtype=np.int64)
-    counts = np.bincount(y, minlength=k).astype(np.float64)
+    counts = np.bincount(y, minlength=k)
     if not counts.all():
         raise ValueError(f"seeded class {seeded[np.argmin(counts)]} has no labeled instances")
 
-    sums = class_sums(d.matrix()[labeled], y, k)
-    vectors = np.zeros((k, V))
-    kappas = np.zeros(k) if family is ModelFamily.VMF else None
-    for j, c in enumerate(seeded):
-        fit = _fit_class(family, sums[j], int(counts[j]), V)
-        if fit is None:
-            why = ("degenerate all-zero seed mean" if family is ModelFamily.KMEANS
-                   else "seed directions cancel (mean resultant 0)")
-            raise ValueError(f"seeded class {c}: {why}")
-        vectors[j], kappa = fit
-        if kappas is not None:
-            kappas[j] = kappa
-
-    priors = (counts + 1.0) / (counts.sum() + k)
+    vectors, kappas, priors, fitted = fit_classes(family, d.matrix()[labeled], y, k)
+    if not fitted.all():
+        why = ("degenerate all-zero seed mean" if family is ModelFamily.KMEANS
+               else "seed directions cancel (mean resultant 0)")
+        raise ValueError(f"seeded class {seeded[np.argmin(fitted)]}: {why}")
     assignments = np.full(len(d), -1, dtype=np.int64)
     assignments[labeled] = y
-    return ModelState(family, V, vectors, priors, seeded, assignments, kappas)
+    return ModelState(family, d.vocab_size, vectors, priors, seeded, assignments, kappas)
 
 
-def init_new_class(
-    x: SparseVector,
-    family: ModelFamily,
-    vocab_size: int,
-    kappa_init: float = 1.0,
-) -> tuple[np.ndarray, Optional[float]]:
-    """(vector, kappa) of a brand-new class seeded by a single instance,
-    kappa None outside vMF."""
-    if x.nnz == 0:
+def init_new_class(d: Dataset, i: int, family: ModelFamily) -> tuple[np.ndarray, Optional[float]]:
+    """(vector, kappa) of a brand-new class seeded by row i of d alone, kappa
+    None outside vMF: add-one smoothed log probabilities (NB), the row plus
+    1/V per word, L1-normalized (K-Means), or the row's direction at
+    concentration KAPPA_NEW (vMF)."""
+    X = d.matrix()
+    lo, hi = X.indptr[i], X.indptr[i + 1]
+    if lo == hi:
         raise ValueError("cannot initialize a class from an all-zero instance")
-    dense = x.to_dense(vocab_size)
+    dense = np.zeros(d.vocab_size)
+    dense[X.indices[lo:hi]] = X.data[lo:hi]
     if family is ModelFamily.NB:
         smoothed = dense + 1.0
         return np.log(smoothed / smoothed.sum()), None
     if family is ModelFamily.KMEANS:
-        smoothed = dense + 1.0 / vocab_size
+        smoothed = dense + 1.0 / d.vocab_size
         return smoothed / smoothed.sum(), None
-    return dense / np.linalg.norm(dense), float(kappa_init)
+    return dense / np.linalg.norm(dense), KAPPA_NEW
 
 
 def m_step(state: ModelState, d: Dataset) -> ModelState:
     """Re-estimate all parameters from the current hard assignments.
 
     Introduced classes left without members are dropped (assignment ids are
-    remapped); seeded classes always survive. Priors use add-1 smoothing."""
+    remapped); seeded classes always survive, and one whose sum is degenerate
+    (an empty seeded class) keeps its vector at concentration KAPPA_MIN."""
     y = state.assignments
     if np.any(y < 0):
         raise ValueError("all instances must be assigned before the M-step")
     m = state.num_classes
-    counts = np.bincount(y, minlength=m).astype(np.float64)
-
+    counts = np.bincount(y, minlength=m)
     keep = np.flatnonzero((np.arange(m) < state.num_seeded) | (counts > 0))
     remap = np.full(m, -1, dtype=np.int64)
     remap[keep] = np.arange(len(keep))
     y_new = remap[y]
-    m_new = len(keep)
-    counts = counts[keep]
 
-    V = d.vocab_size
-    sums = class_sums(d.matrix(), y_new, m_new)
-    vectors = np.zeros((m_new, V))
-    kappas = np.zeros(m_new) if state.family is ModelFamily.VMF else None
-    for j, old_j in enumerate(keep):
-        # a degenerate sum (an empty seeded class) keeps its parameters
-        fit = _fit_class(state.family, sums[j], counts[j], V)
-        vectors[j], kappa = fit or (state.vectors[old_j], KAPPA_MIN)
-        if kappas is not None:
-            kappas[j] = kappa
-
-    priors = (counts + 1.0) / (counts.sum() + m_new)
-    return ModelState(state.family, V, vectors, priors, state.seed_class_ids, y_new, kappas)
+    vectors, kappas, priors, fitted = fit_classes(state.family, d.matrix(), y_new, len(keep))
+    stale = ~fitted
+    vectors[stale] = state.vectors[keep[stale]]
+    if kappas is not None:
+        kappas[stale] = KAPPA_MIN
+    return ModelState(state.family, d.vocab_size, vectors, priors, state.seed_class_ids, y_new,
+                      kappas)
 
 
 def data_log_likelihood(
@@ -407,13 +408,3 @@ def free_parameter_count(state: ModelState) -> int:
     if state.family is ModelFamily.VMF:
         return base + m
     return base
-
-
-def prepare_dataset(d: Dataset, family: ModelFamily, apply_tfidf: bool = True) -> Dataset:
-    """Per-family representation: raw counts for NB, L1-normalized TF-IDF for
-    K-Means, L2-normalized TF-IDF for vMF."""
-    if family is ModelFamily.NB:
-        return d
-    weighted = tfidf_weight(d) if apply_tfidf else d
-    norm = Norm.L1 if family is ModelFamily.KMEANS else Norm.L2
-    return normalize_dataset(weighted, norm)

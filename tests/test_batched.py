@@ -136,7 +136,7 @@ def test_posteriors_match_posterior_row_by_row(family, seed, m, V, n):
                 # open a class at the chunk's first row, as the E-step does
                 # mid-pass: the later rows see the new column and the
                 # rescaled priors
-                state.add_class(init_new_class(xs[start], family, V), n)
+                state.add_class(init_new_class(d, start, family), n)
                 scores.add_class(state, start)
                 start += 1
             else:
@@ -168,7 +168,7 @@ def test_chunks_grow_back_after_an_opening():
             if hit is None:
                 start = stop
             else:
-                state.add_class(init_new_class(xs[hit], ModelFamily.VMF, V), n)
+                state.add_class(init_new_class(d, hit, ModelFamily.VMF), n)
                 scores.add_class(state, hit)
                 start = hit + 1
     # a chunk after an opening is twice the distance back to it, and ends
@@ -313,18 +313,21 @@ def _reference_params(family, s, count, V, old_vector):
 @given(
     st.sampled_from(list(ModelFamily)),
     st.integers(0, 2**32 - 1),
-    st.integers(1, 5),
+    st.integers(0, 5),
     st.integers(0, 3),
     st.integers(3, 12),
     st.integers(5, 40),
 )
 @settings(max_examples=150, deadline=None)
 def test_m_step_and_seed_init_match_the_former_sums(family, seed, k, extra, V, n):
+    # k = 0 is the unsupervised start: no seeded class and no labeled row
     rng = np.random.default_rng(seed)
-    gold = rng.integers(k, size=n)
+    gold = rng.integers(max(k, 1), size=n)
     anchors = rng.choice(n, size=k, replace=False)  # one labeled row per seeded class
     gold[anchors] = np.arange(k)
     labeled = sorted(set(anchors.tolist()) | set(np.flatnonzero(rng.random(n) < 0.5).tolist()))
+    labeled = labeled if k else []
+    extra = extra if k else max(extra, 1)
     gold = gold.tolist()
     d = Dataset.from_rows(_float_rows(rng, n, V), gold, V)
     X = d.matrix()
@@ -332,7 +335,7 @@ def test_m_step_and_seed_init_match_the_former_sums(family, seed, k, extra, V, n
                       frozenset(range(n)) - frozenset(labeled), 0)
 
     state = init_from_seeds(d, p, family)
-    y = np.array([gold[i] for i in labeled])
+    y = np.array([gold[i] for i in labeled], dtype=np.int64)
     sums = _row_sums(X[labeled], y, k)
     counts = np.bincount(y, minlength=k)
     for j in range(k):
@@ -344,7 +347,7 @@ def test_m_step_and_seed_init_match_the_former_sums(family, seed, k, extra, V, n
     # extra introduced classes, and labels that leave some classes of both
     # kinds empty: the seeded ones keep their parameters, the rest go
     for i in range(extra):
-        state.add_class(init_new_class(d.row(i), family, V), n)
+        state.add_class(init_new_class(d, i, family), n)
     m = state.num_classes
     state.assignments = rng.choice(rng.choice(m, size=int(rng.integers(1, m + 1))), size=n)
     old = state.vectors.copy()
@@ -395,7 +398,7 @@ def test_log_likelihood_from_shared_scores_is_exact(family, seed, m, V, n, opene
     # classes opened after scores was taken, as an E-step pass opens them
     for _ in range(opened):
         i = int(rng.integers(n))
-        j = state.add_class(init_new_class(d.row(i), family, V), n)
+        j = state.add_class(init_new_class(d, i, family), n)
         state.assignments[rng.random(n) < 0.3] = j
         state.assignments[i] = j
     if drop:
@@ -422,14 +425,13 @@ def test_scores_of_another_shape_are_refused():
             PassScores(state, d, np.arange(4), bad)
 
 
-def _reference_e_step(state, d, rows, kappa_init, opens):
+def _reference_e_step(state, d, rows, opens):
     """The hard E-step one row at a time: a row flagged in opens starts a
     class seeded by itself, any other row takes its argmax class."""
     changed = 0
     for pos, i in enumerate(rows):
         if opens[pos]:
-            params = init_new_class(d.row(i), state.family, d.vocab_size, kappa_init)
-            j = state.add_class(params, len(d))
+            j = state.add_class(init_new_class(d, i, state.family), len(d))
         else:
             j = int(np.argmax(posterior(state, d.row(i))))
         changed += int(state.assignments[i] != j)
@@ -453,7 +455,6 @@ def test_e_step_pass_matches_one_row_at_a_time(family, seed, m, V, n, rate, chun
     d = Dataset.from_rows(_instances(rng, n, V), [None] * n, V)
     rows = rng.permutation(n)[: int(rng.integers(1, n + 1))]
     opens = rng.random(len(rows)) < rate
-    kappa_init = float(rng.uniform(0.5, 5.0))
     batched.assignments = rng.integers(-1, m, size=n)
     reference.assignments = batched.assignments.copy()
 
@@ -464,8 +465,8 @@ def test_e_step_pass_matches_one_row_at_a_time(family, seed, m, V, n, rate, chun
     with warnings.catch_warnings(), mock.patch.object(models, "E_STEP_CHUNK", chunk):
         warnings.simplefilter("error", RuntimeWarning)
         # a pass that opens nothing runs without a criterion, as semisup_em's do
-        changed = _e_step(batched, d, rows, base, kappa_init, fires if opens.any() else None)
-    want = _reference_e_step(reference, d, rows, kappa_init, opens)
+        changed = _e_step(batched, d, rows, base, fires if opens.any() else None)
+    want = _reference_e_step(reference, d, rows, opens)
     assert changed == want
     assert np.array_equal(batched.assignments, reference.assignments)
     assert batched.num_classes == reference.num_classes == m + int(opens.sum())

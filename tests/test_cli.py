@@ -201,6 +201,9 @@ class TestRunCommand:
         (["--max-iterations", "0"], "max_iterations: 0 is not >= 1$"),
         (["--p-new", "0.1,0"], "p_new: 0.0 is not in \\(0, 1\\)$"),
         (["--rng-seed", "-1"], "rng_seed: -1 is not >= 0$"),
+        (["--num-seed-classes", "0"], "num_seed_classes: 0 is not >= 1$"),
+        # the dataset has 3 classes, which only drawing the partitions checks
+        (["--num-seed-classes", "4"], "num_seed_classes=4 exceeds 3 distinct classes$"),
     ])
     def test_out_of_range_flag_fails_before_any_file(
         self, dataset_file, tmp_path, flags, message

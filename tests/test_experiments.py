@@ -98,13 +98,14 @@ def test_tasks_carry_no_dataset():
     ("num_partitions", 0, "num_partitions: 0 is not >= 1"),
     ("seeds_fraction", 0.0, "seeds_fraction: 0.0 is not in (0, 1)"),
     ("seeds_fraction", 1.0, "seeds_fraction: 1.0 is not in (0, 1)"),
-    ("num_seed_classes", -1, "num_seed_classes: -1 is not >= 0"),
+    ("num_seed_classes", -1, "num_seed_classes: -1 is not >= 1"),
     ("max_iterations", 0, "max_iterations: 0 is not >= 1"),
     ("crp_epochs", 0, "crp_epochs: 0 is not >= 1"),
     ("ll_rel_tolerance", 0.0, "ll_rel_tolerance: 0.0 is not > 0"),
     ("ll_rel_tolerance", float("nan"), "ll_rel_tolerance: nan is not > 0"),
     ("p_new", (1e-4, 1.0), "p_new: 1.0 is not in (0, 1)"),
     ("rng_seed", -1, "rng_seed: -1 is not >= 0"),
+    ("num_seed_classes", 0, "num_seed_classes: 0 is not >= 1"),
 ])
 def test_spec_rejects_out_of_range_values(key, value, message):
     with pytest.raises(ValueError) as e:
@@ -114,7 +115,7 @@ def test_spec_rejects_out_of_range_values(key, value, message):
 
 def test_spec_takes_the_range_limits_and_numpy_values():
     ExperimentSpec(dataset_path="d.txt", output_dir="out", num_partitions=1,
-                   num_seed_classes=0, rng_seed=0, max_iterations=1, crp_epochs=1, seeds_fraction=0.5,
+                   num_seed_classes=1, rng_seed=0, max_iterations=1, crp_epochs=1, seeds_fraction=0.5,
                    p_new=(1e-12, 0.999), ll_rel_tolerance=1e-300)
     ExperimentSpec(dataset_path="d.txt", output_dir="out", num_partitions=np.int64(2),
                    p_new=np.array([1e-3, 1e-2]), families=np.array(["nb", "vmf"]))

@@ -5,6 +5,7 @@ import pytest
 
 from exploressl.data import Dataset, Norm, SeedPartition, SparseVector, normalize
 from exploressl.models import (
+    KAPPA_NEW,
     ModelFamily,
     ModelState,
     data_log_likelihood,
@@ -18,6 +19,11 @@ from exploressl.models import (
 
 def dataset(rows, labels, vocab):
     return Dataset.from_rows([SparseVector.from_pairs(r) for r in rows], labels, vocab)
+
+
+def new_class(x, family, vocab):
+    """init_new_class for the SparseVector x, as the one row of a dataset."""
+    return init_new_class(Dataset.from_rows([x], [None], vocab), 0, family)
 
 
 def partition(d, labeled, seeded):
@@ -141,23 +147,23 @@ class TestInitFromSeeds:
 
 class TestInitNewClass:
     def test_kmeans_smoothed(self):
-        vector, kappa = init_new_class(SparseVector.from_dense([1.0, 0.0]), ModelFamily.KMEANS, 2)
+        vector, kappa = new_class(SparseVector.from_dense([1.0, 0.0]), ModelFamily.KMEANS, 2)
         assert np.allclose(vector, [0.75, 0.25])
         assert kappa is None
 
     def test_vmf_exact_direction(self):
         x = normalize(SparseVector.from_dense([3.0, 4.0]), Norm.L2)
-        vector, kappa = init_new_class(x, ModelFamily.VMF, 2, kappa_init=2.5)
+        vector, kappa = new_class(x, ModelFamily.VMF, 2)
         assert np.allclose(vector, [0.6, 0.8])
-        assert kappa == 2.5
+        assert kappa == KAPPA_NEW
 
     def test_nb_smoothed(self):
-        vector, _ = init_new_class(SparseVector.from_pairs([(0, 2.0)]), ModelFamily.NB, 2)
+        vector, _ = new_class(SparseVector.from_pairs([(0, 2.0)]), ModelFamily.NB, 2)
         assert np.allclose(np.exp(vector), [0.75, 0.25])
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            init_new_class(SparseVector.from_pairs([]), ModelFamily.NB, 2)
+            new_class(SparseVector.from_pairs([]), ModelFamily.NB, 2)
 
     def test_new_class_ranks_highest_for_its_point(self):
         rng = np.random.default_rng(2)
@@ -177,7 +183,12 @@ class TestInitNewClass:
             x[:4] = 0.0  # away from both centroids' mass
             x = x / (np.linalg.norm(x) if fam is ModelFamily.VMF else x.sum())
             xv = SparseVector.from_dense(x)
-            s.add_class(init_new_class(xv, fam, 8, kappa_init=5.0), n_instances=10)
+            vector, kappa = new_class(xv, fam, 8)
+            if fam is ModelFamily.VMF:
+                # the existing classes' concentration: at KAPPA_NEW the new class
+                # loses its point to the larger prior of a class orthogonal to it
+                kappa = 5.0
+            s.add_class((vector, kappa), n_instances=10)
             assert int(np.argmax(posterior(s, xv))) == 2
 
 
@@ -187,7 +198,7 @@ class TestAddClass:
         s = kmeans_state([[0.5, 0.5, 0.0]], [1.0], assignments=[0])
         rows, priors = [s.vectors[0].copy()], s.priors.copy()
         for m in range(1, 40):
-            params = init_new_class(SparseVector.from_dense(rng.random(3)), ModelFamily.KMEANS, 3)
+            params = new_class(SparseVector.from_dense(rng.random(3)), ModelFamily.KMEANS, 3)
             assert s.add_class(params, 50) == m
             p_new = 2.0 / (50 + m + 1)
             priors = np.append(priors * (1.0 - p_new), p_new)
@@ -198,12 +209,12 @@ class TestAddClass:
 
     def test_earlier_vectors_never_overwritten(self):
         s = nb_state([[0.5, 0.5], [0.25, 0.75]], [0.5, 0.5], assignments=[0, 1])
-        new = init_new_class(SparseVector.from_pairs([(0, 3.0)]), ModelFamily.NB, 2)
+        new = new_class(SparseVector.from_pairs([(0, 3.0)]), ModelFamily.NB, 2)
         s.add_class(new, 10)
         before = s.vectors
         kept = before.copy()
         s.truncate(2)
-        s.add_class(init_new_class(SparseVector.from_pairs([(1, 3.0)]), ModelFamily.NB, 2), 10)
+        s.add_class(new_class(SparseVector.from_pairs([(1, 3.0)]), ModelFamily.NB, 2), 10)
         shown = s.vectors
         shown_kept = shown.copy()
         s.add_class(new, 10)
@@ -233,7 +244,7 @@ class TestMStep:
         d = dataset([[(0, 1.0)], [(1, 1.0)]], [0, None], 2)
         p = partition(d, labeled=[0], seeded=[0])
         s = init_from_seeds(d, p, ModelFamily.NB)
-        s.add_class(init_new_class(d.instances[1], ModelFamily.NB, 2), 2)
+        s.add_class(init_new_class(d, 1, ModelFamily.NB), 2)
         s.assignments[1] = 0  # introduced class left empty
         s2 = m_step(s, d)
         assert s2.num_classes == 1
@@ -258,7 +269,7 @@ class TestMStep:
                     [normalize(x, norm) for x in d.instances], d.gold_labels, 3
                 )
             s = init_from_seeds(dd, p, fam)
-            s.add_class(init_new_class(dd.instances[2], fam, 3), 3)
+            s.add_class(init_new_class(dd, 2, fam), 3)
             s.assignments[2] = 2
             s2 = m_step(s, dd)
             assert int(np.argmax(posterior(s2, dd.instances[2]))) == 2
