@@ -69,15 +69,17 @@ class RunResult:
 def _pass(
     state: ModelState, d: Dataset, rows: np.ndarray, base: np.ndarray,
     pick: Callable[[np.ndarray, int], tuple[np.ndarray, bool]],
-) -> None:
+) -> np.ndarray:
     """One sequential pass over `rows` in which each row takes a class or
-    opens a new one seeded by itself.
+    opens a new one seeded by itself; returns X @ vectors.T over every row
+    and every class live at its end.
 
-    base is X @ vectors.T under the state's current parameters (PassScores).
-    pick(post, start) gets the posteriors of pass positions start onward and
-    returns the labels of the leading rows and whether the row after them
-    opens a class. The rows after an opening are scored again with the new
-    class and the rescaled priors, so each row sees the model exactly as a
+    base is X @ vectors.T under the state's current parameters, and the
+    pass grows it by a column per class it opens (PassScores). pick(post,
+    start) gets the posteriors of pass positions start onward and returns
+    the labels of the leading rows and whether the row after them opens a
+    class. The rows after an opening are scored again with the new class and
+    the rescaled priors, so each row sees the model exactly as a
     one-at-a-time pass would leave it.
     """
     batch = PassScores(state, d, rows, base)
@@ -92,16 +94,18 @@ def _pass(
             batch.add_class(state, stop)
             stop += 1
         start = stop
+    return batch.scores
 
 
 def _e_step(
     state: ModelState, d: Dataset, rows: np.ndarray, base: np.ndarray,
     fires: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
-) -> int:
-    """Hard E-step over `rows` in order; returns how many assignments changed.
+) -> tuple[int, np.ndarray]:
+    """Hard E-step over `rows` in order; returns how many assignments changed
+    and the pass's grown score matrix (_pass).
 
     Without `fires` every row takes its argmax class. With it, the first row
-    it flags in a chunk opens a new class (_pass).
+    it flags in a chunk opens a new class.
     """
     before = state.assignments[rows]
 
@@ -110,9 +114,9 @@ def _e_step(
         stop = hits[0] if len(hits) else len(post)
         return post[:stop].argmax(axis=1), len(hits) > 0
 
-    _pass(state, d, rows, base, pick)
+    scores = _pass(state, d, rows, base, pick)
     # each row is visited once, and a row that opens a class always changes
-    return int(np.count_nonzero(state.assignments[rows] != before))
+    return int(np.count_nonzero(state.assignments[rows] != before)), scores
 
 
 def _run_em(
@@ -146,7 +150,7 @@ def _run_em(
 
     # every row's scores under the current parameters, computed once per
     # parameter update and read by each E-step pass and likelihood until the
-    # next M-step; a class opened since is scored on its own
+    # next M-step; a pass returns them grown by the classes it opened
     X = d.matrix()
     scores = X @ state.vectors.T
     # initial hard labels for the unlabeled pool, so the first baseline
@@ -171,10 +175,10 @@ def _run_em(
         baseline_ll = ll
 
         fires = criterion.for_pass(len(unlabeled)) if can_add else None
-        changed = _e_step(state, d, unlabeled, scores, fires)
+        changed, grown = _e_step(state, d, unlabeled, scores, fires)
 
         m_new = state.num_classes
-        explore_ll = data_log_likelihood(state, d, scores)
+        explore_ll = data_log_likelihood(state, d, grown)
         if not (np.isfinite(baseline_ll) and np.isfinite(explore_ll)):
             raise FloatingPointError(f"non-finite likelihood at iteration {t}")
 

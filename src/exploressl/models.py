@@ -141,11 +141,12 @@ def posteriors(state: ModelState, scores: np.ndarray) -> np.ndarray:
     """P(C_j | x_i) over all live classes, one row per instance; each row is
     non-negative and sums to 1.
 
-    scores[i, j] is the inner product x_i . vectors[j], as PassScores computes
-    it. A K-Means row whose scores are all non-positive is uniform. The vMF
-    logits leave out the per-class log normalizer log c_d(kappa_j) that
-    data_log_likelihood includes, so the two describe different models
-    whenever the kappas differ (ROADMAP item 2)."""
+    scores[i, j] is the inner product x_i . vectors[j], one column per live
+    class: rows of the matrix PassScores keeps. A K-Means row whose scores
+    are all non-positive is uniform. The vMF logits leave out the per-class
+    log normalizer log c_d(kappa_j) that data_log_likelihood includes, so
+    the two describe different models whenever the kappas differ (ROADMAP
+    item 2)."""
     m = state.num_classes
     if m == 0:
         raise ValueError("model has no classes")
@@ -178,74 +179,47 @@ class PassScores:
     """Posteriors of the rows `rows` of a dataset, in pass order, for one
     E-step pass, handed out a chunk at a time.
 
-    The scores of the classes that exist when the pass starts are `base`,
-    the product X @ vectors.T over every row of the dataset's CSR matrix. A
-    driver computes it once per parameter update and shares it between the
-    passes and likelihoods that see those parameters. The pass is worked
-    in windows of at most E_STEP_CHUNK positions, and each window takes its
-    rows of that product. A class opened during the pass is scored on the
-    window's rows of the matrix, copied when the first class opens in the
-    window, and on every later window. Every score is the same sequential
-    dot product over a row's stored entries, so a row's posterior does not
-    depend on how the pass is split.
+    `scores` is X @ vectors.T over every row of the dataset's CSR matrix and
+    every live class. It starts as `base`, the product a driver computes once
+    per parameter update; a class opened during the pass appends its column
+    X @ vector, computed once over all rows, to a buffer that doubles its
+    width when full (base itself is never written). The grown matrix then
+    serves the rest of the pass and the likelihood after it. Every score is
+    the same sequential dot product over a row's stored entries, so a row's
+    posterior does not depend on how the pass is split.
 
     A class opened at one position makes the posteriors of the rest of its
-    chunk stale. So a chunk ends with its window and is at most twice as
-    long as the distance from its start back to the last opening: a pass
-    that opens a class every few rows computes each posterior a few times at
-    most, and a pass that rarely opens one soon returns to whole windows.
+    chunk stale. So a chunk is at most E_STEP_CHUNK long and at most twice
+    the distance from its start back to the last opening: a pass that opens
+    a class every few rows computes each posterior a few times at most, and
+    a pass that rarely opens one soon returns to whole chunks.
     """
-
-    SPARE_COLUMNS = 64  # room for classes opened while a window is held
 
     def __init__(self, state: ModelState, d: Dataset, rows: np.ndarray, base: np.ndarray):
         if base.shape != (len(d), state.num_classes):
             raise ValueError("base scores must cover every row and live class")
         self._X = d.matrix()
         self._rows = rows
-        self._base = base
+        self._buffer = base  # scores is its first num_classes columns
+        self.scores = base
         self._opened_at = -E_STEP_CHUNK
-        self._window = (0, 0)  # the pass positions that _scores holds
-        self._scores = self._base[:0]  # (window rows, >= live classes)
-        self._window_X = None  # the window's rows of X, once a class opens
-
-    def _load(self, state: ModelState, start: int) -> None:
-        stop = min(len(self._rows), start + E_STEP_CHUNK)
-        m0, m = self._base.shape[1], state.num_classes
-        self._window = (start, stop)
-        self._window_X = None
-        self._scores = np.empty((stop - start, m + self.SPARE_COLUMNS))
-        self._scores[:, :m0] = self._base[self._rows[start:stop]]
-        if m > m0:
-            self._scores[:, m0:m] = self._rows_of_window() @ state.vectors[m0:].T
-
-    def _rows_of_window(self) -> sp.csr_matrix:
-        if self._window_X is None:
-            start, stop = self._window
-            self._window_X = self._X[self._rows[start:stop]]
-        return self._window_X
 
     def add_class(self, state: ModelState, pos: int) -> None:
         """Score from now on the class appended to state last, which the row
         at pass position pos (in the last chunk handed out) opened."""
         self._opened_at = pos
         m = state.num_classes
-        if m > self._scores.shape[1]:
-            wider = np.empty((len(self._scores), m + self.SPARE_COLUMNS))
-            wider[:, : m - 1] = self._scores[:, : m - 1]
-            self._scores = wider
-        self._scores[:, m - 1] = self._rows_of_window() @ state.vectors[-1]
+        if m > self._buffer.shape[1]:
+            # double the width, so that c openings copy O(c) columns in all
+            self._buffer = np.empty((len(self.scores), 2 * m))
+            self._buffer[:, : m - 1] = self.scores
+        self._buffer[:, m - 1] = self._X @ state.vectors[-1]
+        self.scores = self._buffer[:, :m]
 
     def posteriors(self, state: ModelState, start: int) -> np.ndarray:
         """posteriors() of the chunk of pass positions that begins at start."""
-        w_start, w_stop = self._window
-        if not w_start <= start < w_stop:
-            self._load(state, start)
-            w_start, w_stop = self._window
-        stop = min(w_stop, start + 2 * (start - self._opened_at))
-        return posteriors(
-            state, self._scores[start - w_start : stop - w_start, : state.num_classes]
-        )
+        stop = min(len(self._rows), start + E_STEP_CHUNK, start + 2 * (start - self._opened_at))
+        return posteriors(state, self.scores[self._rows[start:stop]])
 
 
 def class_sums(X: sp.csr_matrix, y: np.ndarray, m: int) -> np.ndarray:
@@ -367,10 +341,10 @@ def data_log_likelihood(
     """Complete-data log-likelihood sum_i log[P(C_{y_i}) P(x_i | C_{y_i})]
     under the current hard assignments.
 
-    scores, if given, is X @ vectors.T for the first scores.shape[1] classes,
-    as a driver computed it after its last parameter update; the rows
-    assigned to a class opened since then are scored here. Without it the
-    whole product is computed.
+    scores, if given, is X @ vectors.T over every row and every live class,
+    as a driver computed it after its last parameter update and an E-step
+    pass grew it (PassScores.scores). Without it the whole product is
+    computed.
 
     K-Means uses the documented surrogate log[P(C_j)(x . c_j + eps)]; it is a
     scoring surrogate, not a probability. vMF uses the asymptotic log
@@ -378,18 +352,11 @@ def data_log_likelihood(
     y = state.assignments
     if np.any(y < 0):
         raise ValueError("all instances must be assigned")
-    X = d.matrix()
     if scores is None:
-        scores = X @ state.vectors.T  # (n, m)
-    m0 = scores.shape[1]
-    if scores.shape[0] != len(d) or m0 > state.num_classes:
-        raise ValueError("scores must cover every row and no more than the live classes")
-    own = np.zeros(len(d))  # each row's dot with its own class's vector
-    early = y < m0
-    own[early] = scores[early, y[early]]
-    late = np.flatnonzero(~early)
-    if len(late):
-        own[late] = (X[late] @ state.vectors[m0:].T)[np.arange(len(late)), y[late] - m0]
+        scores = d.matrix() @ state.vectors.T  # (n, m)
+    if scores.shape != (len(d), state.num_classes):
+        raise ValueError("scores must cover every row and live class")
+    own = scores[np.arange(len(d)), y]  # each row's dot with its own class's vector
     log_priors = np.log(state.priors)
     if state.family is ModelFamily.NB:
         return float(log_priors[y].sum() + own.sum())

@@ -7,11 +7,13 @@ minmax_criterion / js_criterion row by row, without letting a RuntimeWarning
 escape.
 
 The class sums behind init_from_seeds and m_step, and the likelihood read
-from a score matrix shared across a parameter update, must equal the
-formulas they replaced (kept below as references) bit for bit.
+from a score matrix shared across a parameter update and grown by the
+classes a pass opens, must equal the formulas they replaced (kept below as
+references) bit for bit.
 
 The E-step pass, however its chunks fall, must leave the same model as a
-pass that takes one row at a time.
+pass that takes one row at a time, and the score matrix it grows must equal
+the product over every row and class.
 """
 
 import warnings
@@ -151,9 +153,10 @@ def test_chunks_grow_back_after_an_opening():
     xs = _instances(rng, n, V)
     d = Dataset.from_rows(xs, [None] * n, V)
     scores = PassScores(state, d, np.arange(n), d.matrix() @ state.vectors.T)
-    # open classes at 10, in the first window, and at 700, in the second,
-    # as the E-step does when the criterion fires there; every row handed
-    # out before and after them must match posterior()
+    # open classes at 10, in the first chunk, and at 700, in a chunk grown
+    # back from the first opening, as the E-step does when the criterion
+    # fires there; every row handed out before and after them must match
+    # posterior()
     opens = [10, 700]
     sizes, start = [], 0
     with warnings.catch_warnings():
@@ -171,9 +174,9 @@ def test_chunks_grow_back_after_an_opening():
                 state.add_class(init_new_class(d, hit, ModelFamily.VMF), n)
                 scores.add_class(state, hit)
                 start = hit + 1
-    # a chunk after an opening is twice the distance back to it, and ends
-    # with its window
-    assert sizes == [512, 2, 6, 18, 54, 162, 259, 512, 2, 6, 18, 54, 162, 81, 276]
+    # a chunk after an opening is twice the distance back to it, and at most
+    # E_STEP_CHUNK long
+    assert sizes == [512, 2, 6, 18, 54, 162, 486, 2, 6, 18, 54, 162, 357]
 
 
 def test_kmeans_all_zero_scores_fall_back_to_uniform():
@@ -394,16 +397,20 @@ def test_log_likelihood_from_shared_scores_is_exact(family, seed, m, V, n, opene
     state = _state(family, rng, m, V)
     d = Dataset.from_rows(_float_rows(rng, n, V), [None] * n, V)
     state.assignments = rng.integers(m, size=n)
-    scores = d.matrix() @ state.vectors.T
-    # classes opened after scores was taken, as an E-step pass opens them
+    batch = PassScores(state, d, np.arange(n), d.matrix() @ state.vectors.T)
+    # classes opened after the base scores were taken, as an E-step pass
+    # opens them and grows the scores by their columns
     for _ in range(opened):
         i = int(rng.integers(n))
         j = state.add_class(init_new_class(d, i, family), n)
+        batch.add_class(state, i)
         state.assignments[rng.random(n) < 0.3] = j
         state.assignments[i] = j
+    scores = batch.scores
     if drop:
-        # the rejected model: back to the classes scores covers
+        # the rejected model: back to the classes the base scores cover
         state.truncate(m)
+        scores = scores[:, :m]
         late = state.assignments >= m
         state.assignments[late] = rng.integers(m, size=int(late.sum()))
     got = data_log_likelihood(state, d, scores)
@@ -418,7 +425,7 @@ def test_scores_of_another_shape_are_refused():
     state.assignments = np.zeros(4, dtype=np.int64)
     scores = d.matrix() @ state.vectors.T
     wider = np.hstack([scores, scores[:, :1]])  # a column for a class not in state
-    for bad in (wider, scores[:3]):
+    for bad in (wider, scores[:, :1], scores[:3]):
         with pytest.raises(ValueError, match="scores"):
             data_log_likelihood(state, d, bad)
         with pytest.raises(ValueError, match="scores"):
@@ -465,9 +472,11 @@ def test_e_step_pass_matches_one_row_at_a_time(family, seed, m, V, n, rate, chun
     with warnings.catch_warnings(), mock.patch.object(models, "E_STEP_CHUNK", chunk):
         warnings.simplefilter("error", RuntimeWarning)
         # a pass that opens nothing runs without a criterion, as semisup_em's do
-        changed = _e_step(batched, d, rows, base, fires if opens.any() else None)
+        changed, grown = _e_step(batched, d, rows, base, fires if opens.any() else None)
     want = _reference_e_step(reference, d, rows, opens)
     assert changed == want
+    # the grown matrix is the product over every row and every class
+    assert np.array_equal(grown, d.matrix() @ batched.vectors.T)
     assert np.array_equal(batched.assignments, reference.assignments)
     assert batched.num_classes == reference.num_classes == m + int(opens.sum())
     assert np.array_equal(batched.vectors, reference.vectors)

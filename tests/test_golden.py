@@ -8,8 +8,8 @@ result. The "blocks" corpus has disjoint vocabulary blocks, so classes open
 in the middle of an E-step pass and change the posteriors of the instances
 after them.
 
-The "wide" corpus has 1740 unlabeled rows, so a Gibbs epoch spans four
-E_STEP_CHUNK windows and classes open in every one of them. Its CRP digests
+The "wide" corpus has 1740 unlabeled rows, so a Gibbs epoch is longer than
+three E_STEP_CHUNK chunks, and classes open all along it. Its CRP digests
 were captured from the per-row pick (crp_pick_standard and mod_crp_pick,
 one rng.choice per row) before the batched pick replaced it, so they pin
 down that drawing a chunk's labels at once leaves every label and the RNG

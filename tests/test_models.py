@@ -191,6 +191,30 @@ class TestInitNewClass:
             s.add_class((vector, kappa), n_instances=10)
             assert int(np.argmax(posterior(s, xv))) == 2
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a vMF class opened from one instance gets kappa KAPPA_NEW = 1 and prior "
+        "2/(n + m + 1) = 2/13, so its logit for its own instance is log(2/13) + 1, below "
+        "log(11/26) for each old class orthogonal to it: posterior 0.3308 against 0.3346 "
+        "(ROADMAP item 2, the kappa decision)",
+    )
+    def test_vmf_class_at_kappa_new_ranks_highest_for_its_point(self):
+        # the vMF case of the test above with the opened class at KAPPA_NEW
+        rng = np.random.default_rng(2)
+        rng.random((2, 8)), rng.random(8)  # that test's K-Means draws
+        vecs = rng.random((2, 8))
+        vecs[:, 4:] = 0.0
+        vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+        s = ModelState(ModelFamily.VMF, 8, vecs, np.array([0.5, 0.5]), [0, 1],
+                       np.zeros(0, dtype=np.int64), kappas=np.array([5.0, 5.0]))
+        x = rng.random(8)
+        x[:4] = 0.0
+        xv = SparseVector.from_dense(x / np.linalg.norm(x))
+        vector, kappa = new_class(xv, ModelFamily.VMF, 8)
+        assert kappa == KAPPA_NEW
+        s.add_class((vector, kappa), n_instances=10)
+        assert int(np.argmax(posterior(s, xv))) == 2
+
 
 class TestAddClass:
     def test_grown_state_matches_stacked_rows(self):
