@@ -13,6 +13,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .models import reduce_classes
+
 
 class CriterionKind(Enum):
     MINMAX = "minmax"
@@ -76,10 +78,11 @@ def js_fires(post: np.ndarray) -> np.ndarray:
 
 
 def minmax_fires(post: np.ndarray) -> np.ndarray:
-    """Per row: is max/min < 2 strictly? A zero minimum never fires."""
-    lo = post.min(axis=1)
+    """Per row: is max/min < 2 strictly? A zero minimum never fires. Each
+    row's max and min are taken by models.reduce_classes."""
+    lo = reduce_classes(np.minimum, post)
     with np.errstate(divide="ignore", over="ignore"):
-        ratio = post.max(axis=1) / lo
+        ratio = reduce_classes(np.maximum, post) / lo
     return (lo > 0.0) & (ratio < 2.0)
 
 

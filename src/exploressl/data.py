@@ -7,8 +7,9 @@ import logging
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -198,12 +199,37 @@ class SeedPartition:
         if self.labeled_idx & self.unlabeled_idx:
             raise ValueError("labeled and unlabeled index sets overlap")
 
+    def __getstate__(self):
+        # the index arrays are derived: a pickled partition carries only its
+        # fields, and the copy builds its arrays again when first read
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def labeled(self) -> np.ndarray:
+        """labeled_idx as a sorted read-only int64 array, built once."""
+        return _sorted_index(self.labeled_idx)
+
+    @cached_property
+    def unlabeled(self) -> np.ndarray:
+        """unlabeled_idx as a sorted read-only int64 array, built once."""
+        return _sorted_index(self.unlabeled_idx)
+
     def validate(self, d: Dataset) -> None:
-        if self.labeled_idx | self.unlabeled_idx != set(range(len(d))):
+        # the two sets are disjoint, so they cover range(n) exactly when they
+        # hold n indices between them, all in [0, n)
+        n = len(d)
+        parts = (self.labeled, self.unlabeled)
+        if sum(map(len, parts)) != n or any(a[0] < 0 or a[-1] >= n for a in parts if len(a)):
             raise ValueError("partition does not cover the dataset exactly")
-        for i in self.labeled_idx:
+        for i in self.labeled.tolist():
             if d.gold_labels[i] not in self.seeded_class_ids:
                 raise ValueError(f"labeled instance {i} has non-seeded label")
+
+
+def _sorted_index(idx: frozenset[int]) -> np.ndarray:
+    a = np.sort(np.fromiter(idx, np.int64, len(idx)))
+    a.setflags(write=False)
+    return a
 
 
 def load_dataset(

@@ -127,7 +127,7 @@ def _run_em(
     t_start = time.perf_counter()
     p.validate(d)
     n = len(d)
-    unlabeled = np.array(sorted(p.unlabeled_idx), dtype=np.int64)
+    unlabeled = p.unlabeled
 
     state = init_from_seeds(d, p, cfg.family)
 
@@ -267,7 +267,7 @@ def calibrate_random_rate(
         raise ValueError("reference must be minmax or js")
     ref = minmax_fires if reference is CriterionKind.MINMAX else js_fires
     state = init_from_seeds(d, p, family)
-    unlabeled = np.array(sorted(p.unlabeled_idx), dtype=np.int64)
+    unlabeled = p.unlabeled
     if not len(unlabeled):
         return 0.0
     post = posteriors(state, (d.matrix() @ state.vectors.T)[unlabeled])

@@ -104,7 +104,7 @@ def eval_rows(d, p, include_seeds: bool = False) -> tuple[np.ndarray, np.ndarray
     """The rows of dataset d that a run on partition p is scored on, in
     order, and their gold class ids: the rows with a gold label, among the
     unlabeled rows or, with include_seeds, among all rows."""
-    pool = np.arange(len(d)) if include_seeds else np.sort(np.fromiter(p.unlabeled_idx, np.int64))
+    pool = np.arange(len(d)) if include_seeds else p.unlabeled
     gold = np.array(d.gold_labels, dtype=np.float64)[pool]  # None becomes nan
     known = ~np.isnan(gold)
     return pool[known], gold[known].astype(np.int64)

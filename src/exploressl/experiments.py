@@ -10,6 +10,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -314,7 +315,16 @@ def _run_id(row: dict) -> str:
 
 def _write_assignments(rows: list[dict], out: Path, instance_ids: list[str]) -> None:
     """Per run, assign_<run id>.csv: each instance id (every family's dataset
-    has the same instances, in the same order) with its final cluster."""
+    has the same instances, in the same order) with its final cluster.
+
+    Each file holds the bytes csv.writer gives for the header
+    instance_id,cluster and one (id, cluster) row per instance, CRLF line
+    ends. The id column is the same in every file, so csv.writer formats it
+    once: each row (id, "") is that id's prefix, quoted as csv quotes it,
+    plus "\r\n", and a file is its prefixes joined with the clusters."""
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append)).writerows((i, "") for i in instance_ids)
+    prefixes = [line[:-2] for line in lines]  # each without its "\r\n"
     for row in rows:
         sweep_table = row.pop("sweep_table", None)
         if sweep_table is not None:
@@ -325,9 +335,9 @@ def _write_assignments(rows: list[dict], out: Path, instance_ids: list[str]) -> 
             continue
         with open(out / f"assign_{_run_id(row)}.csv", "w", encoding="utf-8",
                   newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["instance_id", "cluster"])
-            writer.writerows(zip(instance_ids, assignments.tolist()))
+            fh.write("instance_id,cluster\r\n" + "".join(
+                f"{prefix}{cluster}\r\n"
+                for prefix, cluster in zip(prefixes, assignments.tolist())))
 
 
 def _group_key(row: dict) -> tuple:

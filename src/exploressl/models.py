@@ -25,6 +25,7 @@ KAPPA_MAX = 1e4
 KAPPA_NEW = 1.0  # the concentration of a class opened from one instance
 KMEANS_LL_EPS = 1e-12  # floor inside log() for the K-Means likelihood surrogate
 E_STEP_CHUNK = 512  # the most pass positions whose posteriors are computed together
+CLASS_MAJOR_MAX_CLASSES = 32  # beyond this many classes numpy's row loop is faster
 
 
 class ModelFamily(Enum):
@@ -137,6 +138,22 @@ def _banerjee_kappa(rbar: float, dim: int) -> float:
     return float(min(max(kappa, KAPPA_MIN), KAPPA_MAX))
 
 
+def reduce_classes(op: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """op.reduce over the class axis of an (r, m) chunk, op np.maximum or
+    np.minimum: the values of a.max(axis=1) or a.min(axis=1).
+
+    Over a short row numpy runs its inner loop once per row. So a chunk of
+    at most CLASS_MAJOR_MAX_CLASSES classes and at least 4 rows per class is
+    reduced over a class-major copy, one vectorised pass per class; a wider
+    or shorter chunk is reduced row by row, where the copy would cost more.
+    Max and min are exact in any order, so both give the same values (the
+    sign of a zero maximum and the payload of a NaN aside)."""
+    r, m = a.shape
+    if m <= CLASS_MAJOR_MAX_CLASSES and r >= 4 * m:
+        return op.reduce(np.ascontiguousarray(a.T), axis=0)
+    return op.reduce(a, axis=1)
+
+
 def posteriors(state: ModelState, scores: np.ndarray) -> np.ndarray:
     """P(C_j | x_i) over all live classes, one row per instance; each row is
     non-negative and sums to 1.
@@ -146,7 +163,8 @@ def posteriors(state: ModelState, scores: np.ndarray) -> np.ndarray:
     are all non-positive is uniform. The vMF logits leave out the per-class
     log normalizer log c_d(kappa_j) that data_log_likelihood includes, so
     the two describe different models whenever the kappas differ (ROADMAP
-    item 2)."""
+    item 2). Each row's largest logit, subtracted before exp, is taken by
+    reduce_classes."""
     m = state.num_classes
     if m == 0:
         raise ValueError("model has no classes")
@@ -161,7 +179,7 @@ def posteriors(state: ModelState, scores: np.ndarray) -> np.ndarray:
         return p / total
     else:
         logits = np.log(state.priors) + state.kappas * scores
-    logits -= logits.max(axis=1, keepdims=True)
+    logits -= reduce_classes(np.maximum, logits)[:, None]
     p = np.exp(logits)
     return p / p.sum(axis=1, keepdims=True)
 
@@ -274,8 +292,8 @@ def init_from_seeds(d: Dataset, p: SeedPartition, family: ModelFamily) -> ModelS
     seeded = sorted(p.seeded_class_ids)  # none: a fully unsupervised start
     k = len(seeded)
     class_index = {c: j for j, c in enumerate(seeded)}
-    labeled = np.array(sorted(p.labeled_idx), dtype=np.int64)
-    y = np.array([class_index[d.gold_labels[i]] for i in labeled], dtype=np.int64)
+    labeled = p.labeled
+    y = np.array([class_index[d.gold_labels[i]] for i in labeled.tolist()], dtype=np.int64)
     counts = np.bincount(y, minlength=k)
     if not counts.all():
         raise ValueError(f"seeded class {seeded[np.argmin(counts)]} has no labeled instances")

@@ -14,6 +14,9 @@ references) bit for bit.
 The E-step pass, however its chunks fall, must leave the same model as a
 pass that takes one row at a time, and the score matrix it grows must equal
 the product over every row and class.
+
+The class-axis max and min behind posteriors and minmax_fires must equal
+numpy's row reductions on chunks of either shape reduce_classes tells apart.
 """
 
 import warnings
@@ -50,6 +53,7 @@ from exploressl.models import (
     init_new_class,
     m_step,
     posterior,
+    reduce_classes,
 )
 
 
@@ -257,6 +261,28 @@ def test_random_pass_draws_match_one_draw_per_instance():
     # however the pass is split, row q gets the q-th draw
     assert list(fires(post, 0)) == per_instance
     assert list(fires(post[:15], 25)) == per_instance[25:]
+
+
+SPECIAL_VALUES = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0])
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, models.CLASS_MAJOR_MAX_CLASSES + 8),
+    st.integers(0, 6),  # whole rows per class: 4 or more makes a chunk tall
+    st.integers(0, 3),
+    st.floats(0.0, 1.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_reduce_classes_equals_numpy_row_reductions(seed, m, per_class, extra, special):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m * per_class + extra, m))
+    hit = rng.random(a.shape) < special
+    a[hit] = rng.choice(SPECIAL_VALUES, size=int(hit.sum()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.array_equal(reduce_classes(np.maximum, a), a.max(axis=1), equal_nan=True)
+        assert np.array_equal(reduce_classes(np.minimum, a), a.min(axis=1), equal_nan=True)
 
 
 def _float_rows(rng, n, V):

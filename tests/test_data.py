@@ -1,5 +1,6 @@
 import logging
 import math
+import pickle
 import re
 import warnings
 
@@ -13,6 +14,7 @@ from exploressl.data import (
     DataFormatError,
     Dataset,
     Norm,
+    SeedPartition,
     SparseVector,
     choose_seeded_classes,
     load_dataset,
@@ -553,6 +555,35 @@ class TestPartitions:
         d = self._dataset([5, 5])
         with pytest.raises(ValueError):
             make_partitions(d, 3, 0.1, 1, 0)
+
+    def test_index_arrays_are_the_sorted_sets(self):
+        d = self._dataset([13, 7, 5])
+        for p in make_partitions(d, 2, 0.3, 4, 1):
+            for arr, idx in ((p.labeled, p.labeled_idx), (p.unlabeled, p.unlabeled_idx)):
+                assert arr.dtype == np.int64 and not arr.flags.writeable
+                assert arr.tolist() == sorted(idx)
+            assert p.unlabeled is p.unlabeled  # built once
+            # a pickled partition carries its fields only, and equals the original
+            assert pickle.loads(pickle.dumps(p)) == p
+            assert len(pickle.dumps(p)) == len(pickle.dumps(SeedPartition(
+                p.seeded_class_ids, p.labeled_idx, p.unlabeled_idx, p.rng_seed)))
+
+    @pytest.mark.parametrize("labeled, unlabeled, message", [
+        ({0}, {1, 2}, "does not cover"),  # row 3 missing
+        ({0}, {1, 2, 3, 4}, "does not cover"),  # row 4 beyond the dataset
+        ({0, -1}, {1, 2, 3}, "does not cover"),
+        (set(), {0, 1, 2}, "does not cover"),
+        ({0, 3}, {1, 2}, "labeled instance 3 has non-seeded label"),
+        (set(), {0, 1, 2, 3}, None),
+    ])
+    def test_validate(self, labeled, unlabeled, message):
+        d = self._dataset([3, 1])  # rows 0-2 in class 0, row 3 in class 1
+        p = SeedPartition(frozenset({0}), frozenset(labeled), frozenset(unlabeled), 0)
+        if message is None:
+            p.validate(d)
+        else:
+            with pytest.raises(ValueError, match=message):
+                p.validate(d)
 
 
 def test_subset_keeps_alignment():

@@ -1,6 +1,7 @@
 import csv
 import filecmp
 import gc
+import io
 import weakref
 
 import numpy as np
@@ -121,3 +122,35 @@ def test_spec_takes_the_range_limits_and_numpy_values():
                    p_new=np.array([1e-3, 1e-2]), families=np.array(["nb", "vmf"]))
     with pytest.raises(ValueError, match="^num_partitions: 0 is not >= 1$"):
         ExperimentSpec(dataset_path="d.txt", output_dir="out", num_partitions=np.int64(0))
+
+
+def csv_writer_assignments(instance_ids, assignments):
+    """An assign_*.csv as csv.writer writes it row by row: the reference."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["instance_id", "cluster"])
+    writer.writerows(zip(instance_ids, assignments.tolist()))
+    return buf.getvalue().encode("utf-8")
+
+
+def test_assignment_files_equal_csv_writer_output(tmp_path):
+    ids = ["plain", "a,b", 'say "hi"', "cr\rhere", "lf\nhere", "crlf\r\n", " lead",
+           "trail ", "naïve ☃", "", 7, 2.5, None, "x" * 40]
+    rows = [
+        {"algorithm": "exploratory", "family": "nb", "criterion": "js", "p_new": "",
+         "partition": 0, "error": "", "assignments": np.arange(len(ids)) * 7},
+        {"algorithm": "crp-standard", "family": "kmeans", "criterion": "", "p_new": 1e-4,
+         "partition": 1, "error": "", "assignments": np.full(len(ids), 123)},
+        {"algorithm": "semisup", "family": "vmf", "criterion": "", "p_new": "",
+         "partition": 0, "error": "ValueError: failed"},
+    ]
+    expected = {
+        "assign_exploratory_nb_js_part0.csv": csv_writer_assignments(ids, np.arange(len(ids)) * 7),
+        "assign_crp-standard_kmeans_pnew0.0001_part1.csv":
+            csv_writer_assignments(ids, np.full(len(ids), 123)),
+    }
+    experiments._write_assignments(rows, tmp_path, ids)
+    # the row with an error writes no file
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(expected)
+    for name, data in expected.items():
+        assert (tmp_path / name).read_bytes() == data
