@@ -17,7 +17,6 @@ from .data import (
     SparseVector,
     load_dataset,
     make_partitions,
-    normalize,
     tfidf_weight,
 )
 from .engine import (

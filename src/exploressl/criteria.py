@@ -70,11 +70,22 @@ def js_divergence(p, q) -> float:
     return float(_js_rows(p, q))
 
 
+def js_from_uniform(post: np.ndarray) -> np.ndarray:
+    """Per row of an (r, k) posterior matrix: its JS divergence from uniform
+    over its k classes, bit for bit as _js_rows gives it (1/k > 0 needs no
+    zero guard)."""
+    u = 1.0 / post.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_a = np.log(0.5 * (u + post))
+        kl_u = u * (np.log(u) - log_a)
+        kl_post = np.where(post > 0, post * (np.log(post) - log_a), 0.0)
+    return 0.5 * (kl_u.sum(axis=-1) + kl_post.sum(axis=-1))
+
+
 def js_fires(post: np.ndarray) -> np.ndarray:
     """Per row: is the posterior within JS distance 1/k of uniform over its k
     live classes (strict inequality)?"""
-    k = post.shape[1]
-    return _js_rows(np.full(k, 1.0 / k), post) < 1.0 / k
+    return js_from_uniform(post) < 1.0 / post.shape[1]
 
 
 def minmax_fires(post: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from .criteria import _check_distribution, _js_rows
+from .criteria import _check_distribution, js_from_uniform
 from .data import Dataset, SeedPartition
 from .engine import RunResult, _pass
 from .models import (
@@ -59,7 +59,7 @@ def mod_new_class_probabilities(p_new: float, post: np.ndarray) -> np.ndarray:
     divergence of the row from uniform over its k classes, clamped to
     [0, 1]; a perfectly uniform row (d = 0) gives q = 1."""
     k = post.shape[1]
-    d = _js_rows(np.full(k, 1.0 / k), post)
+    d = js_from_uniform(post)
     with np.errstate(divide="ignore"):
         return np.where(d == 0.0, 1.0, np.minimum(1.0, p_new / (k * d)))
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,46 +51,9 @@ class SparseVector:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", val)
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "SparseVector":
-        items = sorted((int(i), float(w)) for i, w in pairs if w != 0.0)
-        idx, val = zip(*items) if items else ((), ())
-        return cls(np.array(idx, dtype=np.int64), np.array(val, dtype=np.float64))
-
-    @classmethod
-    def from_dense(cls, dense: Sequence[float]) -> "SparseVector":
-        arr = np.asarray(dense, dtype=np.float64)
-        idx = np.nonzero(arr)[0]
-        return cls(idx.astype(np.int64), arr[idx])
-
-    @property
-    def entries(self) -> list[tuple[int, float]]:
-        return list(zip(self.indices.tolist(), self.values.tolist()))
-
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
-
-    def norm(self, kind: Norm) -> float:
-        if kind is Norm.L1:
-            return float(np.sum(np.abs(self.values)))
-        return float(np.sqrt(np.sum(self.values**2)))
-
-    def to_dense(self, size: int) -> np.ndarray:
-        out = np.zeros(size)
-        out[self.indices] = self.values
-        return out
-
-
-def normalize(x: SparseVector, norm: Norm) -> SparseVector:
-    """Scale x to unit L1 or L2 norm. All-zero input is rejected."""
-    n = x.norm(norm)
-    if n == 0.0:
-        raise ValueError("degenerate instance: cannot normalize all-zero vector")
-    scaled = x.values / n
-    # subnormal weights can underflow to exactly zero; drop those entries
-    keep = scaled != 0.0
-    return SparseVector(x.indices[keep], scaled[keep])
 
 
 class Dataset:
@@ -136,17 +99,6 @@ class Dataset:
         if len(self.instance_ids) != n:
             raise ValueError("instance_ids length mismatch")
         self.label_names = list(label_names) if label_names is not None else None
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[SparseVector], gold_labels: Sequence[Optional[int]],
-                  vocab_size: int, instance_ids: Optional[Sequence[str]] = None,
-                  label_names: Optional[Sequence[str]] = None) -> "Dataset":
-        """Dataset whose instance i is rows[i]."""
-        indptr = np.cumsum([0] + [x.nnz for x in rows])
-        indices = np.concatenate([x.indices for x in rows] + [np.zeros(0, np.int64)])
-        values = np.concatenate([x.values for x in rows] + [np.zeros(0)])
-        X = sp.csr_matrix((values, indices, indptr), shape=(len(rows), max(vocab_size, 0)))
-        return cls(X, gold_labels, instance_ids, label_names)
 
     def __len__(self) -> int:
         return self._X.shape[0]
@@ -384,10 +336,10 @@ def _read_lines(lines: Sequence[str], check: bool = False):
                 raise DataFormatError(f"line {lineno}: negative feature id")
             if cnt != 0.0:
                 pairs.append((fid, cnt))
-        try:
-            SparseVector.from_pairs(pairs)
-        except ValueError as e:
-            raise DataFormatError(f"line {lineno}: {e}") from None
+        row = np.array(sorted(pairs), dtype=[("id", np.int64), ("weight", np.float64)])
+        fault = _row_fault(np.array([0, len(row)]), row["id"], row["weight"])
+        if fault:
+            raise DataFormatError(f"line {lineno}: {fault[1]}")
     return labels, entries, declared
 
 
@@ -449,8 +401,11 @@ def write_sparse_triplet(d: Dataset, path: str | Path) -> None:
                 str(y) if y is not None else _MISSING_LABEL
             )
             part = slice(X.indptr[row], X.indptr[row + 1])
+            # an integral weight as an integer and any other as its repr, so
+            # that each reads back as the same float
             entries = " ".join(
-                f"{i}:{v:g}" for i, v in zip(X.indices[part].tolist(), X.data[part].tolist())
+                f"{i}:{int(v) if v.is_integer() else v!r}"
+                for i, v in zip(X.indices[part].tolist(), X.data[part].tolist())
             )
             fh.write(f"{label} {entries}\n".rstrip() + "\n")
 
@@ -483,7 +438,7 @@ def tfidf_weight(d: Dataset) -> Dataset:
 
 
 def _row_norms(X: sp.csr_matrix, norm: Norm) -> np.ndarray:
-    """SparseVector.norm of every row of X, bit for bit.
+    """The L1 or L2 norm of each row of X, bit for bit as np.sum of that row.
 
     np.sum adds a row's entries pairwise. Summing a (rows, L) gather of the
     rows with L entries along axis 1 keeps that order; a sum over a padded
@@ -498,7 +453,7 @@ def _row_norms(X: sp.csr_matrix, norm: Norm) -> np.ndarray:
 
 
 def normalize_dataset(d: Dataset, norm: Norm) -> Dataset:
-    """normalize() applied to every instance, as one scale per row."""
+    """Every instance scaled to unit L1 or L2 norm, as one scale per row."""
     X = d.matrix()
     norms = _row_norms(X, norm)
     if not norms.all():

@@ -8,8 +8,9 @@ from enum import Enum
 from typing import Iterator
 
 import numpy as np
+import scipy.sparse as sp
 
-from .data import Dataset, SparseVector
+from .data import Dataset
 
 
 class GeneratorFamily(Enum):
@@ -56,12 +57,15 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     rng = np.random.default_rng(np.random.SeedSequence([spec.rng_seed, 3]))
     multinomial = spec.family is GeneratorFamily.MULTINOMIAL
     rows = _multinomial_rows(spec, rng) if multinomial else _hypersphere_rows(spec, rng)
-    return Dataset.from_rows(
-        [SparseVector.from_dense(row) for row in rows],
-        np.repeat(np.arange(spec.num_classes), spec.instances_per_class).tolist(),
-        spec.vocab_size,
-        label_names=[f"class_{c}" for c in range(spec.num_classes)],
-    )
+    indices, values = [], []
+    for row in rows:  # only each dense row's nonzeros outlive it
+        indices.append(np.flatnonzero(row))
+        values.append(row[indices[-1]])
+    indptr = np.cumsum([0] + [len(a) for a in indices])
+    X = sp.csr_matrix((np.concatenate(values), np.concatenate(indices), indptr),
+                      shape=(len(indices), spec.vocab_size))
+    labels = np.repeat(np.arange(spec.num_classes), spec.instances_per_class).tolist()
+    return Dataset(X, labels, label_names=[f"class_{c}" for c in range(spec.num_classes)])
 
 
 def _multinomial_rows(spec: SyntheticSpec, rng: np.random.Generator) -> Iterator[np.ndarray]:

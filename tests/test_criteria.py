@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from exploressl.criteria import (
     Criterion,
     CriterionConfig,
     CriterionKind,
+    _js_rows,
     js_criterion,
     js_divergence,
+    js_from_uniform,
     minmax_criterion,
 )
 
@@ -76,6 +78,22 @@ class TestJsDivergence:
         rng = np.random.default_rng(3)
         p, q = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
         assert js_divergence(p, q) > 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 100), st.integers(1, 512))
+def test_js_from_uniform_equals_js_rows_against_uniform(seed, k, r):
+    """Bit for bit what _js_rows gives for a uniform row broadcast against
+    every posterior row, on rows with zeros, one-hot rows and uniform rows."""
+    rng = np.random.default_rng(seed)
+    post = rng.dirichlet(np.full(k, 0.5), size=r)
+    zero = rng.random((r, k)) < 0.3
+    zero[np.arange(r), rng.integers(k, size=r)] = False  # one entry of each row stays
+    post[zero] = 0.0
+    post /= post.sum(axis=1, keepdims=True)
+    post[0] = 1.0 / k
+    post[-1] = np.eye(k)[rng.integers(k)]
+    assert np.array_equal(js_from_uniform(post), _js_rows(np.full(k, 1.0 / k), post))
 
 
 class TestJsCriterion:

@@ -19,25 +19,26 @@ from exploressl.data import (
     choose_seeded_classes,
     load_dataset,
     make_partitions,
-    normalize,
     normalize_dataset,
     subset,
     tfidf_weight,
     write_sparse_triplet,
 )
+from exploressl.synth import GeneratorFamily, SyntheticSpec, generate_synthetic
+from reference import entries, from_dense, from_pairs, from_rows, norm, normalize, to_dense
 
 
 def make_dataset(rows, vocab=None, labels=None):
-    vecs = [SparseVector.from_pairs(r) for r in rows]
+    vecs = [from_pairs(r) for r in rows]
     vocab = vocab or (max(int(v.indices[-1]) for v in vecs if v.nnz) + 1)
     labels = labels if labels is not None else [None] * len(rows)
-    return Dataset.from_rows(vecs, labels, vocab)
+    return from_rows(vecs, labels, vocab)
 
 
 class TestSparseVector:
     def test_orders_and_drops_zeros(self):
-        x = SparseVector.from_pairs([(5, 1.0), (2, 3.0), (7, 0.0)])
-        assert x.entries == [(2, 3.0), (5, 1.0)]
+        x = from_pairs([(5, 1.0), (2, 3.0), (7, 0.0)])
+        assert entries(x) == [(2, 3.0), (5, 1.0)]
 
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError):
@@ -48,23 +49,23 @@ class TestSparseVector:
             SparseVector(np.array([0]), np.array([np.inf]))
 
     def test_dense_roundtrip(self):
-        x = SparseVector.from_dense([0.0, 2.0, 0.0, -1.5])
-        assert x.entries == [(1, 2.0), (3, -1.5)]
-        assert x.to_dense(4).tolist() == [0.0, 2.0, 0.0, -1.5]
+        x = from_dense([0.0, 2.0, 0.0, -1.5])
+        assert entries(x) == [(1, 2.0), (3, -1.5)]
+        assert to_dense(x, 4).tolist() == [0.0, 2.0, 0.0, -1.5]
 
 
 class TestNormalize:
     def test_l1(self):
-        x = normalize(SparseVector.from_dense([2.0, 2.0]), Norm.L1)
+        x = normalize(from_dense([2.0, 2.0]), Norm.L1)
         assert x.values.tolist() == [0.5, 0.5]
 
     def test_l2_345(self):
-        x = normalize(SparseVector.from_dense([3.0, 4.0]), Norm.L2)
+        x = normalize(from_dense([3.0, 4.0]), Norm.L2)
         assert np.allclose(x.values, [0.6, 0.8])
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            normalize(SparseVector.from_pairs([]), Norm.L1)
+            normalize(from_pairs([]), Norm.L1)
 
     @given(
         st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=8).filter(
@@ -72,11 +73,11 @@ class TestNormalize:
         ),
         st.sampled_from([Norm.L1, Norm.L2]),
     )
-    def test_idempotent(self, dense, norm):
-        x = normalize(SparseVector.from_dense(dense), norm)
-        y = normalize(x, norm)
+    def test_idempotent(self, dense, kind):
+        x = normalize(from_dense(dense), kind)
+        y = normalize(x, kind)
         assert np.allclose(x.values, y.values, atol=1e-12)
-        assert math.isclose(y.norm(norm), 1.0, abs_tol=1e-9)
+        assert math.isclose(norm(y, kind), 1.0, abs_tol=1e-9)
 
 
 class TestLoadDataset:
@@ -115,14 +116,40 @@ class TestLoadDataset:
         d2 = load_dataset(f)
         assert len(d2) == 2
         assert d2.vocab_size == d.vocab_size
-        assert d2.instances[0].entries == d.instances[0].entries
+        assert entries(d2.instances[0]) == entries(d.instances[0])
+
+    def test_writer_keeps_integer_text_below_a_million(self, tmp_path):
+        d = from_rows([from_pairs([(0, 1.0), (1, 999999.0), (2, 1e6), (3, 0.5)])], [0], 4,
+                      label_names=["a"])
+        f = tmp_path / "out.txt"
+        write_sparse_triplet(d, f)
+        assert f.read_text() == "%%vocab 4\na 0:1 1:999999 2:1000000 3:0.5\n"
+
+    @pytest.mark.parametrize("make", [
+        lambda: from_rows(
+            [from_pairs([(0, 1234567.0), (2, 0.0123456789), (5, 1e20)]),
+             from_pairs([(1, -2.5), (3, 1.0 / 3.0), (4, 5e-324), (5, 3.0)])],
+            [0, 1], 6, label_names=["a", "b"]),
+        lambda: generate_synthetic(SyntheticSpec(
+            3, 10, 40, 1.5, family=GeneratorFamily.HYPERSPHERE, rng_seed=5)),
+    ], ids=["floats", "hypersphere"])
+    def test_write_then_load_gives_the_same_arrays(self, tmp_path, make):
+        d = make()
+        f = tmp_path / "out.txt"
+        write_sparse_triplet(d, f)
+        d2 = load_dataset(f)
+        X, X2 = d.matrix(), d2.matrix()
+        for a, b in ((X.indptr, X2.indptr), (X.indices, X2.indices), (X.data, X2.data)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert (d2.vocab_size, d2.gold_labels, d2.label_names) == (
+            d.vocab_size, d.gold_labels, d.label_names)
 
     def test_dense_csv(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("label,f0,f1\na,1,0\nb,0,2\n")
         d = load_dataset(f, format="dense-csv")
         assert d.vocab_size == 2
-        assert d.instances[1].entries == [(1, 2.0)]
+        assert entries(d.instances[1]) == [(1, 2.0)]
 
 
 # (file contents, format, the DataFormatError message): every bad input names
@@ -186,17 +213,17 @@ class TestLoaderErrors:
         f = tmp_path / "d.txt"
         f.write_text("a 0:1 2:0 3:2\nb 1:0 5:0\n")
         d = load_dataset(f)
-        assert d.instances[0].entries == [(0, 1.0), (3, 2.0)]
+        assert entries(d.instances[0]) == [(0, 1.0), (3, 2.0)]
         assert d.instances[1].nnz == 0
         assert d.vocab_size == 4  # a zero count does not widen the vocabulary
         f.write_text("a 1:0 1:2\n")  # a zero count is no duplicate
-        assert load_dataset(f).instances[0].entries == [(1, 2.0)]
+        assert entries(load_dataset(f).instances[0]) == [(1, 2.0)]
 
     def test_any_whitespace_and_any_id_order(self, tmp_path):
         f = tmp_path / "d.txt"
         f.write_text("a\t5:1   2:3 \r\n\x0cb 0:1\n")
         d = load_dataset(f)
-        assert [x.entries for x in d.instances] == [[(2, 3.0), (5, 1.0)], [(0, 1.0)]]
+        assert [entries(x) for x in d.instances] == [[(2, 3.0), (5, 1.0)], [(0, 1.0)]]
 
     def test_feature_id_beyond_int64_is_malformed(self, tmp_path):
         f = tmp_path / "d.txt"
@@ -334,7 +361,7 @@ class TestIntegerScan:
         f = tmp_path / "d.txt"
         f.write_text("%%vocab 9\na 3:2 1:+1\t0:-4\r\nb\n\nc 8:0 -0:007\n")
         d = load_dataset(f)
-        assert [x.entries for x in d.instances] == [
+        assert [entries(x) for x in d.instances] == [
             [(0, -4.0), (1, 1.0), (3, 2.0)], [], [(0, 7.0)]]
         assert d.vocab_size == 9
 
@@ -368,7 +395,7 @@ class TestIntegerScan:
         assert data_module._scan_int_entries(["1:2 3:4"]) is None
         f = tmp_path / "d.txt"
         f.write_text("a 1:2 3:4\n")
-        assert load_dataset(f).instances[0].entries == [(1, 2.0), (3, 4.0)]
+        assert entries(load_dataset(f).instances[0]) == [(1, 2.0), (3, 4.0)]
 
 
 INCREASING = "feature ids must be non-negative and strictly increasing"
@@ -400,8 +427,8 @@ class TestDatasetMatrix:
         X = d.matrix()
         assert X.dtype == np.float64 and X.indices.dtype == np.int64
         assert X.indptr.tolist() == [0, 2, 2, 3]
-        assert d.row(0).entries == [(0, 3.0), (2, 1.0)]
-        assert d.row(-1).entries == [(1, 2.0)]
+        assert entries(d.row(0)) == [(0, 3.0), (2, 1.0)]
+        assert entries(d.row(-1)) == [(1, 2.0)]
         assert np.shares_memory(d.row(2).values, X.data)
         assert [x.nnz for x in d.instances] == [2, 0, 1]
         with pytest.raises(IndexError):
@@ -488,7 +515,7 @@ class TestTfidf:
         # 2 docs, term 1 in one doc with tf=2 -> 2*ln 2
         d = make_dataset([[(0, 1.0), (1, 2.0)], [(0, 1.0)]], vocab=2)
         w = tfidf_weight(d)
-        assert math.isclose(dict(w.instances[0].entries)[1], 2.0 * math.log(2.0))
+        assert math.isclose(dict(entries(w.instances[0]))[1], 2.0 * math.log(2.0))
 
     def test_preserves_sparsity_pattern_otherwise(self):
         rng = np.random.default_rng(0)
@@ -590,4 +617,4 @@ def test_subset_keeps_alignment():
     d = make_dataset([[(0, 1.0)], [(1, 1.0)], [(2, 1.0)]], vocab=3, labels=[0, 1, 2])
     s = subset(d, [2, 0])
     assert s.gold_labels == [2, 0]
-    assert s.instances[0].entries == [(2, 1.0)]
+    assert entries(s.instances[0]) == [(2, 1.0)]

@@ -9,7 +9,9 @@ import pytest
 
 from exploressl import experiments
 from exploressl.cli import main
+from exploressl.data import DataFormatError
 from exploressl.experiments import ExperimentSpec, prepare_family_datasets, run_experiment
+from exploressl.synth import GeneratorFamily, SyntheticSpec, generate_synthetic
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +156,13 @@ def test_assignment_files_equal_csv_writer_output(tmp_path):
     assert sorted(f.name for f in tmp_path.iterdir()) == sorted(expected)
     for name, data in expected.items():
         assert (tmp_path / name).read_bytes() == data
+
+
+@pytest.mark.xfail(strict=True, raises=DataFormatError, reason=(
+    "a hypersphere row is dense, so every word is in every row and every idf "
+    "is 0: no instance survives tf-idf weighting"))
+def test_prepare_family_datasets_takes_a_hypersphere_corpus():
+    d = generate_synthetic(SyntheticSpec(
+        3, 10, 40, 1.5, family=GeneratorFamily.HYPERSPHERE, rng_seed=5))
+    datasets = prepare_family_datasets(d)
+    assert all(len(x) == len(d) for x in datasets.values())

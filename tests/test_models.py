@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from exploressl.data import Dataset, Norm, SeedPartition, SparseVector, normalize
+from exploressl.data import Norm, SeedPartition
 from exploressl.models import (
     KAPPA_NEW,
     ModelFamily,
@@ -15,15 +15,16 @@ from exploressl.models import (
     m_step,
     posterior,
 )
+from reference import from_dense, from_pairs, from_rows, normalize
 
 
 def dataset(rows, labels, vocab):
-    return Dataset.from_rows([SparseVector.from_pairs(r) for r in rows], labels, vocab)
+    return from_rows([from_pairs(r) for r in rows], labels, vocab)
 
 
 def new_class(x, family, vocab):
-    """init_new_class for the SparseVector x, as the one row of a dataset."""
-    return init_new_class(Dataset.from_rows([x], [None], vocab), 0, family)
+    """init_new_class for the sparse vector x, as the one row of a dataset."""
+    return init_new_class(from_rows([x], [None], vocab), 0, family)
 
 
 def partition(d, labeled, seeded):
@@ -64,27 +65,27 @@ def kmeans_state(centroids, priors, assignments=()):
 class TestPosterior:
     def test_single_class(self):
         s = nb_state([[0.5, 0.5]], [1.0])
-        p = posterior(s, SparseVector.from_pairs([(0, 3.0)]))
+        p = posterior(s, from_pairs([(0, 3.0)]))
         assert p.tolist() == [1.0]
 
     def test_kmeans_symmetry(self):
         s = kmeans_state([[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5])
-        p = posterior(s, SparseVector.from_pairs([(0, 1.0)]))
+        p = posterior(s, from_pairs([(0, 1.0)]))
         assert np.allclose(p, [0.5, 0.5])
 
     def test_nb_hand_bayes(self):
         s = nb_state([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5])
-        p = posterior(s, SparseVector.from_pairs([(0, 1.0)]))
+        p = posterior(s, from_pairs([(0, 1.0)]))
         assert np.allclose(p, [0.9, 0.1])
 
     def test_kmeans_all_zero_similarity_uniform(self):
         s = kmeans_state([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.7, 0.3])
-        p = posterior(s, SparseVector.from_pairs([(2, 1.0)]))
+        p = posterior(s, from_pairs([(2, 1.0)]))
         assert np.allclose(p, [0.5, 0.5])
 
     def test_sums_to_one_all_families(self):
         rng = np.random.default_rng(0)
-        x = SparseVector.from_dense(rng.random(6))
+        x = from_dense(rng.random(6))
         for fam in ModelFamily:
             vecs = rng.random((3, 6))
             if fam is ModelFamily.NB:
@@ -104,7 +105,7 @@ class TestPosterior:
 
     def test_permutation_equivariant(self):
         s = nb_state([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]], [0.2, 0.3, 0.5])
-        x = SparseVector.from_pairs([(0, 2.0), (1, 1.0)])
+        x = from_pairs([(0, 2.0), (1, 1.0)])
         p = posterior(s, x)
         perm = [2, 0, 1]
         s2 = nb_state(np.exp(s.vectors)[perm], s.priors[perm])
@@ -147,23 +148,23 @@ class TestInitFromSeeds:
 
 class TestInitNewClass:
     def test_kmeans_smoothed(self):
-        vector, kappa = new_class(SparseVector.from_dense([1.0, 0.0]), ModelFamily.KMEANS, 2)
+        vector, kappa = new_class(from_dense([1.0, 0.0]), ModelFamily.KMEANS, 2)
         assert np.allclose(vector, [0.75, 0.25])
         assert kappa is None
 
     def test_vmf_exact_direction(self):
-        x = normalize(SparseVector.from_dense([3.0, 4.0]), Norm.L2)
+        x = normalize(from_dense([3.0, 4.0]), Norm.L2)
         vector, kappa = new_class(x, ModelFamily.VMF, 2)
         assert np.allclose(vector, [0.6, 0.8])
         assert kappa == KAPPA_NEW
 
     def test_nb_smoothed(self):
-        vector, _ = new_class(SparseVector.from_pairs([(0, 2.0)]), ModelFamily.NB, 2)
+        vector, _ = new_class(from_pairs([(0, 2.0)]), ModelFamily.NB, 2)
         assert np.allclose(np.exp(vector), [0.75, 0.25])
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            new_class(SparseVector.from_pairs([]), ModelFamily.NB, 2)
+            new_class(from_pairs([]), ModelFamily.NB, 2)
 
     def test_new_class_ranks_highest_for_its_point(self):
         rng = np.random.default_rng(2)
@@ -182,7 +183,7 @@ class TestInitNewClass:
             x = rng.random(8)
             x[:4] = 0.0  # away from both centroids' mass
             x = x / (np.linalg.norm(x) if fam is ModelFamily.VMF else x.sum())
-            xv = SparseVector.from_dense(x)
+            xv = from_dense(x)
             vector, kappa = new_class(xv, fam, 8)
             if fam is ModelFamily.VMF:
                 # the existing classes' concentration: at KAPPA_NEW the new class
@@ -209,7 +210,7 @@ class TestInitNewClass:
                        np.zeros(0, dtype=np.int64), kappas=np.array([5.0, 5.0]))
         x = rng.random(8)
         x[:4] = 0.0
-        xv = SparseVector.from_dense(x / np.linalg.norm(x))
+        xv = from_dense(x / np.linalg.norm(x))
         vector, kappa = new_class(xv, ModelFamily.VMF, 8)
         assert kappa == KAPPA_NEW
         s.add_class((vector, kappa), n_instances=10)
@@ -222,7 +223,7 @@ class TestAddClass:
         s = kmeans_state([[0.5, 0.5, 0.0]], [1.0], assignments=[0])
         rows, priors = [s.vectors[0].copy()], s.priors.copy()
         for m in range(1, 40):
-            params = new_class(SparseVector.from_dense(rng.random(3)), ModelFamily.KMEANS, 3)
+            params = new_class(from_dense(rng.random(3)), ModelFamily.KMEANS, 3)
             assert s.add_class(params, 50) == m
             p_new = 2.0 / (50 + m + 1)
             priors = np.append(priors * (1.0 - p_new), p_new)
@@ -233,12 +234,12 @@ class TestAddClass:
 
     def test_earlier_vectors_never_overwritten(self):
         s = nb_state([[0.5, 0.5], [0.25, 0.75]], [0.5, 0.5], assignments=[0, 1])
-        new = new_class(SparseVector.from_pairs([(0, 3.0)]), ModelFamily.NB, 2)
+        new = new_class(from_pairs([(0, 3.0)]), ModelFamily.NB, 2)
         s.add_class(new, 10)
         before = s.vectors
         kept = before.copy()
         s.truncate(2)
-        s.add_class(new_class(SparseVector.from_pairs([(1, 3.0)]), ModelFamily.NB, 2), 10)
+        s.add_class(new_class(from_pairs([(1, 3.0)]), ModelFamily.NB, 2), 10)
         shown = s.vectors
         shown_kept = shown.copy()
         s.add_class(new, 10)
@@ -289,7 +290,7 @@ class TestMStep:
             dd = d
             if fam is not ModelFamily.NB:
                 norm = Norm.L1 if fam is ModelFamily.KMEANS else Norm.L2
-                dd = Dataset.from_rows(
+                dd = from_rows(
                     [normalize(x, norm) for x in d.instances], d.gold_labels, 3
                 )
             s = init_from_seeds(dd, p, fam)
