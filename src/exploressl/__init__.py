@@ -31,7 +31,6 @@ from .evaluation import (
     ConfusionMatrix,
     EvaluationReport,
     align_confusion,
-    majority_label_clusters,
     paired_significance,
     seed_macro_f1,
 )

@@ -62,8 +62,8 @@ class Dataset:
     The instances are the rows of one canonical CSR matrix (n x vocab_size):
     int64 feature ids strictly increasing within each row, float64 weights
     finite and nonzero, checked once here. ``gold_labels[i]`` is a dense
-    class id or None. ``label_names`` maps class id back to the original
-    label string.
+    class id or None, and ``gold_ids`` the same as one array. ``label_names``
+    maps class id back to the original label string.
     """
 
     def __init__(
@@ -117,6 +117,17 @@ class Dataset:
     def instances(self) -> list[SparseVector]:
         """Every instance, in order; built on each access."""
         return [self.row(i) for i in range(len(self))]
+
+    @cached_property
+    def gold_ids(self) -> np.ndarray:
+        """gold_labels as a read-only int64 array, -1 where a row has no
+        label; built on first read."""
+        gold = np.array(self.gold_labels, dtype=np.float64)  # None becomes nan
+        if np.any(gold < 0):
+            raise ValueError("gold class ids must be non-negative")
+        ids = np.where(np.isnan(gold), -1, gold).astype(np.int64)
+        ids.setflags(write=False)
+        return ids
 
     def class_counts(self) -> dict[int, int]:
         return dict(Counter(y for y in self.gold_labels if y is not None))
@@ -173,9 +184,21 @@ class SeedPartition:
         parts = (self.labeled, self.unlabeled)
         if sum(map(len, parts)) != n or any(a[0] < 0 or a[-1] >= n for a in parts if len(a)):
             raise ValueError("partition does not cover the dataset exactly")
-        for i in self.labeled.tolist():
-            if d.gold_labels[i] not in self.seeded_class_ids:
-                raise ValueError(f"labeled instance {i} has non-seeded label")
+        bad = self.labeled_classes(d) < 0
+        if bad.any():
+            i = self.labeled[np.argmax(bad)]
+            raise ValueError(f"labeled instance {i} has non-seeded label")
+
+    def labeled_classes(self, d: Dataset) -> np.ndarray:
+        """For each labeled row, in order, the position of its gold class among
+        the sorted seeded class ids; -1 where it has no label or one that is
+        not seeded."""
+        ids = np.array(sorted(self.seeded_class_ids), dtype=np.int64)
+        gold = d.gold_ids[self.labeled]
+        y = np.searchsorted(ids, gold)
+        seeded = y < len(ids)
+        seeded[seeded] = ids[y[seeded]] == gold[seeded]
+        return np.where(seeded, y, -1)
 
 
 def _sorted_index(idx: frozenset[int]) -> np.ndarray:
@@ -392,14 +415,19 @@ def write_label_map(d: Dataset, path: str | Path) -> None:
 
 
 def write_sparse_triplet(d: Dataset, path: str | Path) -> None:
-    """Write a dataset in sparse-triplet format (inverse of load_dataset)."""
+    """Write a dataset in sparse-triplet format (inverse of load_dataset).
+
+    The format has no token for a missing label, so a dataset with an
+    unlabeled instance raises ValueError before the file is opened."""
+    unlabeled = np.flatnonzero(d.gold_ids < 0)
+    if len(unlabeled):
+        raise ValueError(
+            f"instance {unlabeled[0]} has no gold label, which sparse-triplet cannot write")
     X = d.matrix()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"%%vocab {d.vocab_size}\n")
         for row, y in enumerate(d.gold_labels):
-            label = d.label_names[y] if (y is not None and d.label_names) else (
-                str(y) if y is not None else _MISSING_LABEL
-            )
+            label = d.label_names[y] if d.label_names else str(y)
             part = slice(X.indptr[row], X.indptr[row + 1])
             # an integral weight as an integer and any other as its repr, so
             # that each reads back as the same float

@@ -47,17 +47,6 @@ class SignificanceResult:
         return "▲" if self.p_value < 0.05 else ("△" if self.p_value < 0.1 else "")
 
 
-def majority_label_clusters(
-    assignments: Sequence[int], gold_labels: Sequence[int]
-) -> dict[int, int]:
-    """Map every non-empty cluster to its most frequent gold class
-    (ties to the lowest gold id). Many-to-one mappings are allowed."""
-    cm = build_confusion(assignments, gold_labels)
-    if not cm.row_ids:
-        return {}
-    return dict(zip(cm.row_ids, (cm.col_ids[j] for j in cm.counts.argmax(axis=1))))
-
-
 def per_class_prf(
     assignments: Sequence[int],
     gold_labels: Sequence[int],
@@ -71,9 +60,9 @@ def per_class_prf(
     # per gold class: instances labeled with it, those of them in it, its size
     predicted = np.bincount(label, cm.counts.sum(axis=1), k)
     correct = np.bincount(label, cm.counts[np.arange(len(label)), label], k)
+    sizes = cm.counts.sum(axis=0)
     counts = {
-        y: (int(correct[j]), int(predicted[j]), int(cm.counts[:, j].sum()))
-        for j, y in enumerate(cm.col_ids)
+        y: (int(correct[j]), int(predicted[j]), int(sizes[j])) for j, y in enumerate(cm.col_ids)
     }
     rows = []
     for c in sorted(class_ids):
@@ -105,9 +94,9 @@ def eval_rows(d, p, include_seeds: bool = False) -> tuple[np.ndarray, np.ndarray
     order, and their gold class ids: the rows with a gold label, among the
     unlabeled rows or, with include_seeds, among all rows."""
     pool = np.arange(len(d)) if include_seeds else p.unlabeled
-    gold = np.array(d.gold_labels, dtype=np.float64)[pool]  # None becomes nan
-    known = ~np.isnan(gold)
-    return pool[known], gold[known].astype(np.int64)
+    gold = d.gold_ids[pool]
+    known = gold >= 0
+    return pool[known], gold[known]
 
 
 def build_confusion(
@@ -150,12 +139,6 @@ def align_confusion(cm: ConfusionMatrix) -> ConfusionMatrix:
     # drop padding rows that carry no counts
     keep = [i for i, rid in enumerate(new_row_ids) if rid is not None or new_counts[i].any()]
     return ConfusionMatrix(new_counts[keep], [new_row_ids[i] for i in keep], list(cm.col_ids))
-
-
-def aligned_diagonal_weight(cm: ConfusionMatrix) -> int:
-    """Weight of the optimal cluster-to-class matching (one-to-one)."""
-    padded, row_ind, col_ind = _matching(cm)
-    return int(padded[row_ind, col_ind].sum())
 
 
 def paired_significance(

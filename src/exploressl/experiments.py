@@ -321,10 +321,13 @@ def _write_assignments(rows: list[dict], out: Path, instance_ids: list[str]) -> 
     instance_id,cluster and one (id, cluster) row per instance, CRLF line
     ends. The id column is the same in every file, so csv.writer formats it
     once: each row (id, "") is that id's prefix, quoted as csv quotes it,
-    plus "\r\n", and a file is its prefixes joined with the clusters."""
+    plus "\r\n". A file is one list [prefix, token, prefix, token, ...]
+    joined, its token slots filled from a table of f"{cluster}\r\n", one
+    entry per distinct cluster."""
     lines: list[str] = []
     csv.writer(SimpleNamespace(write=lines.append)).writerows((i, "") for i in instance_ids)
-    prefixes = [line[:-2] for line in lines]  # each without its "\r\n"
+    parts: list[str] = [""] * (2 * len(lines))
+    parts[0::2] = [line[:-2] for line in lines]  # each prefix without its "\r\n"
     for row in rows:
         sweep_table = row.pop("sweep_table", None)
         if sweep_table is not None:
@@ -333,11 +336,12 @@ def _write_assignments(rows: list[dict], out: Path, instance_ids: list[str]) -> 
         assignments = row.pop("assignments", None)
         if assignments is None:
             continue
+        clusters, slot = np.unique(assignments, return_inverse=True)
+        tokens = np.array([f"{c}\r\n" for c in clusters.tolist()], dtype=object)
+        parts[1::2] = tokens[slot].tolist()
         with open(out / f"assign_{_run_id(row)}.csv", "w", encoding="utf-8",
                   newline="") as fh:
-            fh.write("instance_id,cluster\r\n" + "".join(
-                f"{prefix}{cluster}\r\n"
-                for prefix, cluster in zip(prefixes, assignments.tolist())))
+            fh.write("instance_id,cluster\r\n" + "".join(parts))
 
 
 def _group_key(row: dict) -> tuple:

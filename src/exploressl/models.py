@@ -207,10 +207,18 @@ class PassScores:
     posterior does not depend on how the pass is split.
 
     A class opened at one position makes the posteriors of the rest of its
-    chunk stale. So a chunk is at most E_STEP_CHUNK long and at most twice
-    the distance from its start back to the last opening: a pass that opens
-    a class every few rows computes each posterior a few times at most, and
-    a pass that rarely opens one soon returns to whole chunks.
+    chunk stale. So a chunk starting at pass position start is
+
+        min(E_STEP_CHUNK, rows left, max(2 * (start - last), gap))
+
+    long, where last is the position of the last opening and gap the
+    distance between the last two; the first opening of a pass counts its
+    gap from -E_STEP_CHUNK. A pass whose openings lie hundreds of rows
+    apart takes chunks that long right after each one, and one that opens
+    a class at every row uses chunks of one or two rows. Each opening
+    wastes at most the rest of its chunk, which is at most twice its own gap
+    plus the one before it, so a pass over n rows hands out at most
+    4n + E_STEP_CHUNK rows' posteriors in all.
     """
 
     def __init__(self, state: ModelState, d: Dataset, rows: np.ndarray, base: np.ndarray):
@@ -221,10 +229,12 @@ class PassScores:
         self._buffer = base  # scores is its first num_classes columns
         self.scores = base
         self._opened_at = -E_STEP_CHUNK
+        self._gap = 0  # between the last two openings
 
     def add_class(self, state: ModelState, pos: int) -> None:
         """Score from now on the class appended to state last, which the row
         at pass position pos (in the last chunk handed out) opened."""
+        self._gap = pos - self._opened_at
         self._opened_at = pos
         m = state.num_classes
         if m > self._buffer.shape[1]:
@@ -236,7 +246,8 @@ class PassScores:
 
     def posteriors(self, state: ModelState, start: int) -> np.ndarray:
         """posteriors() of the chunk of pass positions that begins at start."""
-        stop = min(len(self._rows), start + E_STEP_CHUNK, start + 2 * (start - self._opened_at))
+        size = max(2 * (start - self._opened_at), self._gap)
+        stop = min(len(self._rows), start + E_STEP_CHUNK, start + size)
         return posteriors(state, self.scores[self._rows[start:stop]])
 
 
@@ -291,9 +302,10 @@ def init_from_seeds(d: Dataset, p: SeedPartition, family: ModelFamily) -> ModelS
     from its labeled instances. Unlabeled instances start unassigned (-1)."""
     seeded = sorted(p.seeded_class_ids)  # none: a fully unsupervised start
     k = len(seeded)
-    class_index = {c: j for j, c in enumerate(seeded)}
     labeled = p.labeled
-    y = np.array([class_index[d.gold_labels[i]] for i in labeled.tolist()], dtype=np.int64)
+    y = p.labeled_classes(d)
+    if np.any(y < 0):
+        raise KeyError(d.gold_labels[labeled[np.argmax(y < 0)]])
     counts = np.bincount(y, minlength=k)
     if not counts.all():
         raise ValueError(f"seeded class {seeded[np.argmin(counts)]} has no labeled instances")

@@ -90,21 +90,3 @@ def _hypersphere_rows(spec: SyntheticSpec, rng: np.random.Generator) -> Iterator
 
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
-
-
-def bayes_oracle_accuracy(spec: SyntheticSpec, num_draws: int = 1000) -> float:
-    """Monte Carlo accuracy of the true-parameter Bayes classifier on fresh
-    multinomial draws; an independent yardstick for separation settings."""
-    if spec.family is not GeneratorFamily.MULTINOMIAL:
-        raise ValueError("oracle defined for the multinomial generator")
-    rng = np.random.default_rng(np.random.SeedSequence([spec.rng_seed, 5]))
-    dists = multinomial_class_distributions(spec)
-    log_dists = np.log(dists)
-    correct = 0
-    for _ in range(num_draws):
-        c = rng.integers(spec.num_classes)
-        counts = rng.multinomial(spec.doc_length, dists[c])
-        scores = log_dists @ counts
-        if int(np.argmax(scores)) == c:
-            correct += 1
-    return correct / num_draws

@@ -1,9 +1,11 @@
-"""One-row reference helpers for the tests.
+"""Reference helpers for the tests.
 
 The library builds every Dataset from one CSR matrix. These helpers build
 sparse vectors one row at a time, and a dataset from such rows, so that
 tests can state small inputs by hand and check the matrix code against a
-plain per-row computation.
+plain per-row computation. The oracles at the end (majority labeling,
+matching weight, the Bayes classifier's accuracy) have no caller in the
+library.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from exploressl.data import Dataset, Norm, SparseVector
+from exploressl.evaluation import ConfusionMatrix, _matching, build_confusion
+from exploressl.synth import GeneratorFamily, SyntheticSpec, multinomial_class_distributions
 
 
 def from_pairs(pairs: Iterable[tuple[int, float]]) -> SparseVector:
@@ -70,3 +74,39 @@ def from_rows(rows: Sequence[SparseVector], gold_labels: Sequence[Optional[int]]
     values = np.concatenate([x.values for x in rows] + [np.zeros(0)])
     X = sp.csr_matrix((values, indices, indptr), shape=(len(rows), max(vocab_size, 0)))
     return Dataset(X, gold_labels, instance_ids, label_names)
+
+
+def majority_label_clusters(
+    assignments: Sequence[int], gold_labels: Sequence[int]
+) -> dict[int, int]:
+    """Map every non-empty cluster to its most frequent gold class
+    (ties to the lowest gold id). Many-to-one mappings are allowed."""
+    cm = build_confusion(assignments, gold_labels)
+    if not cm.row_ids:
+        return {}
+    return dict(zip(cm.row_ids, (cm.col_ids[j] for j in cm.counts.argmax(axis=1))))
+
+
+def aligned_diagonal_weight(cm: ConfusionMatrix) -> int:
+    """Weight of the optimal cluster-to-class matching (one-to-one), from
+    the matching align_confusion uses."""
+    padded, row_ind, col_ind = _matching(cm)
+    return int(padded[row_ind, col_ind].sum())
+
+
+def bayes_oracle_accuracy(spec: SyntheticSpec, num_draws: int = 1000) -> float:
+    """Monte Carlo accuracy of the true-parameter Bayes classifier on fresh
+    multinomial draws; an independent yardstick for separation settings."""
+    if spec.family is not GeneratorFamily.MULTINOMIAL:
+        raise ValueError("oracle defined for the multinomial generator")
+    rng = np.random.default_rng(np.random.SeedSequence([spec.rng_seed, 5]))
+    dists = multinomial_class_distributions(spec)
+    log_dists = np.log(dists)
+    correct = 0
+    for _ in range(num_draws):
+        c = rng.integers(spec.num_classes)
+        counts = rng.multinomial(spec.doc_length, dists[c])
+        scores = log_dists @ counts
+        if int(np.argmax(scores)) == c:
+            correct += 1
+    return correct / num_draws

@@ -13,7 +13,8 @@ references) bit for bit.
 
 The E-step pass, however its chunks fall, must leave the same model as a
 pass that takes one row at a time, and the score matrix it grows must equal
-the product over every row and class.
+the product over every row and class. However classes open, a pass over n
+rows hands out at most 4n + E_STEP_CHUNK rows' posteriors.
 
 The class-axis max and min behind posteriors and minmax_fires must equal
 numpy's row reductions on chunks of either shape reduce_classes tells apart.
@@ -158,10 +159,9 @@ def test_chunks_grow_back_after_an_opening():
     xs = _instances(rng, n, V)
     d = from_rows(xs, [None] * n, V)
     scores = PassScores(state, d, np.arange(n), d.matrix() @ state.vectors.T)
-    # open classes at 10, in the first chunk, and at 700, in a chunk grown
-    # back from the first opening, as the E-step does when the criterion
-    # fires there; every row handed out before and after them must match
-    # posterior()
+    # open classes at 10, in the first chunk, and at 700, in a later chunk,
+    # as the E-step does when the criterion fires there; every row handed
+    # out before and after them must match posterior()
     opens = [10, 700]
     sizes, start = [], 0
     with warnings.catch_warnings():
@@ -179,9 +179,53 @@ def test_chunks_grow_back_after_an_opening():
                 state.add_class(init_new_class(d, hit, ModelFamily.VMF), n)
                 scores.add_class(state, hit)
                 start = hit + 1
-    # a chunk after an opening is twice the distance back to it, and at most
+    # a chunk after an opening is at least the gap between the last two
+    # openings (the first counted from -E_STEP_CHUNK), and at most
     # E_STEP_CHUNK long
-    assert sizes == [512, 2, 6, 18, 54, 162, 486, 2, 6, 18, 54, 162, 357]
+    assert sizes == [512, 512, 512, 512, 87]
+
+
+def _opening_pattern(draw, n):
+    """Pass positions that ask to open a class: at random, at every row, or
+    none for a long gap and then a burst."""
+    kind = draw(st.sampled_from(["random", "every row", "gap then burst"]))
+    if kind == "random":
+        rate = draw(st.floats(0.0, 1.0))
+        return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n) < rate
+    if kind == "every row":
+        return np.ones(n, dtype=bool)
+    gap = draw(st.integers(0, n))
+    burst = draw(st.integers(0, n - gap))
+    return (np.arange(n) >= gap) & (np.arange(n) < gap + burst)
+
+
+@given(st.data(), st.integers(1, 300), st.sampled_from([1, 2, 5, 16, 64, models.E_STEP_CHUNK]))
+@settings(max_examples=60, deadline=None)
+def test_chunks_stay_within_the_bound_for_any_openings(data, n, chunk):
+    rng = np.random.default_rng(n)
+    V = 6
+    state = _state(ModelFamily.NB, rng, 2, V)
+    xs = _instances(rng, n, V)
+    d = from_rows(xs, [None] * n, V)
+    opens = _opening_pattern(data.draw, n)
+    handed, start = 0, 0
+    with mock.patch.object(models, "E_STEP_CHUNK", chunk):
+        scores = PassScores(state, d, np.arange(n), d.matrix() @ state.vectors.T)
+        while start < n:
+            post = scores.posteriors(state, start)
+            assert 1 <= len(post) <= min(chunk, n - start)
+            handed += len(post)
+            hit = start + int(np.argmax(opens[start : start + len(post)]))
+            stop = hit + 1 if opens[hit] else start + len(post)
+            # every row the pass takes, up to and including the one that
+            # opens a class, sees the model as posterior() does
+            for q in range(start, stop):
+                assert np.array_equal(post[q - start], posterior(state, xs[q]))
+            if opens[hit]:
+                state.add_class(init_new_class(d, hit, ModelFamily.NB), n)
+                scores.add_class(state, hit)
+            start = stop
+    assert handed <= 4 * n + chunk
 
 
 def test_kmeans_all_zero_scores_fall_back_to_uniform():

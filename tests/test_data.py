@@ -118,6 +118,15 @@ class TestLoadDataset:
         assert d2.vocab_size == d.vocab_size
         assert entries(d2.instances[0]) == entries(d.instances[0])
 
+    def test_writer_rejects_an_unlabeled_instance(self, tmp_path):
+        d = make_dataset([[(0, 2.0)], [(1, 1.0)], [], [(2, 1.0)]], vocab=3,
+                         labels=[0, None, None, 0])
+        d.label_names = ["a"]
+        f = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match="instance 1 has no gold label"):
+            write_sparse_triplet(d, f)
+        assert not f.exists()
+
     def test_writer_keeps_integer_text_below_a_million(self, tmp_path):
         d = from_rows([from_pairs([(0, 1.0), (1, 999999.0), (2, 1e6), (3, 0.5)])], [0], 4,
                       label_names=["a"])
@@ -481,6 +490,22 @@ def test_tfidf_and_normalize_match_row_loop(seed, lengths, norm):
         assert a.values.tobytes() == b.values.tobytes()
 
 
+class TestGoldIds:
+    def test_read_only_with_minus_one_for_no_label(self):
+        d = make_dataset([[(0, 1.0)]] * 5, vocab=2, labels=[2, None, 0, None, 7])
+        ids = d.gold_ids
+        assert ids.dtype == np.int64 and ids.tolist() == [2, -1, 0, -1, 7]
+        assert not ids.flags.writeable
+        with pytest.raises(ValueError):
+            ids[0] = 1
+        assert d.gold_ids is ids  # built once
+
+    def test_rejects_a_negative_label(self):
+        d = make_dataset([[(0, 1.0)]] * 2, vocab=2, labels=[0, -1])
+        with pytest.raises(ValueError, match="non-negative"):
+            d.gold_ids
+
+
 class TestTfidf:
     def test_one_counted_warning_for_all_drops(self, caplog):
         rows = [[(0, 1.0)] for _ in range(8)] + [[(0, 1.0), (1, 1.0)]]
@@ -611,6 +636,19 @@ class TestPartitions:
         else:
             with pytest.raises(ValueError, match=message):
                 p.validate(d)
+
+    @pytest.mark.parametrize("labeled, first_bad", [
+        ({0, 1, 2, 3}, 1),  # row 1 has no label
+        ({0, 2, 3, 4}, 2),  # row 2 is in class 1, which is not seeded
+        ({0, 3, 4}, 4),
+    ])
+    def test_validate_names_the_first_labeled_row_outside_the_seeds(self, labeled, first_bad):
+        d = make_dataset([[(0, 1.0)]] * 5, vocab=2, labels=[0, None, 1, 0, 2])
+        p = SeedPartition(frozenset({0}), frozenset(labeled),
+                          frozenset(set(range(5)) - labeled), 0)
+        message = f"^labeled instance {first_bad} has non-seeded label$"
+        with pytest.raises(ValueError, match=message):
+            p.validate(d)
 
 
 def test_subset_keeps_alignment():

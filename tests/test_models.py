@@ -138,6 +138,21 @@ class TestInitFromSeeds:
         with pytest.raises(ValueError):
             init_from_seeds(d, p, ModelFamily.NB)
 
+    @pytest.mark.parametrize("labels, seeded, missing", [
+        ([0, 2, 1], [0, 1], 2),  # a label between and beyond the seeded ids
+        ([1, None, 0], [0, 1], None),
+        ([3, 0, 1], [1], 3),
+        ([0, 1, 1], [], 0),
+    ])
+    def test_unseeded_label_of_a_labeled_row_is_a_key_error(self, labels, seeded, missing):
+        # init_from_seeds trusts a validated partition; without one, a labeled
+        # row outside the seeded classes fails as a dict lookup of its label
+        d = dataset([[(0, 1.0)], [(1, 1.0)], [(0, 2.0)]], labels, 2)
+        p = SeedPartition(frozenset(seeded), frozenset({0, 1, 2}), frozenset(), 0)
+        with pytest.raises(KeyError) as e:
+            init_from_seeds(d, p, ModelFamily.NB)
+        assert e.value.args == (missing,)
+
     def test_labeled_assignments_fixed(self):
         d = dataset([[(0, 1.0)], [(1, 1.0)], [(0, 2.0)]], [0, 1, None], 2)
         p = partition(d, labeled=[0, 1], seeded=[0, 1])

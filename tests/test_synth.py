@@ -7,11 +7,10 @@ from exploressl.data import Norm, write_sparse_triplet
 from exploressl.synth import (
     GeneratorFamily,
     SyntheticSpec,
-    bayes_oracle_accuracy,
     generate_synthetic,
     multinomial_class_distributions,
 )
-from reference import norm
+from reference import bayes_oracle_accuracy, norm
 
 
 class TestClassDistributions:
