@@ -134,8 +134,3 @@ class Criterion:
             return lambda post, start: js_fires(post)
         hits = self._rng.random(n) < self.cfg.random_rate
         return lambda post, start: hits[start : start + len(post)]
-
-    def __call__(self, posterior) -> bool:
-        post = _check_distribution(posterior, "posterior")[None, :]
-        return bool(self.for_pass(1)(post, 0)[0])
-

@@ -64,19 +64,13 @@ def mod_new_class_probabilities(p_new: float, post: np.ndarray) -> np.ndarray:
         return np.where(d == 0.0, 1.0, np.minimum(1.0, p_new / (k * d)))
 
 
-def mod_new_class_probability(p_new: float, post: np.ndarray) -> float:
-    """mod_new_class_probabilities for one posterior vector."""
-    post = _check_distribution(post, "posterior")
-    return float(mod_new_class_probabilities(p_new, post[None, :])[0])
-
-
 def mod_crp_pick(
     p_new: float, post: np.ndarray, rng: np.random.Generator
 ) -> tuple[int, bool]:
-    """New-class coin with bias from mod_new_class_probability; tails samples
-    an existing class from the posterior."""
+    """New-class coin with bias from mod_new_class_probabilities; tails
+    samples an existing class from the posterior."""
     k = len(post)
-    q = mod_new_class_probability(p_new, post)
+    q = mod_new_class_probabilities(p_new, _check_distribution(post, "posterior")[None, :])[0]
     if rng.random() < q:
         return k, True
     return int(rng.choice(k, p=post)), False

@@ -417,17 +417,25 @@ def write_label_map(d: Dataset, path: str | Path) -> None:
 def write_sparse_triplet(d: Dataset, path: str | Path) -> None:
     """Write a dataset in sparse-triplet format (inverse of load_dataset).
 
-    The format has no token for a missing label, so a dataset with an
-    unlabeled instance raises ValueError before the file is opened."""
+    Without label_names, class ids are written zero-padded to one width, so
+    that they sort, and load back, in id order. The format has no token for a
+    missing label, and a label must be one token that is not a vocab header,
+    so an unlabeled instance or such a label name raises ValueError before
+    the file is opened."""
     unlabeled = np.flatnonzero(d.gold_ids < 0)
     if len(unlabeled):
         raise ValueError(
             f"instance {unlabeled[0]} has no gold label, which sparse-triplet cannot write")
+    top = int(d.gold_ids.max())
+    names = d.label_names or [str(c).zfill(len(str(top))) for c in range(top + 1)]
+    for name in names:
+        if name.split() != [name] or name.startswith("%%vocab"):
+            raise ValueError(f"label name {name!r} is empty, holds whitespace or starts with "
+                             "%%vocab, which sparse-triplet cannot write")
     X = d.matrix()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"%%vocab {d.vocab_size}\n")
         for row, y in enumerate(d.gold_labels):
-            label = d.label_names[y] if d.label_names else str(y)
             part = slice(X.indptr[row], X.indptr[row + 1])
             # an integral weight as an integer and any other as its repr, so
             # that each reads back as the same float
@@ -435,7 +443,7 @@ def write_sparse_triplet(d: Dataset, path: str | Path) -> None:
                 f"{i}:{int(v) if v.is_integer() else v!r}"
                 for i, v in zip(X.indices[part].tolist(), X.data[part].tolist())
             )
-            fh.write(f"{label} {entries}\n".rstrip() + "\n")
+            fh.write(f"{names[y]} {entries}\n".rstrip() + "\n")
 
 
 def tfidf_weight(d: Dataset) -> Dataset:
@@ -520,27 +528,18 @@ def make_partitions(
     seeds_fraction: float,
     num_partitions: int,
     rng_seed: int,
-    seeded_class_ids: Optional[Sequence[int]] = None,
 ) -> list[SeedPartition]:
     """Generate deterministic seeded train/test partitions.
 
-    Every partition seeds the same classes; per seeded class,
-    ceil(seeds_fraction * class size) instances (minimum 1) are labeled.
+    Every partition seeds the same classes, the largest ones
+    (choose_seeded_classes); per seeded class, ceil(seeds_fraction * class
+    size) instances (minimum 1) are labeled.
     """
     if not (0.0 < seeds_fraction < 1.0):
         raise ValueError("seeds_fraction must be in (0, 1)")
     if num_partitions < 1:
         raise ValueError("num_partitions must be positive")
-    if seeded_class_ids is None:
-        seeded = choose_seeded_classes(d, num_seed_classes)
-    else:
-        seeded = sorted(set(int(c) for c in seeded_class_ids))
-        if len(seeded) != num_seed_classes:
-            raise ValueError("seeded_class_ids must contain num_seed_classes distinct ids")
-    counts = d.class_counts()
-    for c in seeded:
-        if counts.get(c, 0) == 0:
-            raise ValueError(f"seeded class {c} has no instances")
+    seeded = choose_seeded_classes(d, num_seed_classes)
 
     by_class: dict[int, list[int]] = {c: [] for c in seeded}
     for i, y in enumerate(d.gold_labels):

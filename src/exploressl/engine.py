@@ -32,7 +32,7 @@ from .models import (
     posterior,  # noqa: F401 - kept as a module attribute: benchmarks/ trace it by name
     posteriors,
 )
-from .selection import SelectionCriterion, accept_exploratory, score_with_fallback
+from .selection import SelectionCriterion, accept_exploratory, score_model, score_with_fallback
 
 log = logging.getLogger(__name__)
 
@@ -158,12 +158,9 @@ def _run_em(
     _e_step(state, d, unlabeled, scores)
     ll = data_log_likelihood(state, d, scores)
 
-    can_add = criterion is not None
-    latched_at: Optional[int] = None
+    latched_at: Optional[int] = None  # the iteration whose gate first rejected
     ll_trace: list[float] = []
     class_trace: list[int] = []
-    prev_score: Optional[float] = None
-    prev_m: Optional[int] = None
     aic_fallback_logged = False
 
     iterations = 0
@@ -174,7 +171,8 @@ def _run_em(
         # the state is unchanged since the likelihood of the last M-step
         baseline_ll = ll
 
-        fires = criterion.for_pass(len(unlabeled)) if can_add else None
+        creating = criterion is not None and latched_at is None
+        fires = criterion.for_pass(len(unlabeled)) if creating else None
         changed, grown = _e_step(state, d, unlabeled, scores, fires)
 
         m_new = state.num_classes
@@ -182,29 +180,20 @@ def _run_em(
         if not (np.isfinite(baseline_ll) and np.isfinite(explore_ll)):
             raise FloatingPointError(f"non-finite likelihood at iteration {t}")
 
-        v_new = free_parameter_count(state)
-        sel = cfg.selection
-        if sel is SelectionCriterion.AICC and n <= max(v_old, v_new) + 1:
-            # both gate scores must use one criterion, so the engine falls
-            # back here rather than per score in score_with_fallback
-            sel = SelectionCriterion.AIC
-            if not aic_fallback_logged:
-                log.warning(
-                    "AICc undefined (n=%d <= v+1=%d); the selection gate uses AIC",
-                    n, max(v_old, v_new) + 1,
-                )
-                aic_fallback_logged = True
-        explore_score = score_with_fallback(explore_ll, v_new, n, sel)
-        baseline_score = score_with_fallback(baseline_ll, v_old, n, sel)
+        explore, baseline = score_with_fallback(
+            (explore_ll, free_parameter_count(state)), (baseline_ll, v_old), n, cfg.selection)
+        if explore.criterion is not cfg.selection and not aic_fallback_logged:
+            log.warning("AICc undefined (n=%d <= v+1=%d); the selection gate uses AIC",
+                        n, max(explore.v, baseline.v) + 1)
+            aic_fallback_logged = True
 
-        if not accept_exploratory(explore_score, baseline_score):
+        if not accept_exploratory(explore, baseline):
             if m_new > m_old:
                 state.truncate(m_old)  # leaves exactly the classes scores covers
                 dropped = unlabeled[state.assignments[unlabeled] >= m_old]
                 _e_step(state, d, dropped, scores)
-            if can_add and latched_at is None:
+            if creating:
                 latched_at = t
-            can_add = False
 
         state = m_step(state, d)
         scores = X @ state.vectors.T
@@ -213,16 +202,16 @@ def _run_em(
         ll_trace.append(ll)
         class_trace.append(m_now)
 
-        score_now = score_with_fallback(ll, free_parameter_count(state), n, sel).score
-        if changed == 0 and m_now == m_old:
+        if m_now != m_old:
+            continue
+        if changed == 0:
             break
-        if (
-            prev_score is not None
-            and prev_m == m_now
-            and abs(score_now - prev_score) < cfg.ll_rel_tolerance * max(abs(prev_score), 1.0)
-        ):
+        # from t = 2 the gate's baseline is the previous fitted model: stop
+        # when this one scores within tolerance of it, under the same criterion
+        fitted = score_model(ll, v_old, n, baseline.criterion).score
+        tolerance = cfg.ll_rel_tolerance * max(abs(baseline.score), 1.0)
+        if t > 1 and abs(fitted - baseline.score) < tolerance:
             break
-        prev_score, prev_m = score_now, m_now
 
     return RunResult(
         final_state=state,

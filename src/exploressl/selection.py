@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-log = logging.getLogger(__name__)
 
 
 class SelectionCriterion(Enum):
@@ -48,14 +45,15 @@ def score_model(L: float, v: int, n: int, criterion: SelectionCriterion) -> Sele
 
 
 def score_with_fallback(
-    L: float, v: int, n: int, criterion: SelectionCriterion
-) -> SelectionScore:
-    """Like score_model, but AICc outside its domain falls back to AIC with a
-    warning. Text vocabularies routinely give v >= n, where AICc is undefined."""
-    if criterion is SelectionCriterion.AICC and n <= v + 1:
-        log.warning("AICc undefined (n=%d <= v+1=%d); falling back to AIC", n, v + 1)
-        return score_model(L, v, n, SelectionCriterion.AIC)
-    return score_model(L, v, n, criterion)
+    explore: tuple[float, int], baseline: tuple[float, int], n: int,
+    criterion: SelectionCriterion,
+) -> tuple[SelectionScore, SelectionScore]:
+    """Score the explore and baseline models, each given as (L, v), under one
+    criterion: AICc falls back to AIC for both when it is undefined for either
+    (n <= v + 1), as text vocabularies routinely make it."""
+    if criterion is SelectionCriterion.AICC and n <= max(explore[1], baseline[1]) + 1:
+        criterion = SelectionCriterion.AIC
+    return score_model(*explore, n, criterion), score_model(*baseline, n, criterion)
 
 
 def accept_exploratory(explore: SelectionScore, baseline: SelectionScore) -> bool:

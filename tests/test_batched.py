@@ -300,7 +300,7 @@ def test_overflowing_ratio_never_fires_minmax():
 def test_random_pass_draws_match_one_draw_per_instance():
     cfg = CriterionConfig(CriterionKind.RANDOM, random_rate=0.3, rng_seed=9)
     one_by_one = Criterion(cfg)
-    per_instance = [one_by_one([0.5, 0.5]) for _ in range(40)]
+    per_instance = [one_by_one.for_pass(1)(np.full((1, 2), 0.5), 0)[0] for _ in range(40)]
     fires = Criterion(cfg).for_pass(40)
     post = np.full((40, 2), 0.5)
     # however the pass is split, row q gets the q-th draw

@@ -153,24 +153,26 @@ class TestMinMaxCriterion:
 
 
 class TestRandomCriterion:
+    @staticmethod
+    def fires(crit, n):
+        """The random criterion's flags over one pass of n uniform rows."""
+        return crit.for_pass(n)(np.full((n, 2), 0.5), 0)
+
     def test_rate_zero_and_one(self):
         always = Criterion(CriterionConfig(CriterionKind.RANDOM, random_rate=1.0))
         never = Criterion(CriterionConfig(CriterionKind.RANDOM, random_rate=0.0))
-        p = [0.5, 0.5]
-        assert all(always(p) for _ in range(100))
-        assert not any(never(p) for _ in range(100))
+        assert self.fires(always, 100).all()
+        assert not self.fires(never, 100).any()
 
     def test_empirical_rate(self):
         crit = Criterion(CriterionConfig(CriterionKind.RANDOM, random_rate=0.1, rng_seed=1))
-        hits = sum(crit([0.5, 0.5]) for _ in range(100_000))
+        hits = np.count_nonzero(self.fires(crit, 100_000))
         assert abs(hits / 100_000 - 0.1) < 0.01
 
     def test_deterministic_given_seed(self):
         a = Criterion(CriterionConfig(CriterionKind.RANDOM, random_rate=0.5, rng_seed=4))
         b = Criterion(CriterionConfig(CriterionKind.RANDOM, random_rate=0.5, rng_seed=4))
-        seq_a = [a([0.5, 0.5]) for _ in range(50)]
-        seq_b = [b([0.5, 0.5]) for _ in range(50)]
-        assert seq_a == seq_b
+        assert np.array_equal(self.fires(a, 50), self.fires(b, 50))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

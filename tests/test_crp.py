@@ -8,7 +8,7 @@ from exploressl.crp import (
     crp_gibbs,
     crp_pick_standard,
     mod_crp_pick,
-    mod_new_class_probability,
+    mod_new_class_probabilities,
     pick_chunk,
 )
 from exploressl.criteria import js_divergence
@@ -46,16 +46,17 @@ class TestStandardPick:
 class TestModifiedPick:
     def test_q_clamps_to_one(self):
         # p_new/(k*d) = 0.01/(5*0.002) = 1
-        assert mod_new_class_probability(0.01, _posterior_with_js(5, 0.002)) == pytest.approx(1.0, abs=1e-6)
+        post = _posterior_with_js(5, 0.002)
+        assert mod_new_class_probabilities(0.01, post[None])[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_q_hand_value(self):
         post = _posterior_with_js(10, 0.5)
-        assert mod_new_class_probability(0.01, post) == pytest.approx(0.002, rel=1e-3)
+        assert mod_new_class_probabilities(0.01, post[None])[0] == pytest.approx(0.002, rel=1e-3)
 
     def test_uniform_always_spawns(self):
         rng = np.random.default_rng(0)
         post = np.full(4, 0.25)
-        assert mod_new_class_probability(1e-9, post) == 1.0
+        assert mod_new_class_probabilities(1e-9, post[None])[0] == 1.0
         label, created = mod_crp_pick(1e-9, post, rng)
         assert created and label == 4
 
@@ -76,11 +77,11 @@ class TestModifiedPick:
             assert qs == sorted(qs, reverse=True)
             # and directly over posteriors with growing divergence
             posts = [_posterior_with_js(4, d) for d in (0.05, 0.1, 0.3)]
-            qvals = [mod_new_class_probability(p_new, p) for p in posts]
+            qvals = mod_new_class_probabilities(p_new, np.stack(posts))
             assert all(a >= b for a, b in zip(qvals, qvals[1:]))
             # larger class count at equal divergence lowers q
-            q_small = mod_new_class_probability(p_new, _posterior_with_js(3, 0.2))
-            q_big = mod_new_class_probability(p_new, _posterior_with_js(8, 0.2))
+            q_small = mod_new_class_probabilities(p_new, _posterior_with_js(3, 0.2)[None])[0]
+            q_big = mod_new_class_probabilities(p_new, _posterior_with_js(8, 0.2)[None])[0]
             assert q_big <= q_small
 
 

@@ -127,6 +127,22 @@ class TestLoadDataset:
             write_sparse_triplet(d, f)
         assert not f.exists()
 
+    def test_writer_pads_unnamed_class_ids_so_they_round_trip(self, tmp_path):
+        # unpadded, "10" sorts between "1" and "2" and takes id 2 on loading
+        d = from_rows([from_pairs([(0, 1.0)])] * 11, list(range(11)), 1)
+        f = tmp_path / "out.txt"
+        write_sparse_triplet(d, f)
+        assert f.read_text().splitlines()[1:3] == ["00 0:1", "01 0:1"]
+        assert load_dataset(f).gold_labels == list(range(11))
+
+    @pytest.mark.parametrize("name", ["rec autos", "", "%%vocabulary", "a\tb", " a"])
+    def test_writer_rejects_a_label_name_it_cannot_carry(self, tmp_path, name):
+        d = from_rows([from_pairs([(0, 1.0)])] * 2, [0, 1], 1, label_names=["a", name])
+        f = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match=f"label name {re.escape(repr(name))} is empty"):
+            write_sparse_triplet(d, f)
+        assert not f.exists()
+
     def test_writer_keeps_integer_text_below_a_million(self, tmp_path):
         d = from_rows([from_pairs([(0, 1.0), (1, 999999.0), (2, 1e6), (3, 0.5)])], [0], 4,
                       label_names=["a"])

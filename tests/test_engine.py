@@ -13,6 +13,7 @@ from exploressl.engine import (
     semisup_em,
 )
 from exploressl.evaluation import seed_macro_f1
+from exploressl.experiments import prepare_family_datasets
 from exploressl.models import ModelFamily
 from exploressl.synth import SyntheticSpec, generate_synthetic
 
@@ -136,6 +137,34 @@ class TestExploratoryEm:
         with caplog.at_level(logging.WARNING):
             exploratory_em(d, p, minmax_cfg())
         assert not [rec for rec in caplog.records if rec.levelno >= logging.WARNING]
+
+class TestStoppingRule:
+    # In both runs the JS gate opens classes in iteration 1, falls back to AIC
+    # because v + 1 > n, and rejects them; from iteration 2 AICc is defined.
+    # The stopping rule must score the fitted model under the criterion the
+    # gate scored its baseline (the previous fitted model) with.
+
+    @staticmethod
+    def js_run(family, spec):
+        d = prepare_family_datasets(generate_synthetic(spec))[family]
+        p = make_partitions(d, 2, 0.1, 1, spec.rng_seed)[0]
+        cfg = EngineConfig(family, CriterionConfig(CriterionKind.JS), rng_seed=spec.rng_seed)
+        return exploratory_em(d, p, cfg)
+
+    def test_aicc_correction_does_not_hide_a_drop(self):
+        # at t = 2 the AICc score is 75.6 below the previous fitted model's;
+        # against that model's AIC score it is 3.4 above, under the tolerance
+        r = self.js_run(ModelFamily.NB, SyntheticSpec(6, 40, 40, 2.0, rng_seed=3))
+        assert r.can_add_latched_at == 1
+        assert r.iterations_run == 11
+
+    def test_stops_once_the_score_settles(self):
+        # at t = 2 the score moves 0.42, under the 0.54 tolerance; the previous
+        # fitted model's AIC score lies 170 lower
+        r = self.js_run(ModelFamily.VMF, SyntheticSpec(4, 40, 40, 4.0, rng_seed=2))
+        assert r.can_add_latched_at == 1
+        assert r.iterations_run == 2
+
 
 class TestSemisupEm:
     def test_no_unlabeled(self):

@@ -38,9 +38,30 @@ class TestScoreModel:
             score_model(0.0, 10, 11, SelectionCriterion.AICC)
 
     def test_fallback_to_aic(self):
-        s = score_with_fallback(-1.0, 10, 11, SelectionCriterion.AICC)
-        assert s.criterion is SelectionCriterion.AIC
-        assert s.score == pytest.approx(2 + 20)
+        explore, baseline = score_with_fallback(
+            (-1.0, 10), (-2.0, 10), 11, SelectionCriterion.AICC)
+        assert explore.criterion is baseline.criterion is SelectionCriterion.AIC
+        assert explore.score == pytest.approx(2 + 20)
+        assert baseline.score == pytest.approx(4 + 20)
+
+    def test_fallback_when_only_the_larger_model_leaves_aicc_domain(self):
+        # v=3 alone has AICc at n=11, but v=10 does not: both scores use AIC
+        for explore_v, baseline_v in ((10, 3), (3, 10)):
+            explore, baseline = score_with_fallback(
+                (-1.0, explore_v), (-2.0, baseline_v), 11, SelectionCriterion.AICC)
+            assert explore.criterion is baseline.criterion is SelectionCriterion.AIC
+            assert explore.score == pytest.approx(2 + 2 * explore_v)
+            assert baseline.score == pytest.approx(4 + 2 * baseline_v)
+
+    def test_no_fallback_inside_aicc_domain_or_for_other_criteria(self):
+        for crit in SelectionCriterion:
+            explore, baseline = score_with_fallback((-1.0, 3), (-2.0, 2), 11, crit)
+            assert explore == score_model(-1.0, 3, 11, crit)
+            assert baseline == score_model(-2.0, 2, 11, crit)
+        # BIC and AIC have no domain limit, so they never change
+        for crit in (SelectionCriterion.BIC, SelectionCriterion.AIC):
+            explore, _ = score_with_fallback((-1.0, 10), (-2.0, 3), 11, crit)
+            assert explore == score_model(-1.0, 10, 11, crit)
 
     def test_random_triples_match_oracle(self):
         rng = np.random.default_rng(17)
