@@ -126,17 +126,25 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     with _reading(args.dataset):
         d = load_dataset(args.dataset, args.format or ExperimentSpec.dataset_format)
     by_id = {iid: i for i, iid in enumerate(d.instance_ids)}
-    assignments, gold = [], []
+    assignments, gold, seen = [], [], set()
     with _reading(args.assignments), open(args.assignments, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if not {"instance_id", "cluster"} <= set(reader.fieldnames or ()):
             raise DataFormatError("expected the columns instance_id,cluster")
         for row in reader:
-            i = by_id.get(row["instance_id"])
-            if i is None or d.gold_labels[i] is None:
-                continue
-            assignments.append(int(row["cluster"]))
-            gold.append(d.gold_labels[i])
+            iid, cluster = row["instance_id"], row["cluster"]
+            if iid in seen:
+                raise DataFormatError(f"line {reader.line_num}: instance id {iid!r} repeats")
+            seen.add(iid)
+            try:
+                cluster = int(cluster)
+            except (TypeError, ValueError):  # a short row leaves None
+                raise DataFormatError(
+                    f"line {reader.line_num}: cluster {cluster!r} is not an integer") from None
+            i = by_id.get(iid)
+            if i is not None and d.gold_ids[i] >= 0:
+                assignments.append(cluster)
+                gold.append(int(d.gold_ids[i]))
     seeded = [int(c) for c in args.seed_classes.split(",")]
     report = evaluate_run(assignments, gold, seeded)
     payload = {

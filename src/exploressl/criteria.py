@@ -22,7 +22,7 @@ class CriterionKind(Enum):
     RANDOM = "random"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CriterionConfig:
     kind: CriterionKind
     random_rate: Optional[float] = None

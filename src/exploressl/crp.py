@@ -119,7 +119,7 @@ def crp_gibbs(d: Dataset, p: SeedPartition, cfg: CrpConfig) -> RunResult:
     labels are the output."""
     t_start = time.perf_counter()
     p.validate(d)
-    unlabeled = p.unlabeled
+    unlabeled = p.unlabeled_idx
     rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, 11]))
 
     state = init_from_seeds(d, p, cfg.family)

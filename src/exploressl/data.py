@@ -6,10 +6,8 @@ import csv
 import logging
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -61,15 +59,15 @@ class Dataset:
 
     The instances are the rows of one canonical CSR matrix (n x vocab_size):
     int64 feature ids strictly increasing within each row, float64 weights
-    finite and nonzero, checked once here. ``gold_labels[i]`` is a dense
-    class id or None, and ``gold_ids`` the same as one array. ``label_names``
-    maps class id back to the original label string.
+    finite and nonzero, checked once here. ``gold_ids`` is a read-only int64
+    array: row i's dense class id, or -1 where it has no label.
+    ``label_names`` maps class id back to the original label string.
     """
 
     def __init__(
         self,
         X: sp.csr_matrix,
-        gold_labels: Sequence[Optional[int]],
+        gold_ids: Sequence[int],
         instance_ids: Optional[Sequence[str]] = None,
         label_names: Optional[Sequence[str]] = None,
     ):
@@ -78,8 +76,11 @@ class Dataset:
         n, vocab_size = X.shape
         if n == 0:
             raise DataFormatError("no instances")
-        if len(gold_labels) != n:
-            raise ValueError("gold_labels length mismatch")
+        gold = np.asarray(gold_ids)
+        if gold.shape != (n,):
+            raise ValueError("gold_ids length mismatch")
+        if gold.dtype.kind not in "iu" or np.any(gold < -1):
+            raise ValueError("gold ids must be integers, -1 for no label")
         if vocab_size <= 0:
             raise ValueError("vocab_size must be positive")
         X = sp.csr_matrix(X, dtype=np.float64)  # a new object; the arrays are shared
@@ -91,7 +92,8 @@ class Dataset:
         if fault:
             raise DataFormatError(f"instance {fault[0]}: {fault[1]}")
         self._X = X
-        self.gold_labels = list(gold_labels)
+        self.gold_ids = gold.astype(np.int64)  # a copy the caller cannot write
+        self.gold_ids.setflags(write=False)
         self.vocab_size = int(vocab_size)
         self.instance_ids = (
             list(instance_ids) if instance_ids is not None else [str(i) for i in range(n)]
@@ -118,20 +120,6 @@ class Dataset:
         """Every instance, in order; built on each access."""
         return [self.row(i) for i in range(len(self))]
 
-    @cached_property
-    def gold_ids(self) -> np.ndarray:
-        """gold_labels as a read-only int64 array, -1 where a row has no
-        label; built on first read."""
-        gold = np.array(self.gold_labels, dtype=np.float64)  # None becomes nan
-        if np.any(gold < 0):
-            raise ValueError("gold class ids must be non-negative")
-        ids = np.where(np.isnan(gold), -1, gold).astype(np.int64)
-        ids.setflags(write=False)
-        return ids
-
-    def class_counts(self) -> dict[int, int]:
-        return dict(Counter(y for y in self.gold_labels if y is not None))
-
 
 def _row_fault(indptr, indices, values, width=np.inf) -> Optional[tuple[int, str]]:
     """The first row of CSR arrays that is not canonical, and its fault."""
@@ -149,62 +137,48 @@ def _row_fault(indptr, indices, values, width=np.inf) -> Optional[tuple[int, str
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeedPartition:
-    """One train/test split: seeded classes, labeled and unlabeled index sets."""
+    """One train/test split: the seeded class ids and the labeled and
+    unlabeled rows, each kept as a sorted read-only int64 array."""
 
-    seeded_class_ids: frozenset[int]
-    labeled_idx: frozenset[int]
-    unlabeled_idx: frozenset[int]
-    rng_seed: int
+    seeded_class_ids: np.ndarray
+    labeled_idx: np.ndarray
+    unlabeled_idx: np.ndarray
 
     def __post_init__(self):
-        if self.labeled_idx & self.unlabeled_idx:
-            raise ValueError("labeled and unlabeled index sets overlap")
-
-    def __getstate__(self):
-        # the index arrays are derived: a pickled partition carries only its
-        # fields, and the copy builds its arrays again when first read
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @cached_property
-    def labeled(self) -> np.ndarray:
-        """labeled_idx as a sorted read-only int64 array, built once."""
-        return _sorted_index(self.labeled_idx)
-
-    @cached_property
-    def unlabeled(self) -> np.ndarray:
-        """unlabeled_idx as a sorted read-only int64 array, built once."""
-        return _sorted_index(self.unlabeled_idx)
+        for f in fields(self):
+            a = np.asarray(getattr(self, f.name))
+            if a.size and a.dtype.kind not in "iu":
+                raise ValueError(f"{f.name} must hold integers")
+            a = np.sort(a.astype(np.int64))
+            a.setflags(write=False)
+            object.__setattr__(self, f.name, a)
 
     def validate(self, d: Dataset) -> None:
-        # the two sets are disjoint, so they cover range(n) exactly when they
-        # hold n indices between them, all in [0, n)
+        # n rows in [0, n) between them cover range(n) exactly when every row
+        # is among them, which leaves no room for a repeat or an overlap
         n = len(d)
-        parts = (self.labeled, self.unlabeled)
-        if sum(map(len, parts)) != n or any(a[0] < 0 or a[-1] >= n for a in parts if len(a)):
+        rows = np.concatenate([self.labeled_idx, self.unlabeled_idx])
+        covered = np.zeros(n, dtype=bool)
+        covered[rows[(rows >= 0) & (rows < n)]] = True
+        if len(rows) != n or not covered.all():
             raise ValueError("partition does not cover the dataset exactly")
         bad = self.labeled_classes(d) < 0
         if bad.any():
-            i = self.labeled[np.argmax(bad)]
+            i = self.labeled_idx[np.argmax(bad)]
             raise ValueError(f"labeled instance {i} has non-seeded label")
 
     def labeled_classes(self, d: Dataset) -> np.ndarray:
         """For each labeled row, in order, the position of its gold class among
         the sorted seeded class ids; -1 where it has no label or one that is
         not seeded."""
-        ids = np.array(sorted(self.seeded_class_ids), dtype=np.int64)
-        gold = d.gold_ids[self.labeled]
+        ids = self.seeded_class_ids
+        gold = d.gold_ids[self.labeled_idx]
         y = np.searchsorted(ids, gold)
         seeded = y < len(ids)
         seeded[seeded] = ids[y[seeded]] == gold[seeded]
         return np.where(seeded, y, -1)
-
-
-def _sorted_index(idx: frozenset[int]) -> np.ndarray:
-    a = np.sort(np.fromiter(idx, np.int64, len(idx)))
-    a.setflags(write=False)
-    return a
 
 
 def load_dataset(
@@ -399,10 +373,9 @@ _MISSING_LABEL = ""
 
 
 def _finish(X: sp.csr_matrix, raw_labels: list[str]) -> Dataset:
-    names = sorted({s for s in raw_labels if s != _MISSING_LABEL})
-    to_id = {name: i for i, name in enumerate(names)}
-    gold = [to_id[s] if s != _MISSING_LABEL else None for s in raw_labels]
-    return Dataset(X, gold, label_names=names)
+    names = sorted(set(raw_labels) - {_MISSING_LABEL})
+    to_id = {name: i for i, name in enumerate(names)} | {_MISSING_LABEL: -1}
+    return Dataset(X, [to_id[s] for s in raw_labels], label_names=names)
 
 
 def write_label_map(d: Dataset, path: str | Path) -> None:
@@ -435,7 +408,7 @@ def write_sparse_triplet(d: Dataset, path: str | Path) -> None:
     X = d.matrix()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"%%vocab {d.vocab_size}\n")
-        for row, y in enumerate(d.gold_labels):
+        for row, y in enumerate(d.gold_ids.tolist()):
             part = slice(X.indptr[row], X.indptr[row + 1])
             # an integral weight as an integer and any other as its repr, so
             # that each reads back as the same float
@@ -469,7 +442,7 @@ def tfidf_weight(d: Dataset) -> Dataset:
         )
         if empty.all():
             raise DataFormatError("no instances survive tf-idf weighting")
-    weighted = Dataset(W, d.gold_labels, d.instance_ids, d.label_names)
+    weighted = Dataset(W, d.gold_ids, d.instance_ids, d.label_names)
     return subset(weighted, np.flatnonzero(~empty)) if empty.any() else weighted
 
 
@@ -497,7 +470,7 @@ def normalize_dataset(d: Dataset, norm: Norm) -> Dataset:
     scaled = X.data / np.repeat(norms, np.diff(X.indptr))
     Y = sp.csr_matrix((scaled, X.indices, X.indptr), shape=X.shape, copy=True)
     Y.eliminate_zeros()  # subnormal weights can underflow to exactly zero
-    return Dataset(Y, d.gold_labels, d.instance_ids, d.label_names)
+    return Dataset(Y, d.gold_ids, d.instance_ids, d.label_names)
 
 
 def subset(d: Dataset, indices: Sequence[int]) -> Dataset:
@@ -505,7 +478,7 @@ def subset(d: Dataset, indices: Sequence[int]) -> Dataset:
     idx = np.asarray(indices, dtype=np.int64)
     return Dataset(
         d.matrix()[idx],
-        [d.gold_labels[i] for i in idx.tolist()],
+        d.gold_ids[idx],
         [d.instance_ids[i] for i in idx.tolist()],
         d.label_names,
     )
@@ -513,13 +486,14 @@ def subset(d: Dataset, indices: Sequence[int]) -> Dataset:
 
 def choose_seeded_classes(d: Dataset, num_seed_classes: int) -> list[int]:
     """Default seeded-class choice: the largest classes, ties to lower id."""
-    counts = d.class_counts()
-    if num_seed_classes > len(counts):
+    counts = np.bincount(d.gold_ids[d.gold_ids >= 0])
+    present = np.flatnonzero(counts)
+    if num_seed_classes > len(present):
         raise ValueError(
-            f"num_seed_classes={num_seed_classes} exceeds {len(counts)} distinct classes"
+            f"num_seed_classes={num_seed_classes} exceeds {len(present)} distinct classes"
         )
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return sorted(c for c, _ in ranked[:num_seed_classes])
+    ranked = present[np.argsort(-counts[present], kind="stable")]
+    return sorted(ranked[:num_seed_classes].tolist())
 
 
 def make_partitions(
@@ -540,28 +514,17 @@ def make_partitions(
     if num_partitions < 1:
         raise ValueError("num_partitions must be positive")
     seeded = choose_seeded_classes(d, num_seed_classes)
-
-    by_class: dict[int, list[int]] = {c: [] for c in seeded}
-    for i, y in enumerate(d.gold_labels):
-        if y in by_class:
-            by_class[y].append(i)
+    members = [np.flatnonzero(d.gold_ids == c) for c in seeded]
 
     partitions = []
     for j in range(num_partitions):
         rng = np.random.default_rng(np.random.SeedSequence([rng_seed, j]))
-        labeled: set[int] = set()
-        for c in seeded:
-            members = by_class[c]
-            n_seed = max(1, math.ceil(seeds_fraction * len(members)))
-            picked = rng.choice(len(members), size=n_seed, replace=False)
-            labeled.update(members[i] for i in picked)
-        unlabeled = set(range(len(d))) - labeled
-        partitions.append(
-            SeedPartition(
-                seeded_class_ids=frozenset(seeded),
-                labeled_idx=frozenset(labeled),
-                unlabeled_idx=frozenset(unlabeled),
-                rng_seed=rng_seed,
-            )
-        )
+        labeled = np.concatenate([
+            rows[rng.choice(len(rows), size=max(1, math.ceil(seeds_fraction * len(rows))),
+                            replace=False)]
+            for rows in members
+        ])
+        unlabeled = np.ones(len(d), dtype=bool)
+        unlabeled[labeled] = False
+        partitions.append(SeedPartition(seeded, labeled, np.flatnonzero(unlabeled)))
     return partitions

@@ -127,7 +127,7 @@ def _run_em(
     t_start = time.perf_counter()
     p.validate(d)
     n = len(d)
-    unlabeled = p.unlabeled
+    unlabeled = p.unlabeled_idx
 
     state = init_from_seeds(d, p, cfg.family)
 
@@ -232,8 +232,6 @@ def exploratory_em(d: Dataset, p: SeedPartition, cfg: EngineConfig) -> RunResult
     crit_cfg = cfg.criterion
     if crit_cfg is None:
         raise ValueError("exploratory mode requires a class-creation criterion")
-    if crit_cfg.kind is CriterionKind.RANDOM and crit_cfg.random_rate is None:
-        raise ValueError("random criterion must be calibrated (random_rate set)")
     return _run_em(d, p, cfg, Criterion(crit_cfg))
 
 
@@ -256,7 +254,7 @@ def calibrate_random_rate(
         raise ValueError("reference must be minmax or js")
     ref = minmax_fires if reference is CriterionKind.MINMAX else js_fires
     state = init_from_seeds(d, p, family)
-    unlabeled = p.unlabeled
+    unlabeled = p.unlabeled_idx
     if not len(unlabeled):
         return 0.0
     post = posteriors(state, (d.matrix() @ state.vectors.T)[unlabeled])

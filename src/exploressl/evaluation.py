@@ -49,12 +49,12 @@ class SignificanceResult:
 
 def per_class_prf(
     assignments: Sequence[int],
-    gold_labels: Sequence[int],
+    gold_ids: Sequence[int],
     class_ids: Iterable[int],
 ) -> list[dict]:
     """Precision/recall/F1 per gold class after majority labeling of the
     clusters. A class with neither predictions nor gold members scores 0."""
-    cm = build_confusion(assignments, gold_labels)
+    cm = build_confusion(assignments, gold_ids)
     label = cm.counts.argmax(axis=1) if cm.row_ids else np.zeros(0, dtype=np.int64)
     k = len(cm.col_ids)
     # per gold class: instances labeled with it, those of them in it, its size
@@ -79,11 +79,11 @@ def per_class_prf(
 
 def seed_macro_f1(
     assignments: Sequence[int],
-    gold_labels: Sequence[int],
+    gold_ids: Sequence[int],
     seeded_class_ids: Iterable[int],
 ) -> float:
     """Unweighted mean F1 restricted to the seeded classes."""
-    rows = per_class_prf(assignments, gold_labels, seeded_class_ids)
+    rows = per_class_prf(assignments, gold_ids, seeded_class_ids)
     if not rows:
         raise ValueError("no seeded classes to evaluate")
     return float(np.mean([r["f1"] for r in rows]))
@@ -93,20 +93,20 @@ def eval_rows(d, p, include_seeds: bool = False) -> tuple[np.ndarray, np.ndarray
     """The rows of dataset d that a run on partition p is scored on, in
     order, and their gold class ids: the rows with a gold label, among the
     unlabeled rows or, with include_seeds, among all rows."""
-    pool = np.arange(len(d)) if include_seeds else p.unlabeled
+    pool = np.arange(len(d)) if include_seeds else p.unlabeled_idx
     gold = d.gold_ids[pool]
     known = gold >= 0
     return pool[known], gold[known]
 
 
 def build_confusion(
-    assignments: Sequence[int], gold_labels: Sequence[int]
+    assignments: Sequence[int], gold_ids: Sequence[int]
 ) -> ConfusionMatrix:
     """Counts of (cluster, gold class) pairs; rows and columns in sorted id order."""
-    if len(assignments) != len(gold_labels):
-        raise ValueError("assignments and gold_labels must align")
+    if len(assignments) != len(gold_ids):
+        raise ValueError("assignments and gold_ids must align")
     row_ids, r = np.unique(np.asarray(assignments), return_inverse=True)
-    col_ids, c = np.unique(np.asarray(gold_labels), return_inverse=True)
+    col_ids, c = np.unique(np.asarray(gold_ids), return_inverse=True)
     shape = (len(row_ids), len(col_ids))
     counts = np.bincount(r * shape[1] + c, minlength=shape[0] * shape[1]).reshape(shape)
     return ConfusionMatrix(counts.astype(np.int64), row_ids.tolist(), col_ids.tolist())
@@ -172,14 +172,16 @@ def paired_significance(
 
 def evaluate_run(
     assignments: Sequence[int],
-    gold_labels: Sequence[int],
+    gold_ids: Sequence[int],
     seeded_class_ids: Iterable[int],
 ) -> EvaluationReport:
     """Full report for one run over the evaluated (test) instances."""
-    seeded = sorted(seeded_class_ids)
+    rows = per_class_prf(assignments, gold_ids, seeded_class_ids)
+    if not rows:
+        raise ValueError("no seeded classes to evaluate")
     return EvaluationReport(
-        macro_f1_seed=seed_macro_f1(assignments, gold_labels, seeded),
-        per_class_prf=per_class_prf(assignments, gold_labels, seeded),
+        macro_f1_seed=float(np.mean([r["f1"] for r in rows])),
+        per_class_prf=rows,
         num_clusters=len(set(assignments)),
-        aligned_confusion=align_confusion(build_confusion(assignments, gold_labels)),
+        aligned_confusion=align_confusion(build_confusion(assignments, gold_ids)),
     )

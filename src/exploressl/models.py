@@ -300,12 +300,12 @@ def fit_classes(
 def init_from_seeds(d: Dataset, p: SeedPartition, family: ModelFamily) -> ModelState:
     """Supervised initialization: one class per seeded gold class, fitted
     from its labeled instances. Unlabeled instances start unassigned (-1)."""
-    seeded = sorted(p.seeded_class_ids)  # none: a fully unsupervised start
+    seeded = p.seeded_class_ids.tolist()  # none: a fully unsupervised start
     k = len(seeded)
-    labeled = p.labeled
+    labeled = p.labeled_idx
     y = p.labeled_classes(d)
     if np.any(y < 0):
-        raise KeyError(d.gold_labels[labeled[np.argmax(y < 0)]])
+        raise KeyError(int(d.gold_ids[labeled[np.argmax(y < 0)]]))
     counts = np.bincount(y, minlength=k)
     if not counts.all():
         raise ValueError(f"seeded class {seeded[np.argmin(counts)]} has no labeled instances")

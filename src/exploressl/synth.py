@@ -64,7 +64,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     indptr = np.cumsum([0] + [len(a) for a in indices])
     X = sp.csr_matrix((np.concatenate(values), np.concatenate(indices), indptr),
                       shape=(len(indices), spec.vocab_size))
-    labels = np.repeat(np.arange(spec.num_classes), spec.instances_per_class).tolist()
+    labels = np.repeat(np.arange(spec.num_classes), spec.instances_per_class)
     return Dataset(X, labels, label_names=[f"class_{c}" for c in range(spec.num_classes)])
 
 

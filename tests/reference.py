@@ -65,7 +65,7 @@ def normalize(x: SparseVector, kind: Norm) -> SparseVector:
     return SparseVector(x.indices[keep], scaled[keep])
 
 
-def from_rows(rows: Sequence[SparseVector], gold_labels: Sequence[Optional[int]],
+def from_rows(rows: Sequence[SparseVector], gold_ids: Sequence[int],
               vocab_size: int, instance_ids: Optional[Sequence[str]] = None,
               label_names: Optional[Sequence[str]] = None) -> Dataset:
     """The dataset whose instance i is rows[i]."""
@@ -73,7 +73,7 @@ def from_rows(rows: Sequence[SparseVector], gold_labels: Sequence[Optional[int]]
     indices = np.concatenate([x.indices for x in rows] + [np.zeros(0, np.int64)])
     values = np.concatenate([x.values for x in rows] + [np.zeros(0)])
     X = sp.csr_matrix((values, indices, indptr), shape=(len(rows), max(vocab_size, 0)))
-    return Dataset(X, gold_labels, instance_ids, label_names)
+    return Dataset(X, gold_ids, instance_ids, label_names)
 
 
 def majority_label_clusters(

@@ -30,11 +30,14 @@ def report(number, ok, detail=""):
     assert ok, f"acceptance criterion {number} failed: {detail}"
 
 
+PARTITION_SEED = 42  # the rng_seed of conftest's five_block_partitions
+
+
 def eval_f1(d, p, result):
     idx = sorted(p.unlabeled_idx)
     return seed_macro_f1(
         [int(result.final_state.assignments[i]) for i in idx],
-        [d.gold_labels[i] for i in idx],
+        d.gold_ids[idx].tolist(),
         p.seeded_class_ids,
     )
 
@@ -49,10 +52,10 @@ def discovery_runs(five_block_dataset, five_block_partitions):
         cfg = EngineConfig(
             family=ModelFamily.NB,
             criterion=CriterionConfig(CriterionKind.JS),
-            rng_seed=p.rng_seed,
+            rng_seed=PARTITION_SEED,
         )
         explo = exploratory_em(d, p, cfg)
-        base = semisup_em(d, p, EngineConfig(family=ModelFamily.NB, rng_seed=p.rng_seed))
+        base = semisup_em(d, p, EngineConfig(family=ModelFamily.NB, rng_seed=PARTITION_SEED))
         runs.append((p, explo, base))
     return runs
 
@@ -80,7 +83,7 @@ def test_acceptance_1_reduction_identities():
     if ok:
         # no unlabeled pool: one iteration, identical to the seed initializer
         d = generate_synthetic(SyntheticSpec(2, 10, 20, separation=5.0, rng_seed=99))
-        p = SeedPartition(frozenset({0, 1}), frozenset(range(len(d))), frozenset(), 0)
+        p = SeedPartition([0, 1], range(len(d)), [])
         cfg = EngineConfig(
             family=ModelFamily.NB, criterion=CriterionConfig(CriterionKind.MINMAX)
         )
@@ -301,13 +304,13 @@ def test_acceptance_8_monotonicity_audit(discovery_runs):
     ok = True
     detail = ""
     audited = 0
-    for p, explo, _ in discovery_runs:
+    for i, (_, explo, _) in enumerate(discovery_runs):
         latch = explo.can_add_latched_at or 1
         tail = explo.ll_trace[latch - 1:]
         for a, b in zip(tail, tail[1:]):
             if b < a - 1e-8:
                 ok, detail = False, (
-                    f"LL drop {a - b:.3e} after latch on partition seed {p.rng_seed}"
+                    f"LL drop {a - b:.3e} after latch on partition {i}"
                 )
                 break
         audited += 1

@@ -128,7 +128,7 @@ def test_posteriors_match_posterior_row_by_row(family, seed, m, V, n):
     rng = np.random.default_rng(seed)
     state = _state(family, rng, m, V)
     xs = _instances(rng, n, V)
-    d = from_rows(xs, [None] * n, V)
+    d = from_rows(xs, [-1] * n, V)
     rows = np.arange(n)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -157,7 +157,7 @@ def test_chunks_grow_back_after_an_opening():
     V, n = 6, 1300
     state = _state(ModelFamily.VMF, rng, 2, V)
     xs = _instances(rng, n, V)
-    d = from_rows(xs, [None] * n, V)
+    d = from_rows(xs, [-1] * n, V)
     scores = PassScores(state, d, np.arange(n), d.matrix() @ state.vectors.T)
     # open classes at 10, in the first chunk, and at 700, in a later chunk,
     # as the E-step does when the criterion fires there; every row handed
@@ -206,7 +206,7 @@ def test_chunks_stay_within_the_bound_for_any_openings(data, n, chunk):
     V = 6
     state = _state(ModelFamily.NB, rng, 2, V)
     xs = _instances(rng, n, V)
-    d = from_rows(xs, [None] * n, V)
+    d = from_rows(xs, [-1] * n, V)
     opens = _opening_pattern(data.draw, n)
     handed, start = 0, 0
     with mock.patch.object(models, "E_STEP_CHUNK", chunk):
@@ -232,7 +232,7 @@ def test_kmeans_all_zero_scores_fall_back_to_uniform():
     rng = np.random.default_rng(0)
     state = _state(ModelFamily.KMEANS, rng, 4, 6)
     x = from_pairs([(4, 1.0), (5, 2.0)])
-    d = from_rows([x], [None], 6)
+    d = from_rows([x], [-1], 6)
     batch = PassScores(state, d, np.arange(1), d.matrix() @ state.vectors.T).posteriors(state, 0)
     assert np.array_equal(batch[0], np.full(4, 0.25))
     assert np.array_equal(batch[0], posterior(state, x))
@@ -359,7 +359,7 @@ def _row_sums(X, y, m):
 @settings(max_examples=150, deadline=None)
 def test_class_sums_match_the_indicator_product(seed, m, V, n):
     rng = np.random.default_rng(seed)
-    X = from_rows(_float_rows(rng, n, V), [None] * n, V).matrix()
+    X = from_rows(_float_rows(rng, n, V), [-1] * n, V).matrix()
     # labels from a random subset of the classes, so that some are empty
     used = rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)
     y = rng.choice(used, size=n)
@@ -405,8 +405,7 @@ def test_m_step_and_seed_init_match_the_former_sums(family, seed, k, extra, V, n
     gold = gold.tolist()
     d = from_rows(_float_rows(rng, n, V), gold, V)
     X = d.matrix()
-    p = SeedPartition(frozenset(range(k)), frozenset(labeled),
-                      frozenset(range(n)) - frozenset(labeled), 0)
+    p = SeedPartition(range(k), labeled, sorted(set(range(n)) - set(labeled)))
 
     state = init_from_seeds(d, p, family)
     y = np.array([gold[i] for i in labeled], dtype=np.int64)
@@ -466,7 +465,7 @@ def _reference_log_likelihood(state, d):
 def test_log_likelihood_from_shared_scores_is_exact(family, seed, m, V, n, opened, drop):
     rng = np.random.default_rng(seed)
     state = _state(family, rng, m, V)
-    d = from_rows(_float_rows(rng, n, V), [None] * n, V)
+    d = from_rows(_float_rows(rng, n, V), [-1] * n, V)
     state.assignments = rng.integers(m, size=n)
     batch = PassScores(state, d, np.arange(n), d.matrix() @ state.vectors.T)
     # classes opened after the base scores were taken, as an E-step pass
@@ -492,7 +491,7 @@ def test_log_likelihood_from_shared_scores_is_exact(family, seed, m, V, n, opene
 def test_scores_of_another_shape_are_refused():
     rng = np.random.default_rng(0)
     state = _state(ModelFamily.NB, rng, 2, 5)
-    d = from_rows(_float_rows(rng, 4, 5), [None] * 4, 5)
+    d = from_rows(_float_rows(rng, 4, 5), [-1] * 4, 5)
     state.assignments = np.zeros(4, dtype=np.int64)
     scores = d.matrix() @ state.vectors.T
     wider = np.hstack([scores, scores[:, :1]])  # a column for a class not in state
@@ -530,7 +529,7 @@ def _reference_e_step(state, d, rows, opens):
 def test_e_step_pass_matches_one_row_at_a_time(family, seed, m, V, n, rate, chunk):
     batched, reference = (_state(family, np.random.default_rng(seed), m, V) for _ in range(2))
     rng = np.random.default_rng([seed, 1])
-    d = from_rows(_instances(rng, n, V), [None] * n, V)
+    d = from_rows(_instances(rng, n, V), [-1] * n, V)
     rows = rng.permutation(n)[: int(rng.integers(1, n + 1))]
     opens = rng.random(len(rows)) < rate
     batched.assignments = rng.integers(-1, m, size=n)

@@ -3,6 +3,7 @@ import filecmp
 import json
 import re
 
+import numpy as np
 import pytest
 
 from exploressl.cli import main
@@ -31,7 +32,7 @@ class TestSynthCommand:
         d = load_dataset(dataset_file, "sparse-triplet")
         assert len(d) == 60
         assert d.vocab_size == 24
-        assert d.class_counts() == {0: 20, 1: 20, 2: 20}
+        assert np.bincount(d.gold_ids).tolist() == [20, 20, 20]
 
     @pytest.mark.parametrize("flags, message", [
         (["--classes", "0"], "num_classes, instances_per_class, vocab_size must be positive$"),
@@ -267,6 +268,11 @@ class TestFileFaults:
     @pytest.mark.parametrize("text, message", [
         ("instance_id,clusters\n0,1\n", "expected the columns instance_id,cluster"),
         (None, "No such file or directory"),
+        ("instance_id,cluster\n0,1\n1,0\n0,1\n", "line 4: instance id '0' repeats"),
+        ("instance_id,cluster\nx,1\nx,2\n", "line 3: instance id 'x' repeats"),
+        ("instance_id,cluster\n0,1\n1,one\n", "line 3: cluster 'one' is not an integer"),
+        ("instance_id,cluster\n0,1.0\n", "line 2: cluster '1.0' is not an integer"),
+        ("instance_id,cluster\n0\n", "line 2: cluster None is not an integer"),
     ])
     def test_eval_bad_assignments(self, dataset_file, tmp_path, text, message):
         path = bad_file(tmp_path, text)

@@ -122,7 +122,7 @@ class TestCrpGibbs:
         r = crp_gibbs(d, p, cfg)
         for i in p.labeled_idx:
             j = int(r.final_state.assignments[i])
-            assert r.final_state.seed_class_ids[j] == d.gold_labels[i]
+            assert r.final_state.seed_class_ids[j] == d.gold_ids[i]
 
     def test_pruning_invariant(self):
         d, p = setup_run(2)

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 import pickle
@@ -31,7 +32,7 @@ from reference import entries, from_dense, from_pairs, from_rows, norm, normaliz
 def make_dataset(rows, vocab=None, labels=None):
     vecs = [from_pairs(r) for r in rows]
     vocab = vocab or (max(int(v.indices[-1]) for v in vecs if v.nnz) + 1)
-    labels = labels if labels is not None else [None] * len(rows)
+    labels = labels if labels is not None else [-1] * len(rows)
     return from_rows(vecs, labels, vocab)
 
 
@@ -88,7 +89,7 @@ class TestLoadDataset:
         assert len(d) == 1
         assert d.instances[0].nnz == 2
         assert d.label_names == ["rec.autos"]
-        assert d.gold_labels == [0]
+        assert d.gold_ids.tolist() == [0]
 
     def test_empty_file(self, tmp_path):
         f = tmp_path / "d.txt"
@@ -120,7 +121,7 @@ class TestLoadDataset:
 
     def test_writer_rejects_an_unlabeled_instance(self, tmp_path):
         d = make_dataset([[(0, 2.0)], [(1, 1.0)], [], [(2, 1.0)]], vocab=3,
-                         labels=[0, None, None, 0])
+                         labels=[0, -1, -1, 0])
         d.label_names = ["a"]
         f = tmp_path / "out.txt"
         with pytest.raises(ValueError, match="instance 1 has no gold label"):
@@ -133,7 +134,7 @@ class TestLoadDataset:
         f = tmp_path / "out.txt"
         write_sparse_triplet(d, f)
         assert f.read_text().splitlines()[1:3] == ["00 0:1", "01 0:1"]
-        assert load_dataset(f).gold_labels == list(range(11))
+        assert load_dataset(f).gold_ids.tolist() == list(range(11))
 
     @pytest.mark.parametrize("name", ["rec autos", "", "%%vocabulary", "a\tb", " a"])
     def test_writer_rejects_a_label_name_it_cannot_carry(self, tmp_path, name):
@@ -166,8 +167,8 @@ class TestLoadDataset:
         X, X2 = d.matrix(), d2.matrix()
         for a, b in ((X.indptr, X2.indptr), (X.indices, X2.indices), (X.data, X2.data)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert (d2.vocab_size, d2.gold_labels, d2.label_names) == (
-            d.vocab_size, d.gold_labels, d.label_names)
+        assert (d2.vocab_size, d2.gold_ids.tolist(), d2.label_names) == (
+            d.vocab_size, d.gold_ids.tolist(), d.label_names)
 
     def test_dense_csv(self, tmp_path):
         f = tmp_path / "d.csv"
@@ -261,10 +262,10 @@ class TestLoaderErrors:
         f.write_text("a 0:1 1:1\nb\nc 1:2\n")
         d = load_dataset(f)
         assert len(d) == 3 and d.instances[1].nnz == 0
-        assert d.gold_labels == [0, 1, 2]
+        assert d.gold_ids.tolist() == [0, 1, 2]
         w = tfidf_weight(d)
         assert w.instance_ids == ["0", "2"]
-        assert w.gold_labels == [0, 2]
+        assert w.gold_ids.tolist() == [0, 2]
 
 
 def load_outcome(path):
@@ -275,7 +276,7 @@ def load_outcome(path):
         return type(e), str(e)
     X = d.matrix()
     return (X.indptr.tobytes(), X.indices.tobytes(), X.data.tobytes(), X.shape,
-            d.gold_labels, d.label_names)
+            d.gold_ids.tolist(), d.label_names)
 
 
 FROMSTRING = np.fromstring
@@ -438,14 +439,14 @@ class TestDatasetMatrix:
     def test_rejects_non_canonical_rows(self, data, indices, indptr, message):
         X = sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, 4))
         with pytest.raises(DataFormatError) as e:
-            Dataset(X, [None] * X.shape[0])
+            Dataset(X, [-1] * X.shape[0])
         assert str(e.value) == message
 
     def test_rejects_other_formats(self):
         with pytest.raises(TypeError):
-            Dataset(sp.coo_matrix(np.eye(2)), [None, None])
+            Dataset(sp.coo_matrix(np.eye(2)), [-1, -1])
         with pytest.raises(TypeError):
-            Dataset(np.eye(2), [None, None])
+            Dataset(np.eye(2), [-1, -1])
 
     def test_rows_are_views_of_the_canonical_matrix(self):
         d = make_dataset([[(2, 1.0), (0, 3.0)], [], [(1, 2.0)]], vocab=3)
@@ -508,18 +509,29 @@ def test_tfidf_and_normalize_match_row_loop(seed, lengths, norm):
 
 class TestGoldIds:
     def test_read_only_with_minus_one_for_no_label(self):
-        d = make_dataset([[(0, 1.0)]] * 5, vocab=2, labels=[2, None, 0, None, 7])
+        labels = np.array([2, -1, 0, -1, 7], dtype=np.int32)
+        d = make_dataset([[(0, 1.0)]] * 5, vocab=2, labels=labels)
         ids = d.gold_ids
         assert ids.dtype == np.int64 and ids.tolist() == [2, -1, 0, -1, 7]
         assert not ids.flags.writeable
         with pytest.raises(ValueError):
             ids[0] = 1
-        assert d.gold_ids is ids  # built once
+        labels[0] = 5  # the dataset holds its own copy
+        assert d.gold_ids[0] == 2
 
     def test_rejects_a_negative_label(self):
-        d = make_dataset([[(0, 1.0)]] * 2, vocab=2, labels=[0, -1])
-        with pytest.raises(ValueError, match="non-negative"):
-            d.gold_ids
+        with pytest.raises(ValueError, match="^gold ids must be integers, -1 for no label$"):
+            make_dataset([[(0, 1.0)]] * 2, vocab=2, labels=[0, -2])
+
+    @pytest.mark.parametrize("label", [1.5, "a", None])
+    def test_rejects_a_label_that_is_not_an_integer(self, label):
+        with pytest.raises(ValueError, match="^gold ids must be integers, -1 for no label$"):
+            make_dataset([[(0, 1.0)]] * 2, vocab=2, labels=[0, label])
+
+    @pytest.mark.parametrize("labels", [[0], [0, 1, 2], [[0], [1]]])
+    def test_rejects_labels_that_do_not_match_the_rows(self, labels):
+        with pytest.raises(ValueError, match="^gold_ids length mismatch$"):
+            make_dataset([[(0, 1.0)]] * 2, vocab=2, labels=labels)
 
 
 class TestTfidf:
@@ -587,28 +599,28 @@ class TestPartitions:
         d = self._dataset([200, 200])
         parts = make_partitions(d, 2, 0.05, 1, 0)
         per_class = {}
-        for i in parts[0].labeled_idx:
-            per_class[d.gold_labels[i]] = per_class.get(d.gold_labels[i], 0) + 1
-        assert per_class == {0: 10, 1: 10}
+        assert np.bincount(d.gold_ids[parts[0].labeled_idx]).tolist() == [10, 10]
 
     def test_ten_partitions_same_seed_classes(self):
         d = self._dataset([50, 40, 30])
         parts = make_partitions(d, 2, 0.05, 10, 3)
         assert len(parts) == 10
-        assert all(p.seeded_class_ids == parts[0].seeded_class_ids for p in parts)
-        assert len({p.labeled_idx for p in parts}) > 1
+        assert all(p.seeded_class_ids.tolist() == [0, 1] for p in parts)
+        assert len({p.labeled_idx.tobytes() for p in parts}) > 1
 
     def test_deterministic(self):
         d = self._dataset([50, 40, 30])
         a = make_partitions(d, 2, 0.1, 5, 9)
         b = make_partitions(d, 2, 0.1, 5, 9)
-        assert a == b
+        for p, q in zip(a, b, strict=True):
+            for name in ("seeded_class_ids", "labeled_idx", "unlabeled_idx"):
+                assert np.array_equal(getattr(p, name), getattr(q, name))
 
     def test_cover_and_disjoint(self):
         d = self._dataset([13, 7, 5])
         for p in make_partitions(d, 2, 0.3, 4, 1):
-            assert p.labeled_idx | p.unlabeled_idx == set(range(len(d)))
-            assert not (p.labeled_idx & p.unlabeled_idx)
+            rows = np.concatenate([p.labeled_idx, p.unlabeled_idx])
+            assert np.sort(rows).tolist() == list(range(len(d)))
 
     def test_minimum_one_seed(self):
         d = self._dataset([3, 3])
@@ -627,14 +639,43 @@ class TestPartitions:
     def test_index_arrays_are_the_sorted_sets(self):
         d = self._dataset([13, 7, 5])
         for p in make_partitions(d, 2, 0.3, 4, 1):
-            for arr, idx in ((p.labeled, p.labeled_idx), (p.unlabeled, p.unlabeled_idx)):
+            copy = pickle.loads(pickle.dumps(p))
+            for name in ("seeded_class_ids", "labeled_idx", "unlabeled_idx"):
+                arr = getattr(p, name)
                 assert arr.dtype == np.int64 and not arr.flags.writeable
-                assert arr.tolist() == sorted(idx)
-            assert p.unlabeled is p.unlabeled  # built once
-            # a pickled partition carries its fields only, and equals the original
-            assert pickle.loads(pickle.dumps(p)) == p
-            assert len(pickle.dumps(p)) == len(pickle.dumps(SeedPartition(
-                p.seeded_class_ids, p.labeled_idx, p.unlabeled_idx, p.rng_seed)))
+                assert np.all(arr[1:] > arr[:-1])  # sorted, with no repeats
+                assert np.array_equal(getattr(copy, name), arr)
+        p = SeedPartition([2, 0], (3, 1), np.array([4, 0, 2], dtype=np.int32))
+        assert [getattr(p, f).tolist() for f in ("seeded_class_ids", "labeled_idx",
+                                                 "unlabeled_idx")] == [[0, 2], [1, 3], [0, 2, 4]]
+        assert p.unlabeled_idx.dtype == np.int64
+
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_rejects_indices_that_are_not_integers(self, field):
+        parts = [[0], [1], [0, 2]]
+        parts[field] = parts[field] + [2.5]
+        name = ("seeded_class_ids", "labeled_idx", "unlabeled_idx")[field]
+        with pytest.raises(ValueError, match=f"^{name} must hold integers$"):
+            SeedPartition(*parts)
+
+    # sha256 of the concatenated sorted labeled rows of both partitions, as
+    # the set-based implementation drew them; the draws must not move
+    LABELED_DIGESTS = {
+        (0.1, 0): "51b4398f85aa0434",
+        (0.1, 1): "a840d0d5272fabe0",
+        (0.1, 2): "f509c330b23f83f0",
+        (0.3, 0): "4e8f828f3706db5b",
+        (0.3, 1): "0b71245d1eac2c86",
+        (0.3, 2): "c7228525ec170dc4",
+    }
+
+    @pytest.mark.parametrize("fraction, seed", sorted(LABELED_DIGESTS))
+    def test_labeled_rows_are_pinned(self, fraction, seed):
+        d = generate_synthetic(SyntheticSpec(4, 25, 30, separation=2.0, rng_seed=3))
+        h = hashlib.sha256()
+        for p in make_partitions(d, 3, fraction, 2, seed):
+            h.update(p.labeled_idx.tobytes())
+        assert h.hexdigest()[:16] == self.LABELED_DIGESTS[fraction, seed]
 
     @pytest.mark.parametrize("labeled, unlabeled, message", [
         ({0}, {1, 2}, "does not cover"),  # row 3 missing
@@ -643,10 +684,15 @@ class TestPartitions:
         (set(), {0, 1, 2}, "does not cover"),
         ({0, 3}, {1, 2}, "labeled instance 3 has non-seeded label"),
         (set(), {0, 1, 2, 3}, None),
+        ([0], [1, 1, 2], "does not cover"),  # row 1 twice, row 3 missing: four rows
+        ([0, 0], [1, 2], "does not cover"),
+        ([0], [0, 1, 2], "does not cover"),  # row 0 in both, row 3 missing
+        ([0], [1, 2, 4], "does not cover"),  # four rows, one outside [0, 4)
+        ([0], [-1, 1, 2], "does not cover"),
     ])
     def test_validate(self, labeled, unlabeled, message):
         d = self._dataset([3, 1])  # rows 0-2 in class 0, row 3 in class 1
-        p = SeedPartition(frozenset({0}), frozenset(labeled), frozenset(unlabeled), 0)
+        p = SeedPartition([0], sorted(labeled), sorted(unlabeled))
         if message is None:
             p.validate(d)
         else:
@@ -659,9 +705,8 @@ class TestPartitions:
         ({0, 3, 4}, 4),
     ])
     def test_validate_names_the_first_labeled_row_outside_the_seeds(self, labeled, first_bad):
-        d = make_dataset([[(0, 1.0)]] * 5, vocab=2, labels=[0, None, 1, 0, 2])
-        p = SeedPartition(frozenset({0}), frozenset(labeled),
-                          frozenset(set(range(5)) - labeled), 0)
+        d = make_dataset([[(0, 1.0)]] * 5, vocab=2, labels=[0, -1, 1, 0, 2])
+        p = SeedPartition([0], sorted(labeled), sorted(set(range(5)) - labeled))
         message = f"^labeled instance {first_bad} has non-seeded label$"
         with pytest.raises(ValueError, match=message):
             p.validate(d)
@@ -670,5 +715,5 @@ class TestPartitions:
 def test_subset_keeps_alignment():
     d = make_dataset([[(0, 1.0)], [(1, 1.0)], [(2, 1.0)]], vocab=3, labels=[0, 1, 2])
     s = subset(d, [2, 0])
-    assert s.gold_labels == [2, 0]
+    assert s.gold_ids.tolist() == [2, 0]
     assert entries(s.instances[0]) == [(2, 1.0)]

@@ -30,7 +30,7 @@ def eval_f1(d, p, result):
     idx = sorted(p.unlabeled_idx)
     return seed_macro_f1(
         [int(result.final_state.assignments[i]) for i in idx],
-        [d.gold_labels[i] for i in idx],
+        d.gold_ids[idx].tolist(),
         p.seeded_class_ids,
     )
 
@@ -46,9 +46,7 @@ def small_synthetic(seed, classes=3, seeded=2):
 class TestExploratoryEm:
     def test_no_unlabeled_reduces_to_supervised(self):
         d = generate_synthetic(SyntheticSpec(2, 5, 10, separation=1e6, rng_seed=0))
-        p = SeedPartition(
-            frozenset({0, 1}), frozenset(range(len(d))), frozenset(), rng_seed=0
-        )
+        p = SeedPartition([0, 1], range(len(d)), [])
         r = exploratory_em(d, p, minmax_cfg())
         assert r.iterations_run == 1
         assert r.final_state.num_classes == 2
@@ -66,7 +64,7 @@ class TestExploratoryEm:
         seeded = sorted(p.seeded_class_ids)
         for i in p.labeled_idx:
             j = int(r.final_state.assignments[i])
-            assert r.final_state.seed_class_ids[j] == d.gold_labels[i]
+            assert r.final_state.seed_class_ids[j] == d.gold_ids[i]
 
     def test_class_count_never_grows_after_latch(self):
         d, p = small_synthetic(4, classes=4, seeded=2)
@@ -96,7 +94,7 @@ class TestExploratoryEm:
 
     def test_unsupervised_smoke(self):
         d = generate_synthetic(SyntheticSpec(2, 15, 10, separation=1e6, rng_seed=7))
-        p = SeedPartition(frozenset(), frozenset(), frozenset(range(len(d))), 0)
+        p = SeedPartition([], [], range(len(d)))
         r = exploratory_em(d, p, minmax_cfg())
         assert r.final_state.num_classes >= 1
 
@@ -169,9 +167,7 @@ class TestStoppingRule:
 class TestSemisupEm:
     def test_no_unlabeled(self):
         d = generate_synthetic(SyntheticSpec(2, 5, 10, separation=1e6, rng_seed=0))
-        p = SeedPartition(
-            frozenset({0, 1}), frozenset(range(len(d))), frozenset(), rng_seed=0
-        )
+        p = SeedPartition([0, 1], range(len(d)), [])
         r = semisup_em(d, p, EngineConfig(family=ModelFamily.NB))
         assert r.final_state.num_classes == 2
 

@@ -319,19 +319,19 @@ def test_import_loads_no_heavy_scipy_module():
     assert out.stdout.strip() == "[]"
 
 
-@given(st.lists(st.sampled_from([None, 0, 1, 2, 3]), min_size=1, max_size=40), st.data(),
+@given(st.lists(st.sampled_from([-1, 0, 1, 2, 3]), min_size=1, max_size=40), st.data(),
        st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_eval_rows_match_the_nan_formula(labels, data, include_seeds):
     n = len(labels)
     d = from_rows([from_pairs([(0, 1.0)])] * n, labels, 1)
     labeled = data.draw(st.sets(st.integers(0, n - 1)))
-    p = SeedPartition(frozenset({0}), frozenset(labeled), frozenset(set(range(n)) - labeled), 0)
+    p = SeedPartition([0], sorted(labeled), sorted(set(range(n)) - labeled))
     rows, gold = eval_rows(d, p, include_seeds)
-    # the rows with a gold label among the pool, as a float array with None
+    # the rows with a gold label among the pool, as a float array with -1
     # as nan gives them
     pool = np.arange(n) if include_seeds else np.array(sorted(set(range(n)) - labeled), int)
-    want = np.array(labels, dtype=np.float64)[pool]
+    want = np.where(np.array(labels) < 0, np.nan, labels)[pool]
     known = ~np.isnan(want)
     assert rows.tolist() == pool[known].tolist()
     assert gold.dtype == np.int64 and gold.tolist() == want[known].astype(np.int64).tolist()

@@ -24,15 +24,14 @@ def dataset(rows, labels, vocab):
 
 def new_class(x, family, vocab):
     """init_new_class for the sparse vector x, as the one row of a dataset."""
-    return init_new_class(from_rows([x], [None], vocab), 0, family)
+    return init_new_class(from_rows([x], [-1], vocab), 0, family)
 
 
 def partition(d, labeled, seeded):
     return SeedPartition(
-        seeded_class_ids=frozenset(seeded),
-        labeled_idx=frozenset(labeled),
-        unlabeled_idx=frozenset(set(range(len(d))) - set(labeled)),
-        rng_seed=0,
+        seeded_class_ids=seeded,
+        labeled_idx=labeled,
+        unlabeled_idx=sorted(set(range(len(d))) - set(labeled)),
     )
 
 
@@ -115,7 +114,7 @@ class TestPosterior:
 class TestInitFromSeeds:
     def test_kmeans_single_seed_is_the_seed(self):
         rows = [[(0, 0.25), (1, 0.75)], [(1, 1.0)], [(0, 1.0)]]
-        d = dataset(rows, [0, 1, None], 2)
+        d = dataset(rows, [0, 1, -1], 2)
         p = partition(d, labeled=[0, 1], seeded=[0, 1])
         s = init_from_seeds(d, p, ModelFamily.KMEANS)
         assert np.allclose(s.vectors[0], [0.25, 0.75])
@@ -134,13 +133,13 @@ class TestInitFromSeeds:
 
     def test_missing_seed_class_error(self):
         d = dataset([[(0, 1.0)]], [0], 2)
-        p = SeedPartition(frozenset({0, 1}), frozenset({0}), frozenset(), 0)
+        p = SeedPartition([0, 1], [0], [])
         with pytest.raises(ValueError):
             init_from_seeds(d, p, ModelFamily.NB)
 
     @pytest.mark.parametrize("labels, seeded, missing", [
         ([0, 2, 1], [0, 1], 2),  # a label between and beyond the seeded ids
-        ([1, None, 0], [0, 1], None),
+        ([1, -1, 0], [0, 1], -1),
         ([3, 0, 1], [1], 3),
         ([0, 1, 1], [], 0),
     ])
@@ -148,13 +147,13 @@ class TestInitFromSeeds:
         # init_from_seeds trusts a validated partition; without one, a labeled
         # row outside the seeded classes fails as a dict lookup of its label
         d = dataset([[(0, 1.0)], [(1, 1.0)], [(0, 2.0)]], labels, 2)
-        p = SeedPartition(frozenset(seeded), frozenset({0, 1, 2}), frozenset(), 0)
+        p = SeedPartition(seeded, [0, 1, 2], [])
         with pytest.raises(KeyError) as e:
             init_from_seeds(d, p, ModelFamily.NB)
         assert e.value.args == (missing,)
 
     def test_labeled_assignments_fixed(self):
-        d = dataset([[(0, 1.0)], [(1, 1.0)], [(0, 2.0)]], [0, 1, None], 2)
+        d = dataset([[(0, 1.0)], [(1, 1.0)], [(0, 2.0)]], [0, 1, -1], 2)
         p = partition(d, labeled=[0, 1], seeded=[0, 1])
         s = init_from_seeds(d, p, ModelFamily.NB)
         assert s.assignments[0] == 0 and s.assignments[1] == 1
@@ -281,7 +280,7 @@ class TestMStep:
         assert np.allclose(s2.vectors[0], [0.5, 0.5])
 
     def test_empty_introduced_class_dropped(self):
-        d = dataset([[(0, 1.0)], [(1, 1.0)]], [0, None], 2)
+        d = dataset([[(0, 1.0)], [(1, 1.0)]], [0, -1], 2)
         p = partition(d, labeled=[0], seeded=[0])
         s = init_from_seeds(d, p, ModelFamily.NB)
         s.add_class(init_new_class(d, 1, ModelFamily.NB), 2)
@@ -290,7 +289,7 @@ class TestMStep:
         assert s2.num_classes == 1
 
     def test_seeded_class_survives_without_unlabeled(self):
-        d = dataset([[(0, 1.0)], [(1, 1.0)], [(1, 2.0)]], [0, 1, None], 2)
+        d = dataset([[(0, 1.0)], [(1, 1.0)], [(1, 2.0)]], [0, 1, -1], 2)
         p = partition(d, labeled=[0, 1], seeded=[0, 1])
         s = init_from_seeds(d, p, ModelFamily.NB)
         s.assignments[2] = 1
@@ -299,14 +298,14 @@ class TestMStep:
 
     def test_sole_member_gets_max_posterior(self):
         rows = [[(0, 3.0)], [(1, 3.0)], [(2, 3.0)]]
-        d = dataset(rows, [0, 1, None], 3)
+        d = dataset(rows, [0, 1, -1], 3)
         p = partition(d, labeled=[0, 1], seeded=[0, 1])
         for fam in ModelFamily:
             dd = d
             if fam is not ModelFamily.NB:
                 norm = Norm.L1 if fam is ModelFamily.KMEANS else Norm.L2
                 dd = from_rows(
-                    [normalize(x, norm) for x in d.instances], d.gold_labels, 3
+                    [normalize(x, norm) for x in d.instances], d.gold_ids, 3
                 )
             s = init_from_seeds(dd, p, fam)
             s.add_class(init_new_class(dd, 2, fam), 3)
