@@ -123,8 +123,19 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    seeded = []
+    for token in args.seed_classes.split(","):
+        try:
+            seeded.append(int(token))
+        except ValueError:
+            raise ValueError(f"--seed-classes: {token!r} is not an integer class id") from None
     with _reading(args.dataset):
         d = load_dataset(args.dataset, args.format or ExperimentSpec.dataset_format)
+    class_ids = sorted(set(d.gold_ids.tolist()) - {-1})
+    unknown = [c for c in seeded if c not in class_ids]
+    if unknown:
+        raise ValueError(f"--seed-classes: no row of {args.dataset} has class {unknown[0]}; "
+                         f"its class ids are {', '.join(map(str, class_ids)) or 'none'}")
     by_id = {iid: i for i, iid in enumerate(d.instance_ids)}
     assignments, gold, seen = [], [], set()
     with _reading(args.assignments), open(args.assignments, encoding="utf-8", newline="") as fh:
@@ -145,7 +156,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             if i is not None and d.gold_ids[i] >= 0:
                 assignments.append(cluster)
                 gold.append(int(d.gold_ids[i]))
-    seeded = [int(c) for c in args.seed_classes.split(",")]
     report = evaluate_run(assignments, gold, seeded)
     payload = {
         "macro_f1_seed": report.macro_f1_seed,

@@ -28,6 +28,7 @@ from .models import (
     free_parameter_count,
     init_from_seeds,
     init_new_class,
+    logits,
     m_step,
     posterior,  # noqa: F401 - kept as a module attribute: benchmarks/ trace it by name
     posteriors,
@@ -102,15 +103,21 @@ def _e_step(
     fires: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
 ) -> tuple[int, np.ndarray]:
     """Hard E-step over `rows` in order; returns how many assignments changed
-    and the pass's grown score matrix (_pass).
+    and the pass's score matrix: base, grown by the classes the pass opened.
 
-    Without `fires` every row takes its argmax class. With it, the first row
-    it flags in a chunk opens a new class.
+    Without `fires` no class can open, so every row takes its MAP class from
+    one argmax over the logits of base[rows] (models.logits), with no
+    chunking, and base comes back as it is. With it, the rows go through
+    _pass, and the first row it flags in a chunk opens a new class.
     """
     before = state.assignments[rows]
+    if fires is None:
+        labels = logits(state, base[rows]).argmax(axis=1)
+        state.assignments[rows] = labels
+        return int(np.count_nonzero(labels != before)), base
 
     def pick(post: np.ndarray, start: int) -> tuple[np.ndarray, bool]:
-        hits = np.flatnonzero(fires(post, start)) if fires is not None else ()
+        hits = np.flatnonzero(fires(post, start))
         stop = hits[0] if len(hits) else len(post)
         return post[:stop].argmax(axis=1), len(hits) > 0
 

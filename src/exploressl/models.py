@@ -1,8 +1,8 @@
 """Pluggable cluster-model families: multinomial NB, seeded K-Means with an
 inner-product posterior, and hard-EM von Mises-Fisher on the unit sphere.
 
-All three expose the same surface: class posteriors for a batch of
-instances, computed from one sparse product of the dataset's CSR matrix with
+All three expose the same surface: class logits and posteriors for a batch
+of instances, computed from one sparse product of the dataset's CSR matrix with
 the class vectors (one instance is the batch of one), initialization from
 seeds, single-point new-class initialization, an M-step, a complete-data
 log-likelihood under hard assignments, and a free-parameter count for
@@ -154,6 +154,26 @@ def reduce_classes(op: np.ufunc, a: np.ndarray) -> np.ndarray:
     return op.reduce(a, axis=1)
 
 
+def logits(state: ModelState, scores: np.ndarray) -> np.ndarray:
+    """Each row's class logits, a new array: log prior + s (NB), log prior +
+    kappa * s (vMF), or prior * max(s, 0) (K-Means, whose posterior is this
+    row normalised rather than its softmax). scores is as posteriors()
+    takes it.
+
+    The argmax of a row is its MAP class: it equals the argmax of the row's
+    posteriors, except where rounding in the normalisation makes two
+    posteriors equal that the logits tell apart. A K-Means row whose scores
+    are all non-positive is all zero, so its argmax is class 0, as the
+    uniform fallback's is."""
+    if state.num_classes == 0:
+        raise ValueError("model has no classes")
+    if state.family is ModelFamily.KMEANS:
+        return state.priors * np.maximum(scores, 0.0)
+    if state.family is ModelFamily.NB:
+        return np.log(state.priors) + scores
+    return np.log(state.priors) + state.kappas * scores
+
+
 def posteriors(state: ModelState, scores: np.ndarray) -> np.ndarray:
     """P(C_j | x_i) over all live classes, one row per instance; each row is
     non-negative and sums to 1.
@@ -163,24 +183,17 @@ def posteriors(state: ModelState, scores: np.ndarray) -> np.ndarray:
     are all non-positive is uniform. The vMF logits leave out the per-class
     log normalizer log c_d(kappa_j) that data_log_likelihood includes, so
     the two describe different models whenever the kappas differ (ROADMAP
-    item 2). Each row's largest logit, subtracted before exp, is taken by
+    item 3). Each row's largest logit, subtracted before exp, is taken by
     reduce_classes."""
-    m = state.num_classes
-    if m == 0:
-        raise ValueError("model has no classes")
-    if state.family is ModelFamily.NB:
-        logits = np.log(state.priors) + scores
-    elif state.family is ModelFamily.KMEANS:
-        p = state.priors * np.maximum(scores, 0.0)
-        total = p.sum(axis=1, keepdims=True)
+    z = logits(state, scores)
+    if state.family is ModelFamily.KMEANS:
+        total = z.sum(axis=1, keepdims=True)
         fallback = total[:, 0] <= 0.0
-        p[fallback] = 1.0
-        total[fallback] = m
-        return p / total
-    else:
-        logits = np.log(state.priors) + state.kappas * scores
-    logits -= reduce_classes(np.maximum, logits)[:, None]
-    p = np.exp(logits)
+        z[fallback] = 1.0
+        total[fallback] = state.num_classes
+        return z / total
+    z -= reduce_classes(np.maximum, z)[:, None]
+    p = np.exp(z)
     return p / p.sum(axis=1, keepdims=True)
 
 
@@ -259,8 +272,9 @@ def class_sums(X: sp.csr_matrix, y: np.ndarray, m: int) -> np.ndarray:
     and X[rows].sum(axis=0) do. Over no entries bincount gives integers, so
     the result is cast to float."""
     V = X.shape[1]
-    row_class = np.repeat(y, np.diff(X.indptr))
-    sums = np.bincount(row_class * V + X.indices, weights=X.data, minlength=m * V)
+    idx = np.repeat(y * V, np.diff(X.indptr))  # each entry's flat (class, word) index
+    idx += X.indices
+    sums = np.bincount(idx, weights=X.data, minlength=m * V)
     return sums.astype(np.float64, copy=False).reshape(m, V)
 
 

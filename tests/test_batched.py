@@ -14,7 +14,9 @@ references) bit for bit.
 The E-step pass, however its chunks fall, must leave the same model as a
 pass that takes one row at a time, and the score matrix it grows must equal
 the product over every row and class. However classes open, a pass over n
-rows hands out at most 4n + E_STEP_CHUNK rows' posteriors.
+rows hands out at most 4n + E_STEP_CHUNK rows' posteriors. A pass that cannot
+open a class takes each row's argmax logit, which must be the argmax of its
+posteriors on K-Means rows without a positive score and on exact ties.
 
 The class-axis max and min behind posteriors and minmax_fires must equal
 numpy's row reductions on chunks of either shape reduce_classes tells apart.
@@ -54,6 +56,7 @@ from exploressl.models import (
     init_new_class,
     m_step,
     posterior,
+    posteriors,
     reduce_classes,
 )
 from reference import from_pairs, from_rows
@@ -553,3 +556,32 @@ def test_e_step_pass_matches_one_row_at_a_time(family, seed, m, V, n, rate, chun
     assert np.array_equal(batched.priors, reference.priors)
     if family is ModelFamily.VMF:
         assert np.array_equal(batched.kappas, reference.kappas)
+
+
+@pytest.mark.parametrize("family, priors, kappas, scores, want", [
+    # K-Means rows whose scores are all zero or all negative take class 0,
+    # the argmax of the uniform fallback; the prior weighs a positive score
+    (ModelFamily.KMEANS, [0.2, 0.3, 0.5], None,
+     [[0.0, 0.0, 0.0], [-1.0, -2.0, -0.5], [-1.0, 0.0, 0.0], [0.1, -1.0, 0.05]], [0, 0, 0, 2]),
+    # exactly tied logits go to the lowest class id
+    (ModelFamily.KMEANS, [0.5, 0.25, 0.25], None, [[0.1, 0.2, 0.2]], [0]),
+    (ModelFamily.NB, [0.25] * 4, None, [[-3.0, -1.0, -1.0, -2.0], [-2.0] * 4], [1, 0]),
+    # vMF weighs each score by its class's kappa
+    (ModelFamily.VMF, [0.5, 0.5], [1.0, 10.0], [[0.9, 0.2], [0.9, 0.05]], [1, 0]),
+])
+def test_e_step_without_a_criterion_takes_the_posterior_argmax(
+    family, priors, kappas, scores, want
+):
+    # base stands for X @ vectors.T; a pass that opens no class reads nothing else
+    base = np.array(scores)
+    n, m = base.shape
+    state = ModelState(family, 2, np.zeros((m, 2)), np.array(priors), list(range(m)),
+                       np.zeros(n, dtype=np.int64), None if kappas is None else np.array(kappas))
+    d = from_rows([from_pairs([(0, 1.0)])] * n, [-1] * n, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        changed, grown = _e_step(state, d, np.arange(n)[::-1], base)
+        assert np.array_equal(state.assignments, posteriors(state, base).argmax(axis=1))
+    assert state.assignments.tolist() == want
+    assert changed == np.count_nonzero(want)
+    assert grown is base

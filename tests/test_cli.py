@@ -306,6 +306,21 @@ class TestEvalCommand:
         # instances, so just sanity check the shared scale
         assert float(runs[0]["seed_f1"]) <= 1.0
 
+    @pytest.mark.parametrize("seeds, message", [
+        ("0,x", "--seed-classes: 'x' is not an integer class id"),
+        ("0,", "--seed-classes: '' is not an integer class id"),
+        ("1.5", "--seed-classes: '1.5' is not an integer class id"),
+        ("0,7", "--seed-classes: no row of {dataset} has class 7; its class ids are 0, 1, 2"),
+        ("-1", "--seed-classes: no row of {dataset} has class -1; its class ids are 0, 1, 2"),
+    ])
+    def test_eval_bad_seed_classes(self, dataset_file, tmp_path, seeds, message):
+        report = tmp_path / "report.json"
+        message = message.format(dataset=dataset_file)
+        with pytest.raises(SystemExit, match=f"^eval: {re.escape(message)}$"):
+            main(["eval", "--assignments", str(dataset_file), "--dataset", str(dataset_file),
+                  "--seed-classes", seeds, "--output", str(report)])
+        assert not report.exists()
+
 
 class TestSweepPnewCommand:
     def test_smoke(self, dataset_file, tmp_path):
