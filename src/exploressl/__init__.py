@@ -14,7 +14,6 @@ from .data import (
     Dataset,
     Norm,
     SeedPartition,
-    SparseVector,
     load_dataset,
     make_partitions,
     tfidf_weight,

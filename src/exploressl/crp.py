@@ -4,7 +4,6 @@ how close the instance's posterior sits to uniform."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -117,7 +116,6 @@ def crp_gibbs(d: Dataset, p: SeedPartition, cfg: CrpConfig) -> RunResult:
     creation. Parameters are refreshed once per epoch (block style), so an
     epoch's posteriors change only when a class opens; the last epoch's
     labels are the output."""
-    t_start = time.perf_counter()
     p.validate(d)
     unlabeled = p.unlabeled_idx
     rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, 11]))
@@ -151,5 +149,4 @@ def crp_gibbs(d: Dataset, p: SeedPartition, cfg: CrpConfig) -> RunResult:
         ll_trace=ll_trace,
         class_count_trace=class_trace,
         can_add_latched_at=None,
-        wall_time=time.perf_counter() - t_start,
     )

@@ -28,32 +28,6 @@ class DataFormatError(ValueError):
     """Raised for malformed or out-of-bounds input files."""
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    """Sorted sparse feature vector: parallel (feature id, weight) arrays.
-
-    Feature ids are strictly increasing, weights finite and nonzero.
-    """
-
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        val = np.asarray(self.values, dtype=np.float64)
-        if idx.shape != val.shape or idx.ndim != 1:
-            raise ValueError("indices and values must be parallel 1-d arrays")
-        fault = _row_fault(np.array([0, idx.size]), idx, val)
-        if fault:
-            raise ValueError(fault[1])
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-
 class Dataset:
     """Immutable collection of sparse instances with optional gold labels.
 
@@ -109,15 +83,17 @@ class Dataset:
         """The instances as one CSR matrix (n x vocab_size)."""
         return self._X
 
-    def row(self, i: int) -> SparseVector:
-        """Instance i, as a view of its row of the matrix."""
+    def row(self, i: int) -> sp.csr_matrix:
+        """Instance i, as a 1 x vocab_size CSR matrix whose data is a view of
+        the matrix's."""
         i = range(len(self))[i]
         a, b = self._X.indptr[i], self._X.indptr[i + 1]
-        return SparseVector(self._X.indices[a:b], self._X.data[a:b])
+        return sp.csr_matrix((self._X.data[a:b], self._X.indices[a:b], [0, b - a]),
+                             shape=(1, self.vocab_size))
 
     @property
-    def instances(self) -> list[SparseVector]:
-        """Every instance, in order; built on each access."""
+    def instances(self) -> list[sp.csr_matrix]:
+        """Every instance as row() gives it, in order; built on each access."""
         return [self.row(i) for i in range(len(self))]
 
 
@@ -427,6 +403,11 @@ def tfidf_weight(d: Dataset) -> Dataset:
     warning gives their count (their removal is reported so partitions stay
     consistent).
     """
+    return _tfidf_weight(d)[0]
+
+
+def _tfidf_weight(d: Dataset) -> tuple[Dataset, np.ndarray]:
+    """tfidf_weight(d), and the positions in d of the rows it keeps."""
     X = d.matrix()
     df = np.bincount(X.indices, minlength=d.vocab_size)
     idf = np.log(len(d) / np.maximum(df, 1))  # read only where df >= 1
@@ -443,7 +424,8 @@ def tfidf_weight(d: Dataset) -> Dataset:
         if empty.all():
             raise DataFormatError("no instances survive tf-idf weighting")
     weighted = Dataset(W, d.gold_ids, d.instance_ids, d.label_names)
-    return subset(weighted, np.flatnonzero(~empty)) if empty.any() else weighted
+    kept = np.flatnonzero(~empty)
+    return (subset(weighted, kept) if empty.any() else weighted), kept
 
 
 def _row_norms(X: sp.csr_matrix, norm: Norm) -> np.ndarray:

@@ -6,7 +6,6 @@ semi-supervised baseline with optional extra randomly-initialized classes.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -64,7 +63,6 @@ class RunResult:
     ll_trace: list[float] = field(default_factory=list)
     class_count_trace: list[int] = field(default_factory=list)
     can_add_latched_at: Optional[int] = None
-    wall_time: float = 0.0
 
 
 def _pass(
@@ -131,7 +129,6 @@ def _run_em(
 ) -> RunResult:
     """Hard EM from the seeded classes; a criterion, if given, may open
     classes during the E-step until the selection gate first rejects."""
-    t_start = time.perf_counter()
     p.validate(d)
     n = len(d)
     unlabeled = p.unlabeled_idx
@@ -226,7 +223,6 @@ def _run_em(
         ll_trace=ll_trace,
         class_count_trace=class_trace,
         can_add_latched_at=latched_at,
-        wall_time=time.perf_counter() - t_start,
     )
 
 

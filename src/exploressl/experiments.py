@@ -21,11 +21,11 @@ from .data import (
     Dataset,
     Norm,
     SeedPartition,
+    _tfidf_weight,
     load_dataset,
     make_partitions,
     normalize_dataset,
     subset,
-    tfidf_weight,
     write_label_map,
 )
 from .engine import (
@@ -78,7 +78,7 @@ class ExperimentSpec:
     num_seed_classes: int = 2
     seeds_fraction: float = 0.05
     num_partitions: int = 10
-    selection: str = "aicc"
+    selection: str = EngineConfig.selection.value
     p_new: Sequence[float] = (1e-4,)
     rng_seed: int = 0
     max_iterations: int = EngineConfig.max_iterations
@@ -116,10 +116,9 @@ def prepare_family_datasets(raw: Dataset) -> dict[ModelFamily, Dataset]:
 
     TF-IDF drops (all-zero reweighted instances) are applied to every
     representation, so instance indices agree across families."""
-    weighted = tfidf_weight(raw)
-    if len(weighted) != len(raw):
-        kept = set(weighted.instance_ids)
-        raw = subset(raw, [i for i, iid in enumerate(raw.instance_ids) if iid in kept])
+    weighted, kept = _tfidf_weight(raw)
+    if len(kept) != len(raw):
+        raw = subset(raw, kept)
     return {
         ModelFamily.NB: raw,
         ModelFamily.KMEANS: normalize_dataset(weighted, Norm.L1),
@@ -147,19 +146,15 @@ def _run_one(task: dict, datasets: dict[ModelFamily, Dataset]) -> dict:
     family = ModelFamily(task["family"])
     d = datasets[family]
     algorithm = task["algorithm"]
-    row = {
-        "dataset": Path(spec.dataset_path).name,
-        "algorithm": algorithm,
-        "family": family.value,
-        "criterion": task.get("criterion") or "",
-        "p_new": task.get("p_new") if task.get("p_new") is not None else "",
-        "partition": task["partition_index"],
-        "seed_f1": "",
-        "clusters": "",
-        "iterations": "",
-        "runtime_s": "",
-        "error": "",
-    }
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    row.update(
+        dataset=Path(spec.dataset_path).name,
+        algorithm=algorithm,
+        family=family.value,
+        criterion=task.get("criterion") or "",
+        p_new=task.get("p_new") if task.get("p_new") is not None else "",
+        partition=task["partition_index"],
+    )
     try:
         t0 = time.perf_counter()
         run_seed = task["run_seed"]
@@ -218,7 +213,7 @@ def _run_one(task: dict, datasets: dict[ModelFamily, Dataset]) -> dict:
             seed_f1=f"{f1:.6f}",
             clusters=result.final_state.num_classes,
             iterations=result.iterations_run,
-            runtime_s=f"{result.wall_time:.3f}",
+            runtime_s=f"{time.perf_counter() - t0:.3f}",
         )
         row["assignments"] = assignments
     except Exception as e:  # noqa: BLE001 - per-run failures become tagged rows

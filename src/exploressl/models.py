@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .data import Dataset, SeedPartition, SparseVector
+from .data import Dataset, SeedPartition
 
 KAPPA_MIN = 1e-2
 KAPPA_MAX = 1e4
@@ -197,13 +197,10 @@ def posteriors(state: ModelState, scores: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-def posterior(state: ModelState, x: SparseVector) -> np.ndarray:
-    """P(C_j | x) over all live classes for one instance: the one-row case of
-    posteriors()."""
-    row = sp.csr_matrix(
-        (x.values, x.indices, [0, x.nnz]), shape=(1, state.vocab_size)
-    )
-    return posteriors(state, row @ state.vectors.T)[0]
+def posterior(state: ModelState, x: sp.csr_matrix) -> np.ndarray:
+    """P(C_j | x) over all live classes for one instance, a 1 x vocab_size
+    CSR matrix such as Dataset.row gives: the one-row case of posteriors()."""
+    return posteriors(state, x @ state.vectors.T)[0]
 
 
 class PassScores:

@@ -1,11 +1,11 @@
 """Reference helpers for the tests.
 
-The library builds every Dataset from one CSR matrix. These helpers build
-sparse vectors one row at a time, and a dataset from such rows, so that
-tests can state small inputs by hand and check the matrix code against a
-plain per-row computation. The oracles at the end (majority labeling,
-matching weight, the Bayes classifier's accuracy) have no caller in the
-library.
+The library builds every Dataset from one CSR matrix, and a single instance
+is a 1-row CSR matrix, as Dataset.row gives it. These helpers build such rows
+by hand, and a dataset from such rows, so that tests can state small inputs
+and check the matrix code against a plain per-row computation. The oracles
+at the end (majority labeling, matching weight, the Bayes classifier's
+accuracy) have no caller in the library.
 """
 
 from __future__ import annotations
@@ -15,63 +15,60 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from exploressl.data import Dataset, Norm, SparseVector
+from exploressl.data import Dataset, Norm
 from exploressl.evaluation import ConfusionMatrix, _matching, build_confusion
 from exploressl.synth import GeneratorFamily, SyntheticSpec, multinomial_class_distributions
 
 
-def from_pairs(pairs: Iterable[tuple[int, float]]) -> SparseVector:
-    """The vector of (feature id, weight) pairs in any order; zero weights
-    are dropped."""
+def from_pairs(pairs: Iterable[tuple[int, float]], width: Optional[int] = None) -> sp.csr_matrix:
+    """The 1 x width row of (feature id, weight) pairs in any order; zero
+    weights are dropped. width defaults to one past the largest id."""
     items = sorted((int(i), float(w)) for i, w in pairs if w != 0.0)
     idx, val = zip(*items) if items else ((), ())
-    return SparseVector(np.array(idx, dtype=np.int64), np.array(val, dtype=np.float64))
+    if width is None:
+        width = idx[-1] + 1 if idx else 0
+    return sp.csr_matrix((np.array(val, dtype=np.float64), np.array(idx, dtype=np.int64),
+                          [0, len(idx)]), shape=(1, width))
 
 
-def from_dense(dense: Sequence[float]) -> SparseVector:
-    """The nonzeros of a dense vector."""
+def from_dense(dense: Sequence[float]) -> sp.csr_matrix:
+    """The nonzeros of a dense vector, as a row of its length."""
     arr = np.asarray(dense, dtype=np.float64)
-    idx = np.nonzero(arr)[0]
-    return SparseVector(idx.astype(np.int64), arr[idx])
+    return sp.csr_matrix(arr[None, :])
 
 
-def entries(x: SparseVector) -> list[tuple[int, float]]:
-    """x as a list of (feature id, weight) pairs, ids increasing."""
-    return list(zip(x.indices.tolist(), x.values.tolist()))
+def entries(x: sp.csr_matrix) -> list[tuple[int, float]]:
+    """The row x as a list of (feature id, weight) pairs, ids increasing."""
+    return list(zip(x.indices.tolist(), x.data.tolist()))
 
 
-def norm(x: SparseVector, kind: Norm) -> float:
-    """The L1 or L2 norm of x, one np.sum over its weights."""
+def norm(x: sp.csr_matrix, kind: Norm) -> float:
+    """The L1 or L2 norm of the row x, one np.sum over its weights."""
     if kind is Norm.L1:
-        return float(np.sum(np.abs(x.values)))
-    return float(np.sqrt(np.sum(x.values**2)))
+        return float(np.sum(np.abs(x.data)))
+    return float(np.sqrt(np.sum(x.data**2)))
 
 
-def to_dense(x: SparseVector, size: int) -> np.ndarray:
-    out = np.zeros(size)
-    out[x.indices] = x.values
-    return out
-
-
-def normalize(x: SparseVector, kind: Norm) -> SparseVector:
-    """x scaled to unit L1 or L2 norm, as normalize_dataset scales each row.
-    All-zero input is rejected."""
+def normalize(x: sp.csr_matrix, kind: Norm) -> sp.csr_matrix:
+    """The row x scaled to unit L1 or L2 norm, as normalize_dataset scales
+    each row. All-zero input is rejected."""
     n = norm(x, kind)
     if n == 0.0:
         raise ValueError("degenerate instance: cannot normalize all-zero vector")
-    scaled = x.values / n
+    scaled = x.data / n
     # subnormal weights can underflow to exactly zero; drop those entries
     keep = scaled != 0.0
-    return SparseVector(x.indices[keep], scaled[keep])
+    return sp.csr_matrix((scaled[keep], x.indices[keep], [0, int(keep.sum())]), shape=x.shape)
 
 
-def from_rows(rows: Sequence[SparseVector], gold_ids: Sequence[int],
+def from_rows(rows: Sequence[sp.csr_matrix], gold_ids: Sequence[int],
               vocab_size: int, instance_ids: Optional[Sequence[str]] = None,
               label_names: Optional[Sequence[str]] = None) -> Dataset:
-    """The dataset whose instance i is rows[i]."""
+    """The dataset whose instance i is the row rows[i]; a row may be
+    narrower than vocab_size."""
     indptr = np.cumsum([0] + [x.nnz for x in rows])
     indices = np.concatenate([x.indices for x in rows] + [np.zeros(0, np.int64)])
-    values = np.concatenate([x.values for x in rows] + [np.zeros(0)])
+    values = np.concatenate([x.data for x in rows] + [np.zeros(0)])
     X = sp.csr_matrix((values, indices, indptr), shape=(len(rows), max(vocab_size, 0)))
     return Dataset(X, gold_ids, instance_ids, label_names)
 

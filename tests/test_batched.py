@@ -92,7 +92,7 @@ def _instances(rng, n, V):
             idx = [V - 2, V - 1]  # outside every K-Means centroid's support
         else:
             idx = sorted(rng.choice(V, size=int(rng.integers(1, V + 1)), replace=False))
-        out.append(from_pairs((j, float(rng.integers(1, 5))) for j in idx))
+        out.append(from_pairs(((j, float(rng.integers(1, 5))) for j in idx), V))
     return out
 
 
@@ -103,7 +103,7 @@ def _reference_posterior(state, x):
     posteriors must match it bit for bit."""
     m = state.num_classes
     dots = np.zeros(m)
-    for j, v in zip(x.indices, x.values):
+    for j, v in zip(x.indices, x.data):
         dots += state.vectors[:, j] * v
     if state.family is ModelFamily.NB:
         logits = np.log(state.priors) + dots
@@ -339,8 +339,7 @@ def _float_rows(rng, n, V):
     out = []
     for _ in range(n):
         idx = sorted(rng.choice(V, size=int(rng.integers(1, V + 1)), replace=False))
-        out.append(from_pairs((j, float(v)) for j, v in
-                              zip(idx, 10.0 ** rng.uniform(-2, 3, len(idx)))))
+        out.append(from_pairs(zip(idx, 10.0 ** rng.uniform(-2, 3, len(idx))), V))
     return out
 
 

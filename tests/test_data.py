@@ -16,7 +16,6 @@ from exploressl.data import (
     Dataset,
     Norm,
     SeedPartition,
-    SparseVector,
     choose_seeded_classes,
     load_dataset,
     make_partitions,
@@ -26,43 +25,36 @@ from exploressl.data import (
     write_sparse_triplet,
 )
 from exploressl.synth import GeneratorFamily, SyntheticSpec, generate_synthetic
-from reference import entries, from_dense, from_pairs, from_rows, norm, normalize, to_dense
+from reference import entries, from_dense, from_pairs, from_rows, norm, normalize
 
 
 def make_dataset(rows, vocab=None, labels=None):
     vecs = [from_pairs(r) for r in rows]
-    vocab = vocab or (max(int(v.indices[-1]) for v in vecs if v.nnz) + 1)
+    vocab = vocab or max(v.shape[1] for v in vecs)
     labels = labels if labels is not None else [-1] * len(rows)
     return from_rows(vecs, labels, vocab)
 
 
-class TestSparseVector:
+class TestRows:
     def test_orders_and_drops_zeros(self):
         x = from_pairs([(5, 1.0), (2, 3.0), (7, 0.0)])
         assert entries(x) == [(2, 3.0), (5, 1.0)]
-
-    def test_rejects_duplicate_ids(self):
-        with pytest.raises(ValueError):
-            SparseVector(np.array([1, 1]), np.array([1.0, 2.0]))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            SparseVector(np.array([0]), np.array([np.inf]))
+        assert x.shape == (1, 6)
 
     def test_dense_roundtrip(self):
         x = from_dense([0.0, 2.0, 0.0, -1.5])
         assert entries(x) == [(1, 2.0), (3, -1.5)]
-        assert to_dense(x, 4).tolist() == [0.0, 2.0, 0.0, -1.5]
+        assert x.toarray().tolist() == [[0.0, 2.0, 0.0, -1.5]]
 
 
 class TestNormalize:
     def test_l1(self):
         x = normalize(from_dense([2.0, 2.0]), Norm.L1)
-        assert x.values.tolist() == [0.5, 0.5]
+        assert x.data.tolist() == [0.5, 0.5]
 
     def test_l2_345(self):
         x = normalize(from_dense([3.0, 4.0]), Norm.L2)
-        assert np.allclose(x.values, [0.6, 0.8])
+        assert np.allclose(x.data, [0.6, 0.8])
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -77,7 +69,7 @@ class TestNormalize:
     def test_idempotent(self, dense, kind):
         x = normalize(from_dense(dense), kind)
         y = normalize(x, kind)
-        assert np.allclose(x.values, y.values, atol=1e-12)
+        assert np.allclose(x.data, y.data, atol=1e-12)
         assert math.isclose(norm(y, kind), 1.0, abs_tol=1e-9)
 
 
@@ -455,7 +447,8 @@ class TestDatasetMatrix:
         assert X.indptr.tolist() == [0, 2, 2, 3]
         assert entries(d.row(0)) == [(0, 3.0), (2, 1.0)]
         assert entries(d.row(-1)) == [(1, 2.0)]
-        assert np.shares_memory(d.row(2).values, X.data)
+        assert d.row(2).shape == (1, 3)
+        assert np.shares_memory(d.row(2).data, X.data)
         assert [x.nnz for x in d.instances] == [2, 0, 1]
         with pytest.raises(IndexError):
             d.row(3)
@@ -471,8 +464,8 @@ def loop_tfidf_normalize(d, norm):
     idf = np.where(df > 0, np.log(len(d) / np.maximum(df, 1.0)), 0.0)
     out = []
     for x in d.instances:
-        w = x.values * idf[x.indices]
-        vec = SparseVector(x.indices[w != 0.0], w[w != 0.0])
+        w = x.data * idf[x.indices]
+        vec = from_pairs(zip(x.indices.tolist(), w.tolist()), d.vocab_size)
         if vec.nnz:
             out.append(normalize(vec, norm))
     return out
@@ -504,7 +497,7 @@ def test_tfidf_and_normalize_match_row_loop(seed, lengths, norm):
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
         assert a.indices.tolist() == b.indices.tolist()
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.data.tobytes() == b.data.tobytes()
 
 
 class TestGoldIds:

@@ -6,11 +6,13 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from exploressl import experiments
 from exploressl.cli import main
-from exploressl.data import DataFormatError
+from exploressl.data import DataFormatError, Dataset
 from exploressl.experiments import ExperimentSpec, prepare_family_datasets, run_experiment
+from exploressl.models import ModelFamily
 from exploressl.synth import GeneratorFamily, SyntheticSpec, generate_synthetic
 
 
@@ -28,7 +30,7 @@ def run_grid(dataset_file, out, workers):
     spec = ExperimentSpec(
         dataset_path=str(dataset_file), output_dir=str(out),
         families=("nb", "kmeans"), algorithms=("exploratory", "semisup", "crp-standard"),
-        criteria=("minmax", "js"), num_seed_classes=2, seeds_fraction=0.1,
+        criteria=("minmax", "js", "random"), num_seed_classes=2, seeds_fraction=0.1,
         num_partitions=2, rng_seed=11, crp_epochs=3, workers=workers,
     )
     assert run_experiment(spec) == 0
@@ -47,8 +49,8 @@ def test_parallel_grid_equals_serial(dataset_file, tmp_path):
     run_grid(dataset_file, serial, workers=1)
     run_grid(dataset_file, parallel, workers=2)
     names = sorted(f.name for f in serial.glob("assign_*.csv"))
-    # (exploratory x 2 criteria + semisup + crp-standard) x 2 families x 2 partitions
-    assert len(names) == 16
+    # (exploratory x 3 criteria + semisup + crp-standard) x 2 families x 2 partitions
+    assert len(names) == 20
     assert names == sorted(f.name for f in parallel.glob("assign_*.csv"))
     _, mismatch, errors = filecmp.cmpfiles(
         serial, parallel, names + ["summary.json", "label_map.csv"], shallow=False)
@@ -156,6 +158,19 @@ def test_assignment_files_equal_csv_writer_output(tmp_path):
     assert sorted(f.name for f in tmp_path.iterdir()) == sorted(expected)
     for name, data in expected.items():
         assert (tmp_path / name).read_bytes() == data
+
+
+def test_prepare_family_datasets_drops_the_same_rows_when_ids_repeat():
+    # word 0 is in every row, so tf-idf empties row 0 alone; its id is also
+    # row 1's, and every family must still keep rows 1 and 2 only
+    raw = Dataset(sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])),
+                  [0, 0, 1], instance_ids=["a", "a", "b"])
+    datasets = prepare_family_datasets(raw)
+    assert [len(d) for d in datasets.values()] == [2, 2, 2]
+    assert all(d.instance_ids == ["a", "b"] for d in datasets.values())
+    nb = datasets[ModelFamily.NB]
+    assert (nb.matrix() != raw.matrix()[1:]).nnz == 0
+    assert nb.gold_ids.tolist() == [0, 1]
 
 
 @pytest.mark.xfail(strict=True, raises=DataFormatError, reason=(

@@ -64,17 +64,17 @@ def kmeans_state(centroids, priors, assignments=()):
 class TestPosterior:
     def test_single_class(self):
         s = nb_state([[0.5, 0.5]], [1.0])
-        p = posterior(s, from_pairs([(0, 3.0)]))
+        p = posterior(s, from_pairs([(0, 3.0)], 2))
         assert p.tolist() == [1.0]
 
     def test_kmeans_symmetry(self):
         s = kmeans_state([[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5])
-        p = posterior(s, from_pairs([(0, 1.0)]))
+        p = posterior(s, from_pairs([(0, 1.0)], 2))
         assert np.allclose(p, [0.5, 0.5])
 
     def test_nb_hand_bayes(self):
         s = nb_state([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5])
-        p = posterior(s, from_pairs([(0, 1.0)]))
+        p = posterior(s, from_pairs([(0, 1.0)], 2))
         assert np.allclose(p, [0.9, 0.1])
 
     def test_kmeans_all_zero_similarity_uniform(self):

@@ -45,7 +45,7 @@ class TestGenerator:
         spec = SyntheticSpec(2, 10, 15, separation=2.0, doc_length=40, rng_seed=1)
         d = generate_synthetic(spec)
         for x in d.instances:
-            assert x.values.sum() == pytest.approx(40)
+            assert x.data.sum() == pytest.approx(40)
 
     def test_deterministic(self):
         spec = SyntheticSpec(3, 20, 25, separation=2.0, rng_seed=4)
@@ -53,7 +53,7 @@ class TestGenerator:
         b = generate_synthetic(spec)
         for xa, xb in zip(a.instances, b.instances):
             assert np.array_equal(xa.indices, xb.indices)
-            assert np.array_equal(xa.values, xb.values)
+            assert np.array_equal(xa.data, xb.data)
 
     def test_seed_changes_data(self):
         base = dict(num_classes=2, instances_per_class=20, vocab_size=25, separation=2.0)
@@ -62,7 +62,7 @@ class TestGenerator:
         same = all(
             len(xa.indices) == len(xb.indices)
             and np.array_equal(xa.indices, xb.indices)
-            and np.array_equal(xa.values, xb.values)
+            and np.array_equal(xa.data, xb.data)
             for xa, xb in zip(a.instances, b.instances)
         )
         assert not same
