@@ -6,7 +6,6 @@ from .criteria import (
     CriterionConfig,
     CriterionKind,
     js_criterion,
-    js_divergence,
     minmax_criterion,
 )
 from .crp import CrpConfig, PickRule, crp_gibbs, crp_pick_standard, mod_crp_pick

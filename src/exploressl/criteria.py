@@ -2,7 +2,8 @@
 
 minmax_fires and js_fires test every row of an (r, k) posterior matrix at
 once, as the E-step uses them; minmax_criterion and js_criterion validate
-one posterior vector and test it with the same code.
+one posterior vector and test it with the same code. for_pass gives an
+E-step pass the test a CriterionConfig names.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ class CriterionKind(Enum):
 class CriterionConfig:
     kind: CriterionKind
     random_rate: Optional[float] = None
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.kind is CriterionKind.RANDOM:
@@ -49,31 +49,11 @@ def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
     return p
 
 
-def _js_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise JS divergence of two broadcastable (r, k) arrays."""
-    a = 0.5 * (p + q)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kl_p = np.where(p > 0, p * (np.log(p) - np.log(a)), 0.0)
-        kl_q = np.where(q > 0, q * (np.log(q) - np.log(a)), 0.0)
-    return 0.5 * (kl_p.sum(axis=-1) + kl_q.sum(axis=-1))
-
-
-def js_divergence(p, q) -> float:
-    """Jensen-Shannon divergence in nats: mean KL of p and q to their average.
-
-    0*log(0/x) terms contribute 0; the result lies in [0, ln 2].
-    """
-    p = _check_distribution(p, "p")
-    q = _check_distribution(q, "q")
-    if p.size != q.size:
-        raise ValueError("p and q must have the same length")
-    return float(_js_rows(p, q))
-
-
 def js_from_uniform(post: np.ndarray) -> np.ndarray:
-    """Per row of an (r, k) posterior matrix: its JS divergence from uniform
-    over its k classes, bit for bit as _js_rows gives it (1/k > 0 needs no
-    zero guard)."""
+    """Per row of an (r, k) posterior matrix: its Jensen-Shannon divergence in
+    nats from uniform over its k classes, the mean KL of the row and of
+    uniform to their average. The row's 0*log(0/x) terms contribute 0, and
+    uniform's, at 1/k > 0, need no such guard; the result lies in [0, ln 2]."""
     u = 1.0 / post.shape[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         log_a = np.log(0.5 * (u + post))
@@ -107,30 +87,17 @@ def minmax_criterion(p) -> bool:
     return bool(minmax_fires(_check_distribution(p, "p")[None, :])[0])
 
 
-class Criterion:
-    """Stateful wrapper dispatching on CriterionConfig.
-
-    Only the random kind carries state: an isolated RNG seeded from the
-    config, so firing sequences are reproducible per engine run. It draws
-    one number per instance visited, in visiting order.
-    """
-
-    def __init__(self, cfg: CriterionConfig):
-        self.cfg = cfg
-        self._rng = (
-            np.random.default_rng(cfg.rng_seed)
-            if cfg.kind is CriterionKind.RANDOM
-            else None
-        )
-
-    def for_pass(self, n: int) -> Callable[[np.ndarray, int], np.ndarray]:
-        """Firing test for one E-step pass over n instances: fires(post,
-        start) flags the rows of post, which hold the posteriors of pass
-        positions start onward. The random kind draws its n numbers here, so
-        the stream does not depend on how the pass is split."""
-        if self.cfg.kind is CriterionKind.MINMAX:
-            return lambda post, start: minmax_fires(post)
-        if self.cfg.kind is CriterionKind.JS:
-            return lambda post, start: js_fires(post)
-        hits = self._rng.random(n) < self.cfg.random_rate
-        return lambda post, start: hits[start : start + len(post)]
+def for_pass(
+    cfg: CriterionConfig, n: int, rng: np.random.Generator
+) -> Callable[[np.ndarray, int], np.ndarray]:
+    """Firing test for one E-step pass over n instances: fires(post, start)
+    flags the rows of post, which hold the posteriors of pass positions start
+    onward. The random kind draws its n numbers from rng here, one per
+    instance in visiting order, so the stream does not depend on how the pass
+    is split."""
+    if cfg.kind is CriterionKind.MINMAX:
+        return lambda post, start: minmax_fires(post)
+    if cfg.kind is CriterionKind.JS:
+        return lambda post, start: js_fires(post)
+    hits = rng.random(n) < cfg.random_rate
+    return lambda post, start: hits[start : start + len(post)]

@@ -77,7 +77,7 @@ def mod_crp_pick(
 
 # how far a row's sum may stray from 1, as the per-row pick checked it:
 # rng.choice's tolerance under the standard rule, and _check_distribution's
-# (through js_divergence) under the modified rule
+# under the modified rule
 SUM_TOLERANCE = {PickRule.STANDARD: float(np.sqrt(np.finfo(np.float64).eps)),
                  PickRule.MODIFIED: 1e-9}
 

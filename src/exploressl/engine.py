@@ -11,13 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .criteria import (
-    Criterion,
-    CriterionConfig,
-    CriterionKind,
-    js_fires,
-    minmax_fires,
-)
+from .criteria import CriterionConfig, CriterionKind, for_pass, js_fires, minmax_fires
 from .data import Dataset, SeedPartition
 from .models import (
     ModelFamily,
@@ -125,10 +119,11 @@ def _e_step(
 
 
 def _run_em(
-    d: Dataset, p: SeedPartition, cfg: EngineConfig, criterion: Optional[Criterion]
+    d: Dataset, p: SeedPartition, cfg: EngineConfig, criterion: Optional[CriterionConfig]
 ) -> RunResult:
     """Hard EM from the seeded classes; a criterion, if given, may open
-    classes during the E-step until the selection gate first rejects."""
+    classes during the E-step until the selection gate first rejects. The
+    random criterion's coins come from one stream seeded by cfg.rng_seed."""
     p.validate(d)
     n = len(d)
     unlabeled = p.unlabeled_idx
@@ -166,6 +161,7 @@ def _run_em(
     ll_trace: list[float] = []
     class_trace: list[int] = []
     aic_fallback_logged = False
+    coins = np.random.default_rng(cfg.rng_seed)
 
     iterations = 0
     for t in range(1, cfg.max_iterations + 1):
@@ -176,7 +172,7 @@ def _run_em(
         baseline_ll = ll
 
         creating = criterion is not None and latched_at is None
-        fires = criterion.for_pass(len(unlabeled)) if creating else None
+        fires = for_pass(criterion, len(unlabeled), coins) if creating else None
         changed, grown = _e_step(state, d, unlabeled, scores, fires)
 
         m_new = state.num_classes
@@ -186,7 +182,8 @@ def _run_em(
 
         explore, baseline = score_with_fallback(
             (explore_ll, free_parameter_count(state)), (baseline_ll, v_old), n, cfg.selection)
-        if explore.criterion is not cfg.selection and not aic_fallback_logged:
+        # only a pass that could open a class makes a gate decision
+        if creating and explore.criterion is not cfg.selection and not aic_fallback_logged:
             log.warning("AICc undefined (n=%d <= v+1=%d); the selection gate uses AIC",
                         n, max(explore.v, baseline.v) + 1)
             aic_fallback_logged = True
@@ -232,10 +229,9 @@ def exploratory_em(d: Dataset, p: SeedPartition, cfg: EngineConfig) -> RunResult
     pre-E-step one and permanently disables creation on first rejection."""
     if cfg.extra_classes != 0:
         raise ValueError("exploratory mode requires extra_classes = 0")
-    crit_cfg = cfg.criterion
-    if crit_cfg is None:
+    if cfg.criterion is None:
         raise ValueError("exploratory mode requires a class-creation criterion")
-    return _run_em(d, p, cfg, Criterion(crit_cfg))
+    return _run_em(d, p, cfg, cfg.criterion)
 
 
 def semisup_em(d: Dataset, p: SeedPartition, cfg: EngineConfig) -> RunResult:

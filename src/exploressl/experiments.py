@@ -167,24 +167,21 @@ def _run_one(task: dict, datasets: dict[ModelFamily, Dataset]) -> dict:
         )
         if algorithm == "exploratory":
             kind = CriterionKind(task["criterion"])
-            if kind is CriterionKind.RANDOM:
-                rate = calibrate_random_rate(
-                    d, p, family, CriterionKind(spec.random_reference)
-                )
-                crit = CriterionConfig(kind, random_rate=rate, rng_seed=run_seed)
-            else:
-                crit = CriterionConfig(kind, rng_seed=run_seed)
-            result = exploratory_em(d, p, replace(cfg, criterion=crit))
+            rate = (calibrate_random_rate(d, p, family, CriterionKind(spec.random_reference))
+                    if kind is CriterionKind.RANDOM else None)
+            result = exploratory_em(d, p, replace(cfg, criterion=CriterionConfig(kind, rate)))
         elif algorithm == "semisup":
             result = semisup_em(d, p, cfg)
         elif algorithm == "semisup-sweep":
             best_m, best_f1, per_m = best_extra_classes_sweep(
                 d, p, cfg, list(spec.sweep_m_values), spec.include_seeds_in_eval
             )
+            # the run of the best m, as its row of the sweep table reports it
+            best = next(r for r in per_m if r["extra_classes"] == best_m)
             row.update(
                 seed_f1=f"{best_f1:.6f}",
-                clusters=len(p.seeded_class_ids) + best_m,
-                iterations=len(per_m),
+                clusters=best["clusters"],
+                iterations=best["iterations"],
                 runtime_s=f"{time.perf_counter() - t0:.3f}",
             )
             row["sweep_table"] = per_m

@@ -32,9 +32,9 @@ from hypothesis import given, settings, strategies as st
 
 from exploressl import models
 from exploressl.criteria import (
-    Criterion,
     CriterionConfig,
     CriterionKind,
+    for_pass,
     js_criterion,
     js_fires,
     minmax_criterion,
@@ -301,10 +301,10 @@ def test_overflowing_ratio_never_fires_minmax():
 
 
 def test_random_pass_draws_match_one_draw_per_instance():
-    cfg = CriterionConfig(CriterionKind.RANDOM, random_rate=0.3, rng_seed=9)
-    one_by_one = Criterion(cfg)
-    per_instance = [one_by_one.for_pass(1)(np.full((1, 2), 0.5), 0)[0] for _ in range(40)]
-    fires = Criterion(cfg).for_pass(40)
+    cfg = CriterionConfig(CriterionKind.RANDOM, random_rate=0.3)
+    one_by_one = np.random.default_rng(9)
+    per_instance = [for_pass(cfg, 1, one_by_one)(np.full((1, 2), 0.5), 0)[0] for _ in range(40)]
+    fires = for_pass(cfg, 40, np.random.default_rng(9))
     post = np.full((40, 2), 0.5)
     # however the pass is split, row q gets the q-th draw
     assert list(fires(post, 0)) == per_instance

@@ -11,7 +11,7 @@ from exploressl.crp import (
     mod_new_class_probabilities,
     pick_chunk,
 )
-from exploressl.criteria import js_divergence
+from exploressl.criteria import js_from_uniform
 from exploressl.data import make_partitions
 from exploressl.models import ModelFamily, PassScores
 from exploressl.synth import SyntheticSpec, generate_synthetic
@@ -100,12 +100,12 @@ def _posterior_with_js(k, target):
     lo, hi = 0.0, 1.0 - 1e-9
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if js_divergence(u, tilt(mid)) < target:
+        if js_from_uniform(tilt(mid)[None])[0] < target:
             lo = mid
         else:
             hi = mid
     p = tilt(0.5 * (lo + hi))
-    assert js_divergence(u, p) == pytest.approx(target, rel=1e-4)
+    assert js_from_uniform(p[None])[0] == pytest.approx(target, rel=1e-4)
     return p
 
 

@@ -136,6 +136,20 @@ class TestExploratoryEm:
             exploratory_em(d, p, minmax_cfg())
         assert not [rec for rec in caplog.records if rec.levelno >= logging.WARNING]
 
+    def test_aicc_fallback_warns_only_where_a_class_can_open(self, caplog):
+        # n=480 <= v+1 at V=300 in every iteration; only exploratory's gate
+        # decides anything, so semisup logs no fallback
+        d = generate_synthetic(SyntheticSpec(6, 80, 300, separation=3.0, rng_seed=4))
+        p = make_partitions(d, 3, 0.1, 1, 4)[0]
+        for run, cfg, expected in ((semisup_em, EngineConfig(ModelFamily.NB), 0),
+                                   (exploratory_em, minmax_cfg(), 1)):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                run(d, p, cfg)
+            assert ["uses AIC" in rec.getMessage() for rec in caplog.records
+                    if rec.levelno >= logging.WARNING] == [True] * expected
+
+
 class TestStoppingRule:
     # In both runs the JS gate opens classes in iteration 1, falls back to AIC
     # because v + 1 > n, and rejects them; from iteration 2 AICc is defined.

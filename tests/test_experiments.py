@@ -2,6 +2,7 @@ import csv
 import filecmp
 import gc
 import io
+import json
 import weakref
 
 import numpy as np
@@ -90,6 +91,27 @@ def test_sweep_of_m_0_scores_as_semisup(dataset_file, tmp_path, include_seeds):
         f1.setdefault(r["algorithm"], []).append((r["family"], r["partition"], r["seed_f1"]))
     assert len(f1["semisup"]) == 6
     assert f1["semisup-sweep"] == f1["semisup"]
+
+
+def test_sweep_row_reports_the_best_m_run(dataset_file, tmp_path):
+    # runs.csv's sweep row holds the seed F1, cluster count and iterations of
+    # the best m's run, as its row of sweep_*.json reports them
+    spec = ExperimentSpec(
+        dataset_path=str(dataset_file), output_dir=str(tmp_path), families=("nb", "kmeans"),
+        algorithms=("semisup-sweep",), num_partitions=2, seeds_fraction=0.1,
+        sweep_m_values=(0, 1, 2),
+    )
+    assert run_experiment(spec) == 0
+    rows = runs_without_runtime(tmp_path)
+    assert len(rows) == 4
+    for r in rows:
+        with open(tmp_path / f"sweep_semisup-sweep_{r['family']}_part{r['partition']}.json",
+                  encoding="utf-8") as fh:
+            table = json.load(fh)
+        assert [t["extra_classes"] for t in table] == [0, 1, 2]
+        best = max(table, key=lambda t: (t["seed_macro_f1"], -t["extra_classes"]))
+        assert (r["seed_f1"], r["clusters"], r["iterations"]) == (
+            f"{best['seed_macro_f1']:.6f}", str(best["clusters"]), str(best["iterations"]))
 
 
 def test_tasks_carry_no_dataset():

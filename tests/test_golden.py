@@ -112,11 +112,11 @@ def corpora():
 
 def _run(d, p, family, algorithm):
     if algorithm in ("minmax", "js"):
-        crit = CriterionConfig(CriterionKind(algorithm), rng_seed=RUN_SEED)
+        crit = CriterionConfig(CriterionKind(algorithm))
         return exploratory_em(d, p, EngineConfig(family, crit, rng_seed=RUN_SEED))
     if algorithm == "random":
         rate = calibrate_random_rate(d, p, family)
-        crit = CriterionConfig(CriterionKind.RANDOM, random_rate=rate, rng_seed=RUN_SEED)
+        crit = CriterionConfig(CriterionKind.RANDOM, random_rate=rate)
         return exploratory_em(d, p, EngineConfig(family, crit, rng_seed=RUN_SEED))
     if algorithm == "semisup":
         return semisup_em(d, p, EngineConfig(family, extra_classes=2, rng_seed=RUN_SEED))
