@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
 import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,8 +34,10 @@ class Dataset:
 
     The instances are the rows of one canonical CSR matrix (n x vocab_size):
     int64 feature ids strictly increasing within each row, float64 weights
-    finite and nonzero, checked once here. ``gold_ids`` is a read-only int64
-    array: row i's dense class id, or -1 where it has no label.
+    finite and nonzero, checked once here. The matrix keeps read-only views of
+    the arrays it is given, so datasets can share them and none can change
+    them in place. ``gold_ids`` is a read-only int64 array: row i's dense
+    class id, or -1 where it has no label.
     ``label_names`` maps class id back to the original label string.
     """
 
@@ -65,6 +68,10 @@ class Dataset:
         fault = _row_fault(X.indptr, X.indices, X.data, vocab_size)
         if fault:
             raise DataFormatError(f"instance {fault[0]}: {fault[1]}")
+        for name in ("data", "indices", "indptr"):
+            view = getattr(X, name).view()  # the caller's own array stays writable
+            view.setflags(write=False)
+            setattr(X, name, view)
         self._X = X
         self.gold_ids = gold.astype(np.int64)  # a copy the caller cannot write
         self.gold_ids.setflags(write=False)
@@ -95,6 +102,26 @@ class Dataset:
     def instances(self) -> list[sp.csr_matrix]:
         """Every instance as row() gives it, in order; built on each access."""
         return [self.row(i) for i in range(len(self))]
+
+
+def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+         shape: tuple[int, int]) -> sp.csr_matrix:
+    """A CSR matrix that holds the given arrays themselves. scipy's
+    constructor copies int64 ids that fit in int32 into an int32 array, which
+    Dataset would copy back."""
+    X = sp.csr_matrix(shape, dtype=np.float64)
+    X.data, X.indices, X.indptr = data, indices, indptr
+    return X
+
+
+def _without_zeros(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
+    """CSR arrays with every exactly-zero weight dropped: the same arrays when
+    no weight is zero, else new ones."""
+    zero = data == 0.0
+    if not zero.any():
+        return data, indices, indptr
+    before = np.concatenate(([0], np.cumsum(zero)))  # zeros before each position
+    return data[~zero], indices[~zero], indptr - before[indptr]
 
 
 def _row_fault(indptr, indices, values, width=np.inf) -> Optional[tuple[int, str]]:
@@ -178,39 +205,53 @@ def load_dataset(
 
 
 def _load_sparse_triplet(path: Path) -> Dataset:
+    # an entry holds one ':', so the file's colons bound its entries
+    with open(path, "rb") as fh:
+        size = sum(chunk.count(b":") for chunk in iter(lambda: fh.read(1 << 20), b""))
+    fids, counts = np.empty(size, dtype=np.int64), np.empty(size)
+    labels: list[str] = []
+    lengths: list[np.ndarray] = []
+    declared: Optional[int] = None
+    filled = 0
+    # the file is read a block of lines at a time, each block's integer-count
+    # entries in one scan and any others by the exact parser, which bounds the
+    # text alive at once; on any fault, reading the whole file again one entry
+    # at a time names the first bad line, so errors come in file order
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")  # the lines iterating fh gives
-    # integer-count entries are read in one scan, and any others a block of
-    # lines at a time, which bounds the strings alive at once; on any fault,
-    # reading the lines one entry at a time names the first bad line, so
-    # errors come in file order
-    try:
-        raw_labels, entries, declared = _read_lines(lines)
-        if not raw_labels:
-            raise DataFormatError("no instances")
-        parsed = _scan_int_entries(entries)
-        if parsed is None:
-            blocks = range(0, len(entries), LINES_PER_PARSE)
-            parsed = [_parse_entries(entries[i : i + LINES_PER_PARSE]) for i in blocks]
-            parsed = [np.concatenate(column) for column in zip(*parsed)]
-        fids, counts, lengths = parsed
-        if np.any(fids < 0):
-            raise ValueError("negative feature id")
-        keep = counts != 0.0
-        max_fid = int(fids[keep].max()) if keep.any() else -1
-        vocab = declared if declared is not None else max_fid + 1
-        if max_fid >= vocab:
-            raise DataFormatError(f"feature id {max_fid} >= declared vocab size {vocab}")
-        if vocab == 0:
-            raise DataFormatError("vocabulary size is 0: no entry has a nonzero count")
-        rows = np.repeat(np.arange(len(raw_labels)), lengths)[keep]
-        indptr = np.cumsum(np.bincount(rows + 1, minlength=len(raw_labels) + 1))
-        X = sp.csr_matrix((counts[keep], fids[keep], indptr), shape=(len(raw_labels), vocab))
-        X.sort_indices()
-        return _finish(X, raw_labels)
-    except (ValueError, OverflowError) as e:
-        error = e
-    _read_lines(lines, check=True)
+        try:
+            while block := list(itertools.islice(fh, LINES_PER_PARSE)):
+                block_labels, entries, block_declared = _read_lines(block)
+                if block_declared is not None:
+                    declared = block_declared
+                parsed = _scan_int_entries(entries)
+                if parsed is None:
+                    parsed = _parse_entries(entries)
+                block_fids, block_counts, block_lengths = parsed
+                fids[filled : filled + len(block_fids)] = block_fids
+                counts[filled : filled + len(block_fids)] = block_counts
+                filled += len(block_fids)
+                labels += block_labels
+                lengths.append(block_lengths)
+            if not labels:
+                raise DataFormatError("no instances")
+            fids, counts = fids[:filled], counts[:filled]
+            if filled and fids.min() < 0:
+                raise ValueError("negative feature id")
+            indptr = np.concatenate(([0], np.cumsum(np.concatenate(lengths))))
+            counts, fids, indptr = _without_zeros(counts, fids, indptr)
+            max_fid = int(fids.max()) if len(fids) else -1
+            vocab = declared if declared is not None else max_fid + 1
+            if max_fid >= vocab:
+                raise DataFormatError(f"feature id {max_fid} >= declared vocab size {vocab}")
+            if vocab == 0:
+                raise DataFormatError("vocabulary size is 0: no entry has a nonzero count")
+            X = _csr(counts, fids, indptr, (len(labels), vocab))
+            X.sort_indices()
+            return _finish(X, labels)
+        except (ValueError, OverflowError) as e:
+            error = e
+        fh.seek(0)
+        _read_lines(fh, check=True)
     raise error
 
 
@@ -275,10 +316,11 @@ def _scan_int_entries(
     return values[0::2], values[1::2].astype(np.float64), lengths
 
 
-def _read_lines(lines: Sequence[str], check: bool = False):
+def _read_lines(lines: Iterable[str], check: bool = False):
     """The labels, the text after each label and the declared vocabulary size
-    of a sparse-triplet file. With check, every entry is also read on its
-    own, and the first bad line raises DataFormatError."""
+    of sparse-triplet lines, with or without their line ends. With check,
+    every entry is also read on its own, and the first bad line raises
+    DataFormatError."""
     labels: list[str] = []
     entries: list[str] = []
     declared: Optional[int] = None
@@ -293,7 +335,7 @@ def _read_lines(lines: Sequence[str], check: bool = False):
                 raise DataFormatError(f"line {lineno}: malformed vocab header") from None
             continue
         labels.append(parts[0])
-        entries.append(parts[1] if len(parts) > 1 else "")
+        entries.append(parts[1].rstrip("\n") if len(parts) > 1 else "")
         if not check:
             continue
         pairs = []
@@ -317,8 +359,9 @@ def _read_lines(lines: Sequence[str], check: bool = False):
 
 
 def _load_dense_csv(path: Path) -> Dataset:
-    rows: list[list[float]] = []
     raw_labels: list[str] = []
+    indices: list[np.ndarray] = []
+    values: list[np.ndarray] = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -333,16 +376,19 @@ def _load_dense_csv(path: Path) -> Dataset:
             if len(row) != vocab + 1:
                 raise DataFormatError(f"line {lineno}: expected {vocab + 1} columns")
             try:
-                values = [float(v) for v in row[1:]]
-                if not all(map(math.isfinite, values)):
+                dense = np.fromiter(map(float, row[1:]), np.float64, count=vocab)
+                if not np.isfinite(dense).all():
                     raise ValueError("non-finite value")
             except ValueError:
-                raise DataFormatError(f"line {lineno}: non-numeric value")
+                raise DataFormatError(f"line {lineno}: non-numeric value") from None
             raw_labels.append(row[0])
-            rows.append(values)
-    if not rows:
+            indices.append(np.flatnonzero(dense))  # only each row's nonzeros outlive it
+            values.append(dense[indices[-1]])
+    if not raw_labels:
         raise DataFormatError("no instances")
-    return _finish(sp.csr_matrix(np.array(rows)), raw_labels)
+    indptr = np.cumsum([0] + [len(a) for a in indices])
+    X = _csr(np.concatenate(values), np.concatenate(indices), indptr, (len(raw_labels), vocab))
+    return _finish(X, raw_labels)
 
 
 _MISSING_LABEL = ""
@@ -411,9 +457,9 @@ def _tfidf_weight(d: Dataset) -> tuple[Dataset, np.ndarray]:
     X = d.matrix()
     df = np.bincount(X.indices, minlength=d.vocab_size)
     idf = np.log(len(d) / np.maximum(df, 1))  # read only where df >= 1
-    # copies, as eliminate_zeros compacts the arrays in place
-    W = sp.csr_matrix((X.data * idf[X.indices], X.indices, X.indptr), shape=X.shape, copy=True)
-    W.eliminate_zeros()
+    weights = idf[X.indices]
+    weights *= X.data
+    W = _csr(*_without_zeros(weights, X.indices, X.indptr), X.shape)  # d's ids if none drop
     empty = np.diff(W.indptr) == 0
     if empty.any():
         dropped = [d.instance_ids[i] for i in np.flatnonzero(empty)]
@@ -449,9 +495,10 @@ def normalize_dataset(d: Dataset, norm: Norm) -> Dataset:
     norms = _row_norms(X, norm)
     if not norms.all():
         raise ValueError("degenerate instance: cannot normalize all-zero vector")
-    scaled = X.data / np.repeat(norms, np.diff(X.indptr))
-    Y = sp.csr_matrix((scaled, X.indices, X.indptr), shape=X.shape, copy=True)
-    Y.eliminate_zeros()  # subnormal weights can underflow to exactly zero
+    scaled = np.repeat(norms, np.diff(X.indptr))
+    np.divide(X.data, scaled, out=scaled)
+    # d's ids, unless a subnormal weight underflows to exactly zero
+    Y = _csr(*_without_zeros(scaled, X.indices, X.indptr), X.shape)
     return Dataset(Y, d.gold_ids, d.instance_ids, d.label_names)
 
 

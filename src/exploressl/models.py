@@ -26,6 +26,7 @@ KAPPA_NEW = 1.0  # the concentration of a class opened from one instance
 KMEANS_LL_EPS = 1e-12  # floor inside log() for the K-Means likelihood surrogate
 E_STEP_CHUNK = 512  # the most pass positions whose posteriors are computed together
 CLASS_MAJOR_MAX_CLASSES = 32  # beyond this many classes numpy's row loop is faster
+CLASS_SUM_ENTRIES = 1 << 15  # about the entries class_sums adds in one np.add.at
 
 
 class ModelFamily(Enum):
@@ -264,15 +265,21 @@ class PassScores:
 def class_sums(X: sp.csr_matrix, y: np.ndarray, m: int) -> np.ndarray:
     """(m, V) sums of the rows of X per class label y[row], all y in [0, m).
 
-    bincount adds the weights in entry order, so each (class, word) sum adds
+    np.add.at adds the weights in entry order, so each (class, word) sum adds
     its rows in row order, as the product of a class-indicator matrix with X
-    and X[rows].sum(axis=0) do. Over no entries bincount gives integers, so
-    the result is cast to float."""
+    and X[rows].sum(axis=0) do. It reads X's read-only weights in place, and
+    the flat (class, word) indices are formed a block of rows at a time, so
+    that no temporary grows with the number of entries."""
     V = X.shape[1]
-    idx = np.repeat(y * V, np.diff(X.indptr))  # each entry's flat (class, word) index
-    idx += X.indices
-    sums = np.bincount(idx, weights=X.data, minlength=m * V)
-    return sums.astype(np.float64, copy=False).reshape(m, V)
+    sums = np.zeros(m * V)
+    block = max(1, CLASS_SUM_ENTRIES * len(y) // max(X.nnz, 1))  # rows of that many entries
+    for a in range(0, len(y), block):
+        b = min(a + block, len(y))
+        lo, hi = X.indptr[a], X.indptr[b]
+        idx = np.repeat(y[a:b] * V, np.diff(X.indptr[a : b + 1]))
+        idx += X.indices[lo:hi]
+        np.add.at(sums, idx, X.data[lo:hi])
+    return sums.reshape(m, V)
 
 
 def fit_classes(

@@ -3,7 +3,8 @@
 The library builds every Dataset from one CSR matrix, and a single instance
 is a 1-row CSR matrix, as Dataset.row gives it. These helpers build such rows
 by hand, and a dataset from such rows, so that tests can state small inputs
-and check the matrix code against a plain per-row computation. The oracles
+and check the matrix code against a plain per-row computation;
+read_sparse_triplet reads a file that way for the loader's tests. The oracles
 at the end (majority labeling, matching weight, the Bayes classifier's
 accuracy) have no caller in the library.
 """
@@ -71,6 +72,36 @@ def from_rows(rows: Sequence[sp.csr_matrix], gold_ids: Sequence[int],
     values = np.concatenate([x.data for x in rows] + [np.zeros(0)])
     X = sp.csr_matrix((values, indices, indptr), shape=(len(rows), max(vocab_size, 0)))
     return Dataset(X, gold_ids, instance_ids, label_names)
+
+
+def read_sparse_triplet(path) -> dict:
+    """A well-formed sparse-triplet file read one line at a time, with no
+    blocks and no scan: the CSR arrays (int64 ids and row pointers, float64
+    weights; zero counts dropped, each row's ids sorted), the vocabulary size
+    and the labels as load_dataset numbers them."""
+    labels, rows, vocab = [], [], None
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            words = line.split()
+            if not words:
+                continue
+            if words[0].startswith("%%vocab"):
+                vocab = int(words[1])
+                continue
+            labels.append(words[0])
+            pairs = sorted((int(f), float(c)) for f, c in (w.split(":") for w in words[1:]))
+            rows.append([(f, c) for f, c in pairs if c != 0.0])
+    names = sorted(set(labels))
+    ids = [f for row in rows for f, _ in row]
+    return {
+        "data": np.array([c for row in rows for _, c in row], dtype=np.float64),
+        "indices": np.array(ids, dtype=np.int64),
+        "indptr": np.cumsum([0] + [len(row) for row in rows], dtype=np.int64),
+        "vocab_size": vocab if vocab is not None else max(ids) + 1,
+        "gold_ids": [names.index(label) for label in labels],
+        "instance_ids": [str(i) for i in range(len(rows))],
+        "label_names": names,
+    }
 
 
 def majority_label_clusters(

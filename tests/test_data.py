@@ -3,6 +3,7 @@ import logging
 import math
 import pickle
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,8 +25,17 @@ from exploressl.data import (
     tfidf_weight,
     write_sparse_triplet,
 )
+from exploressl.experiments import prepare_family_datasets
 from exploressl.synth import GeneratorFamily, SyntheticSpec, generate_synthetic
-from reference import entries, from_dense, from_pairs, from_rows, norm, normalize
+from reference import (
+    entries,
+    from_dense,
+    from_pairs,
+    from_rows,
+    norm,
+    normalize,
+    read_sparse_triplet,
+)
 
 
 def make_dataset(rows, vocab=None, labels=None):
@@ -416,6 +426,144 @@ class TestIntegerScan:
         assert entries(load_dataset(f).instances[0]) == [(1, 2.0), (3, 4.0)]
 
 
+BLOCK = data_module.LINES_PER_PARSE
+
+
+def int_lines(rng, n, vocab=60):
+    """n entry lines with integer counts, some of them zero."""
+    return [
+        f"c{rng.integers(4)} " + " ".join(
+            f"{j}:{rng.integers(0, 4)}" for j in rng.choice(vocab, rng.integers(1, 8), replace=False))
+        for _ in range(n)
+    ]
+
+
+def float_lines(rng, n, vocab=60):
+    """n entry lines with float counts, ids in any order."""
+    return [
+        f"c{rng.integers(4)} " + " ".join(
+            f"{j}:{rng.lognormal()!r}" for j in rng.choice(vocab, rng.integers(1, 8), replace=False))
+        for _ in range(n)
+    ]
+
+
+def with_label_only_and_blank(lines, first):
+    """lines with a label-only line and a blank line around the end of the
+    first block, the label-only one first when first is "label"."""
+    pair = ["c9", ""] if first == "label" else ["", "c9"]
+    return lines[: BLOCK - 1] + pair + lines[BLOCK - 1 :]
+
+
+# (name, the file's lines as a function of a generator, line end)
+BLOCK_FILES = [
+    ("header-last", lambda rng: int_lines(rng, 2 * BLOCK + 10) + ["%%vocab 70"], "\n"),
+    ("label-only-then-blank-at-a-boundary",
+     lambda rng: with_label_only_and_blank(int_lines(rng, BLOCK + 20), "label"), "\n"),
+    ("blank-then-label-only-at-a-boundary",
+     lambda rng: with_label_only_and_blank(float_lines(rng, BLOCK + 20), "blank"), "\n"),
+    ("int-block-then-float-block",
+     lambda rng: int_lines(rng, BLOCK) + float_lines(rng, BLOCK), "\n"),
+    ("crlf", lambda rng: ["%%vocab 64"] + int_lines(rng, BLOCK) + float_lines(rng, 30), "\r\n"),
+    ("one-line-past-a-block", lambda rng: ["%%vocab 60"] + int_lines(rng, BLOCK), "\n"),
+]
+
+
+class TestBlockLoader:
+    """The loader reads LINES_PER_PARSE lines at a time; it must give what
+    reading the file one line at a time gives."""
+
+    @pytest.mark.parametrize("make,eol", [(m, e) for _, m, e in BLOCK_FILES],
+                             ids=[name for name, _, _ in BLOCK_FILES])
+    def test_equals_the_line_by_line_reference(self, tmp_path, make, eol):
+        f = tmp_path / "d.txt"
+        f.write_bytes(eol.join(make(np.random.default_rng(3))).encode() + eol.encode())
+        d, want = load_dataset(f), read_sparse_triplet(f)
+        X = d.matrix()
+        for name in ("data", "indices", "indptr"):
+            got = getattr(X, name)
+            assert got.dtype == want[name].dtype and got.tobytes() == want[name].tobytes()
+        assert X.shape == (len(want["gold_ids"]), want["vocab_size"])
+        assert d.gold_ids.tolist() == want["gold_ids"]
+        assert d.instance_ids == want["instance_ids"]
+        assert d.label_names == want["label_names"]
+
+    def test_an_int_block_takes_the_scan_and_a_float_block_the_parser(self, tmp_path,
+                                                                      monkeypatch):
+        parsed = []
+        parse = data_module._parse_entries
+        monkeypatch.setattr(data_module, "_parse_entries",
+                            lambda entries: parsed.append(len(entries)) or parse(entries))
+        rng = np.random.default_rng(4)
+        f = tmp_path / "d.txt"
+        f.write_text("\n".join(int_lines(rng, BLOCK) + float_lines(rng, BLOCK + 1)) + "\n")
+        assert len(load_dataset(f)) == 2 * BLOCK + 1
+        assert parsed == [BLOCK, 1]
+
+    def test_names_the_first_bad_line_across_blocks(self, tmp_path):
+        lines = int_lines(np.random.default_rng(5), 3 * BLOCK)
+        lines[1] = "c0 1:1 1:2"  # block 1: a repeated feature id
+        lines[2 * BLOCK + 5] = "c0 3:x"  # block 3: a malformed entry
+        f = tmp_path / "d.txt"
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as e:
+            load_dataset(f)
+        assert str(e.value) == "line 2: " + INCREASING
+
+
+def traced_peak(call):
+    """(the result of call(), the peak bytes tracemalloc saw during it)."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        """A multinomial corpus of 1200 lines, about five blocks."""
+        f = tmp_path_factory.mktemp("corpus") / "d.txt"
+        write_sparse_triplet(generate_synthetic(SyntheticSpec(20, 60, 3000, 10.0, rng_seed=7)), f)
+        return f
+
+    @staticmethod
+    def array_bytes(d):
+        return d.matrix().data.nbytes + d.matrix().indices.nbytes
+
+    # reading the whole text at once peaked at 5.6 times the bytes of the
+    # weights and ids, and preparing with copied ids at 4.2; with blocks and
+    # shared ids the peaks are 2.5 and 2.3
+    def test_load_peak(self, corpus):
+        d, peak = traced_peak(lambda: load_dataset(corpus))
+        assert peak < 3.5 * self.array_bytes(d)
+
+    def test_prepare_peak(self, corpus):
+        raw = load_dataset(corpus)
+        _, peak = traced_peak(lambda: prepare_family_datasets(raw))
+        assert peak < 3.2 * self.array_bytes(raw)
+
+    def test_dense_csv_keeps_one_dense_row(self, tmp_path):
+        rng = np.random.default_rng(0)
+        dense = np.where(rng.random((200, 500)) < 0.05, rng.normal(size=(200, 500)), 0.0)
+        dense[0, :3] = [-0.0, 5e-324, -2.5]
+        f = tmp_path / "d.csv"
+        with open(f, "w") as fh:
+            fh.write("label," + ",".join(f"f{j}" for j in range(500)) + "\n")
+            for i, row in enumerate(dense.tolist()):
+                fh.write(f"c{i % 3}," + ",".join(map(repr, row)) + "\n")
+        d, peak = traced_peak(lambda: load_dataset(f, format="dense-csv"))
+        # below the dense matrix; holding every row as Python floats peaks at 4.3 MB
+        assert peak < dense.nbytes
+        want = sp.csr_matrix(dense)
+        X = d.matrix()
+        assert X.indptr.tolist() == want.indptr.tolist()
+        assert X.indices.tolist() == want.indices.tolist()
+        assert X.data.tobytes() == want.data.tobytes()
+        assert d.label_names == ["c0", "c1", "c2"]
+
+
 INCREASING = "feature ids must be non-negative and strictly increasing"
 
 
@@ -452,6 +600,37 @@ class TestDatasetMatrix:
         assert [x.nnz for x in d.instances] == [2, 0, 1]
         with pytest.raises(IndexError):
             d.row(3)
+
+    def test_arrays_are_read_only_views(self):
+        d = make_dataset([[(2, 1.0), (0, 3.0)], [(1, 0.5)]], vocab=3)
+        X = d.matrix()
+        for a in (X.data, X.indices, X.indptr):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            X.data[0] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            X.eliminate_zeros()
+        X.sort_indices()  # sorted already, so it writes nothing
+        X.has_sorted_indices = False
+        with pytest.raises(ValueError, match="read-only"):
+            X.sort_indices()
+        assert d.row(0).data.tolist() == [3.0, 1.0]
+
+    def test_products_and_row_indexing_read_the_arrays(self):
+        d = make_dataset([[(2, 1.0), (0, 3.0)], [(1, 0.5)]], vocab=3)
+        X = d.matrix()
+        assert (X @ np.array([1.0, 2.0, 4.0])).tolist() == [7.0, 1.0]
+        assert X[[1, 0]].toarray().tolist() == [[0.0, 0.5, 0.0], [3.0, 0.0, 1.0]]
+
+    def test_the_callers_arrays_stay_writable(self):
+        data, indices, indptr = np.array([1.0, 2.0]), np.array([0, 2]), np.array([0, 1, 2])
+        X = sp.csr_matrix((2, 3))
+        X.data, X.indices, X.indptr = data, indices, indptr
+        d = Dataset(X, [-1, -1])
+        assert np.shares_memory(d.matrix().indices, indices)
+        assert all(a.flags.writeable for a in (data, indices, indptr))
+        data[0] = 5.0  # the dataset sees it, as it holds a view
+        assert d.matrix().data[0] == 5.0
 
 
 def loop_tfidf_normalize(d, norm):

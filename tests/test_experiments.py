@@ -195,6 +195,34 @@ def test_prepare_family_datasets_drops_the_same_rows_when_ids_repeat():
     assert nb.gold_ids.tolist() == [0, 1]
 
 
+def shares_structure(a: Dataset, b: Dataset) -> bool:
+    """Whether a and b hold the same ids and row pointers in memory."""
+    A, B = a.matrix(), b.matrix()
+    return np.shares_memory(A.indices, B.indices) and np.shares_memory(A.indptr, B.indptr)
+
+
+def test_family_datasets_share_one_index_structure():
+    raw = generate_synthetic(SyntheticSpec(4, 20, 200, 3.0, rng_seed=2))
+    datasets = prepare_family_datasets(raw)
+    nb, kmeans, vmf = (datasets[f] for f in ModelFamily)
+    assert nb is raw and kmeans.matrix().nnz == raw.matrix().nnz  # tf-idf dropped nothing
+    assert shares_structure(nb, kmeans) and shares_structure(nb, vmf)
+    assert not np.shares_memory(kmeans.matrix().data, vmf.matrix().data)
+
+
+def test_a_word_in_every_row_gives_the_weighted_families_their_own_structure():
+    X = generate_synthetic(SyntheticSpec(4, 20, 200, 3.0, rng_seed=2)).matrix().toarray()
+    X[:, 0] += 1.0  # word 0 in every row: its idf is 0, so tf-idf drops it
+    raw = Dataset(sp.csr_matrix(X), np.repeat(np.arange(4), 20))
+    datasets = prepare_family_datasets(raw)
+    nb, kmeans, vmf = (datasets[f] for f in ModelFamily)
+    assert kmeans.matrix().nnz == raw.matrix().nnz - len(raw)
+    assert not shares_structure(nb, kmeans)
+    assert shares_structure(kmeans, vmf)
+    assert all(not a.flags.writeable for d in datasets.values()
+               for a in (d.matrix().data, d.matrix().indices, d.matrix().indptr))
+
+
 @pytest.mark.xfail(strict=True, raises=DataFormatError, reason=(
     "a hypersphere row is dense, so every word is in every row and every idf "
     "is 0: no instance survives tf-idf weighting"))
