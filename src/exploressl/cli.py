@@ -156,6 +156,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             if i is not None and d.gold_ids[i] >= 0:
                 assignments.append(cluster)
                 gold.append(int(d.gold_ids[i]))
+        if not gold:
+            raise DataFormatError(f"no instance id matches a labeled row of {args.dataset}")
     report = evaluate_run(assignments, gold, seeded)
     payload = {
         "macro_f1_seed": report.macro_f1_seed,

@@ -124,8 +124,6 @@ def crp_gibbs(d: Dataset, p: SeedPartition, cfg: CrpConfig) -> RunResult:
     # random seeded-class start for the unlabeled pool
     state.assignments[unlabeled] = rng.integers(state.num_classes, size=len(unlabeled))
     state = m_step(state, d)
-    X = d.matrix()
-    scores = X @ state.vectors.T  # read by the epoch's pass; refreshed per M-step
 
     ll_trace: list[float] = []
     class_trace: list[int] = []
@@ -136,11 +134,10 @@ def crp_gibbs(d: Dataset, p: SeedPartition, cfg: CrpConfig) -> RunResult:
                 raise FloatingPointError(f"non-finite posterior at epoch {epoch}")
             return pick_chunk(cfg.pick, cfg.p_new, post, rng)
 
-        _pass(state, d, unlabeled, scores, pick)
+        _pass(state, d, unlabeled, pick)
         # refresh parameters and prune emptied introduced classes
         state = m_step(state, d)
-        scores = X @ state.vectors.T
-        ll_trace.append(data_log_likelihood(state, d, scores))
+        ll_trace.append(data_log_likelihood(state))
         class_trace.append(state.num_classes)
 
     return RunResult(

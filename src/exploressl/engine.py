@@ -60,22 +60,19 @@ class RunResult:
 
 
 def _pass(
-    state: ModelState, d: Dataset, rows: np.ndarray, base: np.ndarray,
+    state: ModelState, d: Dataset, rows: np.ndarray,
     pick: Callable[[np.ndarray, int], tuple[np.ndarray, bool]],
-) -> np.ndarray:
+) -> None:
     """One sequential pass over `rows` in which each row takes a class or
-    opens a new one seeded by itself; returns X @ vectors.T over every row
-    and every class live at its end.
+    opens a new one seeded by itself.
 
-    base is X @ vectors.T under the state's current parameters, and the
-    pass grows it by a column per class it opens (PassScores). pick(post,
-    start) gets the posteriors of pass positions start onward and returns
-    the labels of the leading rows and whether the row after them opens a
-    class. The rows after an opening are scored again with the new class and
-    the rescaled priors, so each row sees the model exactly as a
+    pick(post, start) gets the posteriors of pass positions start onward and
+    returns the labels of the leading rows and whether the row after them
+    opens a class. The rows after an opening are scored again with the new
+    class and the rescaled priors, so each row sees the model exactly as a
     one-at-a-time pass would leave it.
     """
-    batch = PassScores(state, d, rows, base)
+    batch = PassScores(rows)
     start = 0
     while start < len(rows):
         labels, opens = pick(batch.posteriors(state, start), start)
@@ -83,39 +80,37 @@ def _pass(
         state.assignments[rows[start:stop]] = labels
         if opens:
             i = rows[stop]
-            state.assignments[i] = state.add_class(init_new_class(d, i, state.family), len(d))
-            batch.add_class(state, stop)
+            state.assignments[i] = state.add_class(init_new_class(d, i, state.family))
+            batch.add_class(stop)
             stop += 1
         start = stop
-    return batch.scores
 
 
 def _e_step(
-    state: ModelState, d: Dataset, rows: np.ndarray, base: np.ndarray,
+    state: ModelState, d: Dataset, rows: np.ndarray,
     fires: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
-) -> tuple[int, np.ndarray]:
-    """Hard E-step over `rows` in order; returns how many assignments changed
-    and the pass's score matrix: base, grown by the classes the pass opened.
+) -> int:
+    """Hard E-step over `rows` in order; returns how many assignments changed.
 
     Without `fires` no class can open, so every row takes its MAP class from
-    one argmax over the logits of base[rows] (models.logits), with no
-    chunking, and base comes back as it is. With it, the rows go through
-    _pass, and the first row it flags in a chunk opens a new class.
+    one argmax over the logits of its scores (models.logits), with no
+    chunking. With it, the rows go through _pass, and the first row it flags
+    in a chunk opens a new class.
     """
     before = state.assignments[rows]
     if fires is None:
-        labels = logits(state, base[rows]).argmax(axis=1)
+        labels = logits(state, state.scores[rows]).argmax(axis=1)
         state.assignments[rows] = labels
-        return int(np.count_nonzero(labels != before)), base
+        return int(np.count_nonzero(labels != before))
 
     def pick(post: np.ndarray, start: int) -> tuple[np.ndarray, bool]:
         hits = np.flatnonzero(fires(post, start))
         stop = hits[0] if len(hits) else len(post)
         return post[:stop].argmax(axis=1), len(hits) > 0
 
-    scores = _pass(state, d, rows, base, pick)
+    _pass(state, d, rows, pick)
     # each row is visited once, and a row that opens a class always changes
-    return int(np.count_nonzero(state.assignments[rows] != before)), scores
+    return int(np.count_nonzero(state.assignments[rows] != before))
 
 
 def _run_em(
@@ -136,7 +131,7 @@ def _run_em(
         rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, 7]))
         picked = rng.choice(len(unlabeled), size=cfg.extra_classes, replace=False)
         for pos in picked:
-            state.add_class(init_new_class(d, unlabeled[pos], cfg.family), n)
+            state.add_class(init_new_class(d, unlabeled[pos], cfg.family))
 
     if state.num_classes == 0:
         # no seeded classes at all: bootstrap one class from the first
@@ -144,18 +139,13 @@ def _run_em(
         if criterion is None or not len(unlabeled):
             raise ValueError("no seeded classes and no way to create any")
         first = unlabeled[0]
-        state.add_class(init_new_class(d, first, cfg.family), n)
+        state.add_class(init_new_class(d, first, cfg.family))
         state.assignments[first] = 0
 
-    # every row's scores under the current parameters, computed once per
-    # parameter update and read by each E-step pass and likelihood until the
-    # next M-step; a pass returns them grown by the classes it opened
-    X = d.matrix()
-    scores = X @ state.vectors.T
     # initial hard labels for the unlabeled pool, so the first baseline
     # likelihood is well defined
-    _e_step(state, d, unlabeled, scores)
-    ll = data_log_likelihood(state, d, scores)
+    _e_step(state, d, unlabeled)
+    ll = data_log_likelihood(state)
 
     latched_at: Optional[int] = None  # the iteration whose gate first rejected
     ll_trace: list[float] = []
@@ -173,10 +163,10 @@ def _run_em(
 
         creating = criterion is not None and latched_at is None
         fires = for_pass(criterion, len(unlabeled), coins) if creating else None
-        changed, grown = _e_step(state, d, unlabeled, scores, fires)
+        changed = _e_step(state, d, unlabeled, fires)
 
         m_new = state.num_classes
-        explore_ll = data_log_likelihood(state, d, grown)
+        explore_ll = data_log_likelihood(state)
         if not (np.isfinite(baseline_ll) and np.isfinite(explore_ll)):
             raise FloatingPointError(f"non-finite likelihood at iteration {t}")
 
@@ -190,15 +180,14 @@ def _run_em(
 
         if not accept_exploratory(explore, baseline):
             if m_new > m_old:
-                state.truncate(m_old)  # leaves exactly the classes scores covers
+                state.truncate(m_old)
                 dropped = unlabeled[state.assignments[unlabeled] >= m_old]
-                _e_step(state, d, dropped, scores)
+                _e_step(state, d, dropped)
             if creating:
                 latched_at = t
 
         state = m_step(state, d)
-        scores = X @ state.vectors.T
-        ll = data_log_likelihood(state, d, scores)
+        ll = data_log_likelihood(state)
         m_now = state.num_classes
         ll_trace.append(ll)
         class_trace.append(m_now)
@@ -256,7 +245,7 @@ def calibrate_random_rate(
     unlabeled = p.unlabeled_idx
     if not len(unlabeled):
         return 0.0
-    post = posteriors(state, (d.matrix() @ state.vectors.T)[unlabeled])
+    post = posteriors(state, state.scores[unlabeled])
     return int(np.count_nonzero(ref(post))) / len(unlabeled)
 
 

@@ -64,6 +64,8 @@ RANGES = {
     "ll_rel_tolerance": (lambda v: v > 0, "> 0"),
     "crp_epochs": (lambda v: v >= 1, ">= 1"),
     "rng_seed": (lambda v: v >= 0, ">= 0"),
+    "sweep_m_values": (lambda v: v >= 0, ">= 0"),
+    "workers": (lambda v: v >= 1, ">= 1"),
 }
 
 

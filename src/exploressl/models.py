@@ -2,11 +2,11 @@
 inner-product posterior, and hard-EM von Mises-Fisher on the unit sphere.
 
 All three expose the same surface: class logits and posteriors for a batch
-of instances, computed from one sparse product of the dataset's CSR matrix with
-the class vectors (one instance is the batch of one), initialization from
-seeds, single-point new-class initialization, an M-step, a complete-data
-log-likelihood under hard assignments, and a free-parameter count for
-penalized model selection.
+of instances, computed from rows of the product of the dataset's CSR matrix
+with the class vectors that the model state keeps (one instance is the batch
+of one), initialization from seeds, single-point new-class initialization, an
+M-step, a complete-data log-likelihood under hard assignments, and a
+free-parameter count for penalized model selection.
 """
 
 from __future__ import annotations
@@ -36,20 +36,23 @@ class ModelFamily(Enum):
 
 
 class ModelState:
-    """Full model: per-class parameters, priors, the gold ids of the seeded
-    classes and the current hard assignments (labeled entries are fixed by
-    contract).
+    """Full model of one dataset, whose CSR matrix is X: per-class
+    parameters, priors, the gold ids of the seeded classes, the current hard
+    assignments of X's rows (labeled entries are fixed by contract) and
+    scores = X @ vectors.T.
 
     A class's vector holds log word probabilities (NB), an L1-normalized
     centroid (K-Means) or a unit mean direction (vMF); kappas are vMF-only.
     The seeded classes come first: class j < len(seed_class_ids) is seeded
     with gold class seed_class_ids[j], and every later class was opened by
-    add_class."""
+    add_class. scores is computed here and kept current by add_class and
+    truncate, so each E-step pass and likelihood until the next M-step reads
+    this one matrix."""
 
     def __init__(
         self,
         family: ModelFamily,
-        vocab_size: int,
+        X: sp.csr_matrix,
         vectors: np.ndarray,
         priors: np.ndarray,
         seed_class_ids: list[int],
@@ -57,19 +60,22 @@ class ModelState:
         kappas: Optional[np.ndarray] = None,
     ):
         self.family = family
-        self.vocab_size = int(vocab_size)
+        self.X = X  # (n, V)
         self.vectors = vectors  # (m, V)
         self.priors = priors  # (m,)
         self.seed_class_ids = seed_class_ids
         self.assignments = assignments  # (n,), -1 = not yet assigned
         self.kappas = kappas  # (m,), vMF only
-        self._rows = None  # room add_class grows into: vectors is its first m rows
         self._validate()
+        self.scores = X @ vectors.T  # (n, m)
+        self._room = 0  # vectors and scores are the first m rows of _rows and columns of _columns
 
     def _validate(self):
         m = len(self.priors)
-        if self.vectors.shape != (m, self.vocab_size):
+        if self.vectors.shape != (m, self.X.shape[1]):
             raise ValueError("parameter matrix shape mismatch")
+        if len(self.assignments) != self.X.shape[0]:
+            raise ValueError("assignments must cover every row of X")
         if len(self.seed_class_ids) > m:
             raise ValueError("more seeded classes than classes")
         if self.family is ModelFamily.VMF and (self.kappas is None or len(self.kappas) != m):
@@ -83,29 +89,34 @@ class ModelState:
     def num_seeded(self) -> int:
         return len(self.seed_class_ids)
 
-    def add_class(self, params: tuple[np.ndarray, Optional[float]], n_instances: int) -> int:
+    def add_class(self, params: tuple[np.ndarray, Optional[float]]) -> int:
         """Append a freshly created (unseeded) class with the (vector, kappa)
-        that init_new_class gives.
+        that init_new_class gives, and its column X @ vector of scores: the
+        same sequential dot product over each row's stored entries as the
+        whole product takes.
 
-        Its prior is the add-1 smoothed share of a single member over
-        n_instances data points and the grown class count; existing priors
-        are rescaled so the vector still sums to 1.
+        Its prior is the add-1 smoothed share of a single member over the
+        rows of X and the grown class count; existing priors are rescaled so
+        the vector still sums to 1.
         """
         vector, kappa = params
-        m = self.num_classes
+        n, m = self.scores.shape
         if m == 0:
             self.priors = np.array([1.0])
         else:
-            p_new = 2.0 / (n_instances + m + 1)
+            p_new = 2.0 / (n + m + 1)
             self.priors = np.append(self.priors * (1.0 - p_new), p_new)
-        rows = self._rows
-        if rows is None or len(rows) == m or self.vectors.base is not rows:
-            # double the room, so that c openings copy O(c) rows in all
-            rows = np.empty((2 * (m + 1), self.vocab_size))
-            rows[:m] = self.vectors
-            self._rows = rows
-        rows[m] = vector
-        self.vectors = rows[: m + 1]
+        if m >= self._room:
+            # double the room, so that c openings copy O(c) rows and columns in all
+            self._room = 2 * (m + 1)
+            self._rows = np.empty((self._room, self.X.shape[1]))
+            self._rows[:m] = self.vectors
+            self._columns = np.empty((n, self._room))
+            self._columns[:, :m] = self.scores
+        self._rows[m] = vector
+        self._columns[:, m] = self.X @ vector
+        self.vectors = self._rows[: m + 1]
+        self.scores = self._columns[:, : m + 1]
         if self.family is ModelFamily.VMF:
             self.kappas = np.append(self.kappas, kappa)
         return m
@@ -117,7 +128,8 @@ class ModelState:
         if m_keep < self.num_seeded:
             raise ValueError("cannot truncate below the seeded classes")
         self.vectors = self.vectors[:m_keep]
-        self._rows = None  # never write over rows an earlier vectors showed
+        self.scores = self.scores[:, :m_keep]
+        self._room = 0  # never write over what an earlier vectors or scores showed
         self.priors = self.priors[:m_keep] / self.priors[:m_keep].sum()
         if self.kappas is not None:
             self.kappas = self.kappas[:m_keep]
@@ -180,8 +192,8 @@ def posteriors(state: ModelState, scores: np.ndarray) -> np.ndarray:
     non-negative and sums to 1.
 
     scores[i, j] is the inner product x_i . vectors[j], one column per live
-    class: rows of the matrix PassScores keeps. A K-Means row whose scores
-    are all non-positive is uniform. The vMF logits leave out the per-class
+    class: rows of ModelState.scores. A K-Means row whose scores are all
+    non-positive is uniform. The vMF logits leave out the per-class
     log normalizer log c_d(kappa_j) that data_log_likelihood includes, so
     the two describe different models whenever the kappas differ (ROADMAP
     item 3). Each row's largest logit, subtracted before exp, is taken by
@@ -205,17 +217,8 @@ def posterior(state: ModelState, x: sp.csr_matrix) -> np.ndarray:
 
 
 class PassScores:
-    """Posteriors of the rows `rows` of a dataset, in pass order, for one
-    E-step pass, handed out a chunk at a time.
-
-    `scores` is X @ vectors.T over every row of the dataset's CSR matrix and
-    every live class. It starts as `base`, the product a driver computes once
-    per parameter update; a class opened during the pass appends its column
-    X @ vector, computed once over all rows, to a buffer that doubles its
-    width when full (base itself is never written). The grown matrix then
-    serves the rest of the pass and the likelihood after it. Every score is
-    the same sequential dot product over a row's stored entries, so a row's
-    posterior does not depend on how the pass is split.
+    """Posteriors of the rows `rows` of a state's dataset, in pass order, for
+    one E-step pass, handed out a chunk at a time from the state's scores.
 
     A class opened at one position makes the posteriors of the rest of its
     chunk stale. So a chunk starting at pass position start is
@@ -229,37 +232,26 @@ class PassScores:
     a class at every row uses chunks of one or two rows. Each opening
     wastes at most the rest of its chunk, which is at most twice its own gap
     plus the one before it, so a pass over n rows hands out at most
-    4n + E_STEP_CHUNK rows' posteriors in all.
+    4n + E_STEP_CHUNK rows' posteriors in all. A row's posterior does not
+    depend on how the pass is split.
     """
 
-    def __init__(self, state: ModelState, d: Dataset, rows: np.ndarray, base: np.ndarray):
-        if base.shape != (len(d), state.num_classes):
-            raise ValueError("base scores must cover every row and live class")
-        self._X = d.matrix()
+    def __init__(self, rows: np.ndarray):
         self._rows = rows
-        self._buffer = base  # scores is its first num_classes columns
-        self.scores = base
         self._opened_at = -E_STEP_CHUNK
         self._gap = 0  # between the last two openings
 
-    def add_class(self, state: ModelState, pos: int) -> None:
-        """Score from now on the class appended to state last, which the row
-        at pass position pos (in the last chunk handed out) opened."""
+    def add_class(self, pos: int) -> None:
+        """Note that the row at pass position pos (in the last chunk handed
+        out) opened a class."""
         self._gap = pos - self._opened_at
         self._opened_at = pos
-        m = state.num_classes
-        if m > self._buffer.shape[1]:
-            # double the width, so that c openings copy O(c) columns in all
-            self._buffer = np.empty((len(self.scores), 2 * m))
-            self._buffer[:, : m - 1] = self.scores
-        self._buffer[:, m - 1] = self._X @ state.vectors[-1]
-        self.scores = self._buffer[:, :m]
 
     def posteriors(self, state: ModelState, start: int) -> np.ndarray:
         """posteriors() of the chunk of pass positions that begins at start."""
         size = max(2 * (start - self._opened_at), self._gap)
         stop = min(len(self._rows), start + E_STEP_CHUNK, start + size)
-        return posteriors(state, self.scores[self._rows[start:stop]])
+        return posteriors(state, state.scores[self._rows[start:stop]])
 
 
 def class_sums(X: sp.csr_matrix, y: np.ndarray, m: int) -> np.ndarray:
@@ -335,7 +327,7 @@ def init_from_seeds(d: Dataset, p: SeedPartition, family: ModelFamily) -> ModelS
         raise ValueError(f"seeded class {seeded[np.argmin(fitted)]}: {why}")
     assignments = np.full(len(d), -1, dtype=np.int64)
     assignments[labeled] = y
-    return ModelState(family, d.vocab_size, vectors, priors, seeded, assignments, kappas)
+    return ModelState(family, d.matrix(), vectors, priors, seeded, assignments, kappas)
 
 
 def init_new_class(d: Dataset, i: int, family: ModelFamily) -> tuple[np.ndarray, Optional[float]]:
@@ -374,25 +366,19 @@ def m_step(state: ModelState, d: Dataset) -> ModelState:
     remap[keep] = np.arange(len(keep))
     y_new = remap[y]
 
-    vectors, kappas, priors, fitted = fit_classes(state.family, d.matrix(), y_new, len(keep))
+    X = d.matrix()
+    vectors, kappas, priors, fitted = fit_classes(state.family, X, y_new, len(keep))
     stale = ~fitted
     vectors[stale] = state.vectors[keep[stale]]
     if kappas is not None:
         kappas[stale] = KAPPA_MIN
-    return ModelState(state.family, d.vocab_size, vectors, priors, state.seed_class_ids, y_new,
-                      kappas)
+    return ModelState(state.family, X, vectors, priors, state.seed_class_ids, y_new, kappas)
 
 
-def data_log_likelihood(
-    state: ModelState, d: Dataset, scores: Optional[np.ndarray] = None
-) -> float:
+def data_log_likelihood(state: ModelState) -> float:
     """Complete-data log-likelihood sum_i log[P(C_{y_i}) P(x_i | C_{y_i})]
-    under the current hard assignments.
-
-    scores, if given, is X @ vectors.T over every row and every live class,
-    as a driver computed it after its last parameter update and an E-step
-    pass grew it (PassScores.scores). Without it the whole product is
-    computed.
+    under the current hard assignments, from each row's own-class entry of
+    the state's scores.
 
     K-Means uses the documented surrogate log[P(C_j)(x . c_j + eps)]; it is a
     scoring surrogate, not a probability. vMF uses the asymptotic log
@@ -400,17 +386,13 @@ def data_log_likelihood(
     y = state.assignments
     if np.any(y < 0):
         raise ValueError("all instances must be assigned")
-    if scores is None:
-        scores = d.matrix() @ state.vectors.T  # (n, m)
-    if scores.shape != (len(d), state.num_classes):
-        raise ValueError("scores must cover every row and live class")
-    own = scores[np.arange(len(d)), y]  # each row's dot with its own class's vector
+    own = state.scores[np.arange(len(y)), y]  # each row's dot with its own class's vector
     log_priors = np.log(state.priors)
     if state.family is ModelFamily.NB:
         return float(log_priors[y].sum() + own.sum())
     if state.family is ModelFamily.KMEANS:
         return float(np.sum(log_priors[y] + np.log(np.maximum(own, 0.0) + KMEANS_LL_EPS)))
-    logc = _vmf_log_normalizer(state.kappas, d.vocab_size)
+    logc = _vmf_log_normalizer(state.kappas, state.X.shape[1])
     return float(np.sum(log_priors[y] + state.kappas[y] * own + logc[y]))
 
 
@@ -418,7 +400,7 @@ def free_parameter_count(state: ModelState) -> int:
     """Free parameters v for penalized model selection: m(V-1) multinomial or
     direction terms plus m-1 prior terms, plus m concentrations for vMF."""
     m = state.num_classes
-    V = state.vocab_size
+    V = state.X.shape[1]
     base = m * (V - 1) + (m - 1)
     if state.family is ModelFamily.VMF:
         return base + m

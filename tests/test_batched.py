@@ -6,14 +6,14 @@ formulas below row by row, and minmax_fires / js_fires must equal
 minmax_criterion / js_criterion row by row, without letting a RuntimeWarning
 escape.
 
-The class sums behind init_from_seeds and m_step, and the likelihood read
-from a score matrix shared across a parameter update and grown by the
-classes a pass opens, must equal the formulas they replaced (kept below as
-references) bit for bit.
+The class sums behind init_from_seeds and m_step must equal the formulas
+they replaced (kept below as references) bit for bit. So must the score
+matrix a model state keeps, however classes open and are cut, against the
+whole product, and the likelihood read from it.
 
 The E-step pass, however its chunks fall, must leave the same model as a
-pass that takes one row at a time, and the score matrix it grows must equal
-the product over every row and class. However classes open, a pass over n
+pass that takes one row at a time, and the state's scores must equal the
+product over every row and class after it. However classes open, a pass over n
 rows hands out at most 4n + E_STEP_CHUNK rows' posteriors. A pass that cannot
 open a class takes each row's argmax logit, which must be the argmax of its
 posteriors on K-Means rows without a positive score and on exact ties.
@@ -62,7 +62,9 @@ from exploressl.models import (
 from reference import from_pairs, from_rows
 
 
-def _state(family, rng, m, V):
+def _params(family, rng, m, V):
+    """Random parameters of m classes over V words, as ModelState's keyword
+    arguments."""
     if family is ModelFamily.NB:
         vectors = np.log(rng.dirichlet(np.ones(V), size=m))
     elif family is ModelFamily.KMEANS:
@@ -74,15 +76,18 @@ def _state(family, rng, m, V):
     else:
         vectors = rng.normal(size=(m, V))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    return ModelState(
-        family,
-        V,
-        vectors,
-        rng.dirichlet(np.ones(m)),
-        list(range(m)),
-        np.full(0, -1, dtype=np.int64),
-        rng.uniform(0.5, 1e4, size=m) if family is ModelFamily.VMF else None,
+    return dict(
+        vectors=vectors,
+        priors=rng.dirichlet(np.ones(m)),
+        seed_class_ids=list(range(m)),
+        kappas=rng.uniform(0.5, 1e4, size=m) if family is ModelFamily.VMF else None,
     )
+
+
+def _state(family, params, d):
+    """A state of d with the given parameters and every row unassigned."""
+    return ModelState(family, d.matrix(), assignments=np.full(len(d), -1, dtype=np.int64),
+                      **params)
 
 
 def _instances(rng, n, V):
@@ -129,13 +134,13 @@ def _reference_posterior(state, x):
 @settings(max_examples=150, deadline=None)
 def test_posteriors_match_posterior_row_by_row(family, seed, m, V, n):
     rng = np.random.default_rng(seed)
-    state = _state(family, rng, m, V)
+    params = _params(family, rng, m, V)
     xs = _instances(rng, n, V)
     d = from_rows(xs, [-1] * n, V)
-    rows = np.arange(n)
+    state = _state(family, params, d)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        scores = PassScores(state, d, rows, d.matrix() @ state.vectors.T)
+        scores = PassScores(np.arange(n))
         start, opening = 0, False
         while start < n:
             chunk = scores.posteriors(state, start)
@@ -147,8 +152,8 @@ def test_posteriors_match_posterior_row_by_row(family, seed, m, V, n):
                 # open a class at the chunk's first row, as the E-step does
                 # mid-pass: the later rows see the new column and the
                 # rescaled priors
-                state.add_class(init_new_class(d, start, family), n)
-                scores.add_class(state, start)
+                state.add_class(init_new_class(d, start, family))
+                scores.add_class(start)
                 start += 1
             else:
                 start += len(chunk)
@@ -158,10 +163,11 @@ def test_posteriors_match_posterior_row_by_row(family, seed, m, V, n):
 def test_chunks_grow_back_after_an_opening():
     rng = np.random.default_rng(0)
     V, n = 6, 1300
-    state = _state(ModelFamily.VMF, rng, 2, V)
+    params = _params(ModelFamily.VMF, rng, 2, V)
     xs = _instances(rng, n, V)
     d = from_rows(xs, [-1] * n, V)
-    scores = PassScores(state, d, np.arange(n), d.matrix() @ state.vectors.T)
+    state = _state(ModelFamily.VMF, params, d)
+    scores = PassScores(np.arange(n))
     # open classes at 10, in the first chunk, and at 700, in a later chunk,
     # as the E-step does when the criterion fires there; every row handed
     # out before and after them must match posterior()
@@ -179,8 +185,8 @@ def test_chunks_grow_back_after_an_opening():
             if hit is None:
                 start = stop
             else:
-                state.add_class(init_new_class(d, hit, ModelFamily.VMF), n)
-                scores.add_class(state, hit)
+                state.add_class(init_new_class(d, hit, ModelFamily.VMF))
+                scores.add_class(hit)
                 start = hit + 1
     # a chunk after an opening is at least the gap between the last two
     # openings (the first counted from -E_STEP_CHUNK), and at most
@@ -207,13 +213,14 @@ def _opening_pattern(draw, n):
 def test_chunks_stay_within_the_bound_for_any_openings(data, n, chunk):
     rng = np.random.default_rng(n)
     V = 6
-    state = _state(ModelFamily.NB, rng, 2, V)
+    params = _params(ModelFamily.NB, rng, 2, V)
     xs = _instances(rng, n, V)
     d = from_rows(xs, [-1] * n, V)
+    state = _state(ModelFamily.NB, params, d)
     opens = _opening_pattern(data.draw, n)
     handed, start = 0, 0
     with mock.patch.object(models, "E_STEP_CHUNK", chunk):
-        scores = PassScores(state, d, np.arange(n), d.matrix() @ state.vectors.T)
+        scores = PassScores(np.arange(n))
         while start < n:
             post = scores.posteriors(state, start)
             assert 1 <= len(post) <= min(chunk, n - start)
@@ -225,18 +232,19 @@ def test_chunks_stay_within_the_bound_for_any_openings(data, n, chunk):
             for q in range(start, stop):
                 assert np.array_equal(post[q - start], posterior(state, xs[q]))
             if opens[hit]:
-                state.add_class(init_new_class(d, hit, ModelFamily.NB), n)
-                scores.add_class(state, hit)
+                state.add_class(init_new_class(d, hit, ModelFamily.NB))
+                scores.add_class(hit)
             start = stop
     assert handed <= 4 * n + chunk
 
 
 def test_kmeans_all_zero_scores_fall_back_to_uniform():
     rng = np.random.default_rng(0)
-    state = _state(ModelFamily.KMEANS, rng, 4, 6)
+    params = _params(ModelFamily.KMEANS, rng, 4, 6)
     x = from_pairs([(4, 1.0), (5, 2.0)])
     d = from_rows([x], [-1], 6)
-    batch = PassScores(state, d, np.arange(1), d.matrix() @ state.vectors.T).posteriors(state, 0)
+    state = _state(ModelFamily.KMEANS, params, d)
+    batch = PassScores(np.arange(1)).posteriors(state, 0)
     assert np.array_equal(batch[0], np.full(4, 0.25))
     assert np.array_equal(batch[0], posterior(state, x))
 
@@ -422,7 +430,7 @@ def test_m_step_and_seed_init_match_the_former_sums(family, seed, k, extra, V, n
     # extra introduced classes, and labels that leave some classes of both
     # kinds empty: the seeded ones keep their parameters, the rest go
     for i in range(extra):
-        state.add_class(init_new_class(d, i, family), n)
+        state.add_class(init_new_class(d, i, family))
     m = state.num_classes
     state.assignments = rng.choice(rng.choice(m, size=int(rng.integers(1, m + 1))), size=n)
     old = state.vectors.copy()
@@ -441,7 +449,7 @@ def test_m_step_and_seed_init_match_the_former_sums(family, seed, k, extra, V, n
 
 
 def _reference_log_likelihood(state, d):
-    """data_log_likelihood as written before it could read shared scores: the
+    """data_log_likelihood as written before the state kept its scores: the
     whole (n, m) product, then each row's own-class entry."""
     X, y, n = d.matrix(), state.assignments, len(d)
     log_priors = np.log(state.priors)
@@ -457,51 +465,37 @@ def _reference_log_likelihood(state, d):
 @given(
     st.sampled_from(list(ModelFamily)),
     st.integers(0, 2**32 - 1),
-    st.integers(1, 5),
+    st.integers(1, 4),
     st.integers(3, 12),
-    st.integers(1, 30),
-    st.integers(0, 3),
+    st.integers(0, 30),
     st.booleans(),
+    st.lists(st.one_of(st.just("truncate"), st.integers(0, 2**16)), max_size=10),
 )
 @settings(max_examples=200, deadline=None)
-def test_log_likelihood_from_shared_scores_is_exact(family, seed, m, V, n, opened, drop):
+def test_state_scores_stay_the_product(family, seed, k, V, extra, fitted, ops):
+    # from init_from_seeds or m_step, every add_class (an integer: the row
+    # that opens the class) and truncate keeps scores the whole product, and
+    # the likelihood read from it exact
     rng = np.random.default_rng(seed)
-    state = _state(family, rng, m, V)
-    d = from_rows(_float_rows(rng, n, V), [-1] * n, V)
-    state.assignments = rng.integers(m, size=n)
-    batch = PassScores(state, d, np.arange(n), d.matrix() @ state.vectors.T)
-    # classes opened after the base scores were taken, as an E-step pass
-    # opens them and grows the scores by their columns
-    for _ in range(opened):
-        i = int(rng.integers(n))
-        j = state.add_class(init_new_class(d, i, family), n)
-        batch.add_class(state, i)
-        state.assignments[rng.random(n) < 0.3] = j
-        state.assignments[i] = j
-    scores = batch.scores
-    if drop:
-        # the rejected model: back to the classes the base scores cover
-        state.truncate(m)
-        scores = scores[:, :m]
-        late = state.assignments >= m
-        state.assignments[late] = rng.integers(m, size=int(late.sum()))
-    got = data_log_likelihood(state, d, scores)
-    assert got == data_log_likelihood(state, d)
-    assert got == _reference_log_likelihood(state, d)
-
-
-def test_scores_of_another_shape_are_refused():
-    rng = np.random.default_rng(0)
-    state = _state(ModelFamily.NB, rng, 2, 5)
-    d = from_rows(_float_rows(rng, 4, 5), [-1] * 4, 5)
-    state.assignments = np.zeros(4, dtype=np.int64)
-    scores = d.matrix() @ state.vectors.T
-    wider = np.hstack([scores, scores[:, :1]])  # a column for a class not in state
-    for bad in (wider, scores[:, :1], scores[:3]):
-        with pytest.raises(ValueError, match="scores"):
-            data_log_likelihood(state, d, bad)
-        with pytest.raises(ValueError, match="scores"):
-            PassScores(state, d, np.arange(4), bad)
+    n = k + extra
+    gold = np.concatenate([np.arange(k), rng.integers(k, size=extra)]).tolist()
+    d = from_rows(_float_rows(rng, n, V), gold, V)
+    p = SeedPartition(range(k), range(k), range(k, n))
+    state = init_from_seeds(d, p, family)
+    state.assignments[k:] = rng.integers(k, size=extra)
+    if fitted:
+        state = m_step(state, d)
+    for op in [None, *ops]:
+        if op == "truncate":
+            m_keep = int(rng.integers(state.num_seeded, state.num_classes + 1))
+            state.truncate(m_keep)
+            late = state.assignments >= m_keep
+            state.assignments[late] = rng.integers(m_keep, size=int(late.sum()))
+        elif op is not None:
+            i = op % n
+            state.assignments[i] = state.add_class(init_new_class(d, i, family))
+        assert np.array_equal(state.scores, d.matrix() @ state.vectors.T)
+        assert data_log_likelihood(state) == _reference_log_likelihood(state, d)
 
 
 def _reference_e_step(state, d, rows, opens):
@@ -510,7 +504,7 @@ def _reference_e_step(state, d, rows, opens):
     changed = 0
     for pos, i in enumerate(rows):
         if opens[pos]:
-            j = state.add_class(init_new_class(d, i, state.family), len(d))
+            j = state.add_class(init_new_class(d, i, state.family))
         else:
             j = int(np.argmax(posterior(state, d.row(i))))
         changed += int(state.assignments[i] != j)
@@ -529,9 +523,10 @@ def _reference_e_step(state, d, rows, opens):
 )
 @settings(max_examples=150, deadline=None)
 def test_e_step_pass_matches_one_row_at_a_time(family, seed, m, V, n, rate, chunk):
-    batched, reference = (_state(family, np.random.default_rng(seed), m, V) for _ in range(2))
     rng = np.random.default_rng([seed, 1])
     d = from_rows(_instances(rng, n, V), [-1] * n, V)
+    batched, reference = (_state(family, _params(family, np.random.default_rng(seed), m, V), d)
+                          for _ in range(2))
     rows = rng.permutation(n)[: int(rng.integers(1, n + 1))]
     opens = rng.random(len(rows)) < rate
     batched.assignments = rng.integers(-1, m, size=n)
@@ -540,15 +535,14 @@ def test_e_step_pass_matches_one_row_at_a_time(family, seed, m, V, n, rate, chun
     def fires(post, start):
         return opens[start : start + len(post)]
 
-    base = d.matrix() @ batched.vectors.T
     with warnings.catch_warnings(), mock.patch.object(models, "E_STEP_CHUNK", chunk):
         warnings.simplefilter("error", RuntimeWarning)
         # a pass that opens nothing runs without a criterion, as semisup_em's do
-        changed, grown = _e_step(batched, d, rows, base, fires if opens.any() else None)
+        changed = _e_step(batched, d, rows, fires if opens.any() else None)
     want = _reference_e_step(reference, d, rows, opens)
     assert changed == want
-    # the grown matrix is the product over every row and every class
-    assert np.array_equal(grown, d.matrix() @ batched.vectors.T)
+    # the grown scores are the product over every row and every class
+    assert np.array_equal(batched.scores, d.matrix() @ batched.vectors.T)
     assert np.array_equal(batched.assignments, reference.assignments)
     assert batched.num_classes == reference.num_classes == m + int(opens.sum())
     assert np.array_equal(batched.vectors, reference.vectors)
@@ -571,16 +565,19 @@ def test_e_step_pass_matches_one_row_at_a_time(family, seed, m, V, n, rate, chun
 def test_e_step_without_a_criterion_takes_the_posterior_argmax(
     family, priors, kappas, scores, want
 ):
-    # base stands for X @ vectors.T; a pass that opens no class reads nothing else
+    # row i of X is the i-th unit vector, so X @ vectors.T is base exactly; a
+    # pass that opens no class reads nothing else
     base = np.array(scores)
     n, m = base.shape
-    state = ModelState(family, 2, np.zeros((m, 2)), np.array(priors), list(range(m)),
+    d = from_rows([from_pairs([(i, 1.0)]) for i in range(n)], [-1] * n, n)
+    state = ModelState(family, d.matrix(), base.T.copy(), np.array(priors), list(range(m)),
                        np.zeros(n, dtype=np.int64), None if kappas is None else np.array(kappas))
-    d = from_rows([from_pairs([(0, 1.0)])] * n, [-1] * n, 2)
+    assert np.array_equal(state.scores, base)
+    scores_before = state.scores
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        changed, grown = _e_step(state, d, np.arange(n)[::-1], base)
+        changed = _e_step(state, d, np.arange(n)[::-1])
         assert np.array_equal(state.assignments, posteriors(state, base).argmax(axis=1))
     assert state.assignments.tolist() == want
     assert changed == np.count_nonzero(want)
-    assert grown is base
+    assert state.scores is scores_before

@@ -205,6 +205,11 @@ class TestRunCommand:
         (["--num-seed-classes", "0"], "num_seed_classes: 0 is not >= 1$"),
         # the dataset has 3 classes, which only drawing the partitions checks
         (["--num-seed-classes", "4"], "num_seed_classes=4 exceeds 3 distinct classes$"),
+        (["--algorithms", "semisup-sweep", "--sweep-m-values=-1"],
+         "sweep_m_values: -1 is not >= 0$"),
+        (["--sweep-m-values", "0,2,-3"], "sweep_m_values: -3 is not >= 0$"),
+        (["--workers", "0"], "workers: 0 is not >= 1$"),
+        (["--workers=-2"], "workers: -2 is not >= 1$"),
     ])
     def test_out_of_range_flag_fails_before_any_file(
         self, dataset_file, tmp_path, flags, message
@@ -279,6 +284,18 @@ class TestFileFaults:
         with pytest.raises(SystemExit, match=f"^eval: {re.escape(f'{path}: {message}')}$"):
             main(["eval", "--assignments", str(path), "--dataset", str(dataset_file),
                   "--seed-classes", "0"])
+
+    @pytest.mark.parametrize("text", [
+        "instance_id,cluster\n",  # the header alone
+        "instance_id,cluster\nx,1\n60,0\n",  # ids the dataset does not have
+    ])
+    def test_eval_without_a_labeled_match_names_both_files(self, dataset_file, tmp_path, text):
+        path, report = bad_file(tmp_path, text), tmp_path / "report.json"
+        message = f"{path}: no instance id matches a labeled row of {dataset_file}"
+        with pytest.raises(SystemExit, match=f"^eval: {re.escape(message)}$"):
+            main(["eval", "--assignments", str(path), "--dataset", str(dataset_file),
+                  "--seed-classes", "0", "--output", str(report)])
+        assert not report.exists()
 
 
 class TestEvalCommand:

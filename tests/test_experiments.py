@@ -62,18 +62,19 @@ def test_parallel_grid_equals_serial(dataset_file, tmp_path):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_grid_keeps_no_dataset_alive(dataset_file, tmp_path, monkeypatch, workers):
     # a grid's datasets must be freed when it returns, or they stay in memory
-    # while the next grid loads its own
+    # while the next grid loads its own; a model state left alive would keep
+    # its dataset's matrix, not the Dataset
     made = []
 
     def prepare(raw):
         datasets = prepare_family_datasets(raw)
-        made.extend(weakref.ref(d) for d in datasets.values())
+        made.extend(weakref.ref(x) for d in datasets.values() for x in (d, d.matrix()))
         return datasets
 
     monkeypatch.setattr(experiments, "prepare_family_datasets", prepare)
     run_grid(dataset_file, tmp_path / "out", workers=workers)
     gc.collect()
-    assert len(made) == 3 and all(ref() is None for ref in made)
+    assert len(made) == 6 and all(ref() is None for ref in made)
 
 
 @pytest.mark.parametrize("include_seeds", [False, True])

@@ -139,7 +139,9 @@ def test_golden_assignments(corpora, corpus, family, algorithm):
     )
     key = (corpus, family, algorithm)
     assert got == GOLDEN[key] or got == TIE_BROKEN_BY_SUMMATION_ORDER.get(key)
-    # the drivers read the likelihood from a score matrix they keep across a
-    # parameter update; a stale one would show here against a fresh product
-    assert r.ll_trace[-1] == data_log_likelihood(r.final_state, datasets[fam])
+    # the drivers read the likelihood from the score matrix the state keeps
+    # across openings; a stale one would show here against a fresh product
+    state = r.final_state
+    assert np.array_equal(state.scores, datasets[fam].matrix() @ state.vectors.T)
+    assert r.ll_trace[-1] == data_log_likelihood(state)
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from exploressl.data import Norm, SeedPartition
 from exploressl.models import (
@@ -35,12 +36,18 @@ def partition(d, labeled, seeded):
     )
 
 
-def nb_state(word_probs, priors, assignments=()):
+def no_rows(V, n=0):
+    """The CSR matrix of n all-zero rows over V words: X for a state whose
+    scores no test reads."""
+    return sp.csr_matrix((n, V))
+
+
+def nb_state(word_probs, priors, assignments=(), X=None):
     word_probs = np.asarray(word_probs, dtype=np.float64)
     m, V = word_probs.shape
     return ModelState(
         ModelFamily.NB,
-        V,
+        no_rows(V, len(assignments)) if X is None else X,
         np.log(word_probs),
         np.asarray(priors, dtype=np.float64),
         list(range(m)),
@@ -48,12 +55,12 @@ def nb_state(word_probs, priors, assignments=()):
     )
 
 
-def kmeans_state(centroids, priors, assignments=()):
+def kmeans_state(centroids, priors, assignments=(), X=None):
     centroids = np.asarray(centroids, dtype=np.float64)
     m, V = centroids.shape
     return ModelState(
         ModelFamily.KMEANS,
-        V,
+        no_rows(V, len(assignments)) if X is None else X,
         centroids,
         np.asarray(priors, dtype=np.float64),
         list(range(m)),
@@ -94,7 +101,7 @@ class TestPosterior:
             else:
                 vecs = vecs / vecs.sum(axis=1, keepdims=True)
             s = ModelState(
-                fam, 6, vecs, np.full(3, 1 / 3), [0, 1, 2],
+                fam, no_rows(6), vecs, np.full(3, 1 / 3), [0, 1, 2],
                 np.zeros(0, dtype=np.int64),
                 kappas=np.array([2.0, 3.0, 4.0]) if fam is ModelFamily.VMF else None,
             )
@@ -190,8 +197,8 @@ class TestInitNewClass:
             else:
                 vecs = vecs / vecs.sum(axis=1, keepdims=True)
             s = ModelState(
-                fam, 8, vecs, np.array([0.5, 0.5]), [0, 1],
-                np.zeros(0, dtype=np.int64),
+                fam, no_rows(8, 10), vecs, np.array([0.5, 0.5]), [0, 1],
+                np.full(10, -1, dtype=np.int64),
                 kappas=np.array([5.0, 5.0]) if fam is ModelFamily.VMF else None,
             )
             x = rng.random(8)
@@ -203,7 +210,7 @@ class TestInitNewClass:
                 # the existing classes' concentration: at KAPPA_NEW the new class
                 # loses its point to the larger prior of a class orthogonal to it
                 kappa = 5.0
-            s.add_class((vector, kappa), n_instances=10)
+            s.add_class((vector, kappa))  # over 10 rows
             assert int(np.argmax(posterior(s, xv))) == 2
 
     @pytest.mark.xfail(
@@ -220,25 +227,25 @@ class TestInitNewClass:
         vecs = rng.random((2, 8))
         vecs[:, 4:] = 0.0
         vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-        s = ModelState(ModelFamily.VMF, 8, vecs, np.array([0.5, 0.5]), [0, 1],
-                       np.zeros(0, dtype=np.int64), kappas=np.array([5.0, 5.0]))
+        s = ModelState(ModelFamily.VMF, no_rows(8, 10), vecs, np.array([0.5, 0.5]), [0, 1],
+                       np.full(10, -1, dtype=np.int64), kappas=np.array([5.0, 5.0]))
         x = rng.random(8)
         x[:4] = 0.0
         xv = from_dense(x / np.linalg.norm(x))
         vector, kappa = new_class(xv, ModelFamily.VMF, 8)
         assert kappa == KAPPA_NEW
-        s.add_class((vector, kappa), n_instances=10)
+        s.add_class((vector, kappa))  # over 10 rows
         assert int(np.argmax(posterior(s, xv))) == 2
 
 
 class TestAddClass:
     def test_grown_state_matches_stacked_rows(self):
         rng = np.random.default_rng(0)
-        s = kmeans_state([[0.5, 0.5, 0.0]], [1.0], assignments=[0])
+        s = kmeans_state([[0.5, 0.5, 0.0]], [1.0], assignments=[0] * 50)
         rows, priors = [s.vectors[0].copy()], s.priors.copy()
         for m in range(1, 40):
             params = new_class(from_dense(rng.random(3)), ModelFamily.KMEANS, 3)
-            assert s.add_class(params, 50) == m
+            assert s.add_class(params) == m
             p_new = 2.0 / (50 + m + 1)
             priors = np.append(priors * (1.0 - p_new), p_new)
             rows.append(params[0])
@@ -247,20 +254,32 @@ class TestAddClass:
         assert np.array_equal(s.vectors, np.vstack(rows))
 
     def test_earlier_vectors_never_overwritten(self):
-        s = nb_state([[0.5, 0.5], [0.25, 0.75]], [0.5, 0.5], assignments=[0, 1])
+        # nor earlier scores: the new classes' columns differ on these rows
+        d = dataset([[(0, 3.0)], [(1, 1.0)]], [0, 1], 2)
+        s = nb_state([[0.5, 0.5], [0.25, 0.75]], [0.5, 0.5], assignments=[0, 1], X=d.matrix())
         new = new_class(from_pairs([(0, 3.0)]), ModelFamily.NB, 2)
-        s.add_class(new, 10)
-        before = s.vectors
-        kept = before.copy()
+        s.add_class(new)
+        before, before_scores = s.vectors, s.scores
+        kept, kept_scores = before.copy(), before_scores.copy()
         s.truncate(2)
-        s.add_class(new_class(from_pairs([(1, 3.0)]), ModelFamily.NB, 2), 10)
-        shown = s.vectors
-        shown_kept = shown.copy()
-        s.add_class(new, 10)
+        s.add_class(new_class(from_pairs([(1, 3.0)]), ModelFamily.NB, 2))
+        shown, shown_scores = s.vectors, s.scores
+        shown_kept, shown_kept_scores = shown.copy(), shown_scores.copy()
+        s.add_class(new)
         assert np.array_equal(before, kept)
+        assert np.array_equal(before_scores, kept_scores)
         assert shown.shape == (3, 2) and s.vectors.shape == (4, 2)
+        assert shown_scores.shape == (2, 3) and s.scores.shape == (2, 4)
         assert np.array_equal(shown, shown_kept)
+        assert np.array_equal(shown_scores, shown_kept_scores)
         assert np.array_equal(s.vectors[:3], shown)
+        assert np.array_equal(s.scores[:, :3], shown_scores)
+
+    def test_assignments_must_cover_every_row(self):
+        d = dataset([[(0, 3.0)], [(1, 1.0)]], [0, 1], 2)
+        for assignments in ([0], [0, 1, 1], []):
+            with pytest.raises(ValueError, match="every row"):
+                nb_state([[0.5, 0.5]], [1.0], assignments=assignments, X=d.matrix())
 
 
 class TestMStep:
@@ -283,7 +302,7 @@ class TestMStep:
         d = dataset([[(0, 1.0)], [(1, 1.0)]], [0, -1], 2)
         p = partition(d, labeled=[0], seeded=[0])
         s = init_from_seeds(d, p, ModelFamily.NB)
-        s.add_class(init_new_class(d, 1, ModelFamily.NB), 2)
+        s.add_class(init_new_class(d, 1, ModelFamily.NB))
         s.assignments[1] = 0  # introduced class left empty
         s2 = m_step(s, d)
         assert s2.num_classes == 1
@@ -308,7 +327,7 @@ class TestMStep:
                     [normalize(x, norm) for x in d.instances], d.gold_ids, 3
                 )
             s = init_from_seeds(dd, p, fam)
-            s.add_class(init_new_class(dd, 2, fam), 3)
+            s.add_class(init_new_class(dd, 2, fam))
             s.assignments[2] = 2
             s2 = m_step(s, dd)
             assert int(np.argmax(posterior(s2, dd.instances[2]))) == 2
@@ -317,27 +336,27 @@ class TestMStep:
 class TestDataLogLikelihood:
     def test_single_instance_nb(self):
         d = dataset([[(0, 1.0)]], [0], 2)
-        s = nb_state([[0.5, 0.5]], [1.0], assignments=[0])
-        assert data_log_likelihood(s, d) == pytest.approx(math.log(0.5))
+        s = nb_state([[0.5, 0.5]], [1.0], assignments=[0], X=d.matrix())
+        assert data_log_likelihood(s) == pytest.approx(math.log(0.5))
 
     def test_nb_terms_nonpositive(self):
         d = dataset([[(0, 2.0)], [(1, 1.0)]], [0, 0], 2)
-        s = nb_state([[0.3, 0.7]], [1.0], assignments=[0, 0])
-        one = data_log_likelihood(nb_state([[0.3, 0.7]], [1.0], [0]),
-                                  dataset([[(0, 2.0)]], [0], 2))
-        both = data_log_likelihood(s, d)
+        s = nb_state([[0.3, 0.7]], [1.0], assignments=[0, 0], X=d.matrix())
+        one = data_log_likelihood(nb_state([[0.3, 0.7]], [1.0], [0],
+                                           X=dataset([[(0, 2.0)]], [0], 2).matrix()))
+        both = data_log_likelihood(s)
         assert both < one  # adding an instance never increases the total
 
     def test_two_instance_hand_sum(self):
         d = dataset([[(0, 2.0)], [(1, 1.0)]], [0, 1], 2)
-        s = nb_state([[0.9, 0.1], [0.2, 0.8]], [0.4, 0.6], assignments=[0, 1])
+        s = nb_state([[0.9, 0.1], [0.2, 0.8]], [0.4, 0.6], assignments=[0, 1], X=d.matrix())
         expected = (math.log(0.4) + 2 * math.log(0.9)) + (math.log(0.6) + math.log(0.8))
-        assert data_log_likelihood(s, d) == pytest.approx(expected, abs=1e-9)
+        assert data_log_likelihood(s) == pytest.approx(expected, abs=1e-9)
 
     def test_kmeans_surrogate_finite_on_zero_similarity(self):
         d = dataset([[(2, 1.0)]], [0], 3)
-        s = kmeans_state([[0.5, 0.5, 0.0]], [1.0], assignments=[0])
-        assert math.isfinite(data_log_likelihood(s, d))
+        s = kmeans_state([[0.5, 0.5, 0.0]], [1.0], assignments=[0], X=d.matrix())
+        assert math.isfinite(data_log_likelihood(s))
 
 
 class TestFreeParameterCount:
@@ -351,7 +370,7 @@ class TestFreeParameterCount:
 
     def test_vmf(self):
         s = ModelState(
-            ModelFamily.VMF, 3,
+            ModelFamily.VMF, no_rows(3),
             np.array([[1.0, 0, 0], [0, 1.0, 0]]),
             np.array([0.5, 0.5]), [0, 1],
             np.zeros(0, dtype=np.int64), kappas=np.array([1.0, 1.0]),
