@@ -20,7 +20,6 @@ from .data import (
 from .engine import (
     EngineConfig,
     RunResult,
-    best_extra_classes_sweep,
     calibrate_random_rate,
     exploratory_em,
     semisup_em,

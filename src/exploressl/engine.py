@@ -6,7 +6,7 @@ semi-supervised baseline with optional extra randomly-initialized classes.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -247,37 +247,3 @@ def calibrate_random_rate(
         return 0.0
     post = posteriors(state, state.scores[unlabeled])
     return int(np.count_nonzero(ref(post))) / len(unlabeled)
-
-
-def best_extra_classes_sweep(
-    d: Dataset,
-    p: SeedPartition,
-    cfg: EngineConfig,
-    m_values: list[int],
-    include_seeds: bool = False,
-) -> tuple[int, float, list[dict]]:
-    """Oracle sweep over extra-class counts: run the baseline per m and pick
-    the m maximizing seed-class macro F1 (ties to the smaller m) on the rows
-    evaluation.eval_rows gives. Uses test labels, so it is an upper bound,
-    not a practical method."""
-    from .evaluation import eval_rows, seed_macro_f1
-
-    if not m_values:
-        raise ValueError("m_values must be non-empty")
-    eval_idx, gold = eval_rows(d, p, include_seeds)
-    rows = []
-    best_m, best_f1 = None, -1.0
-    for m in m_values:
-        result = semisup_em(d, p, replace(cfg, extra_classes=m, criterion=None))
-        f1 = seed_macro_f1(result.final_state.assignments[eval_idx], gold, p.seeded_class_ids)
-        rows.append(
-            {
-                "extra_classes": m,
-                "seed_macro_f1": f1,
-                "clusters": result.final_state.num_classes,
-                "iterations": result.iterations_run,
-            }
-        )
-        if f1 > best_f1:
-            best_m, best_f1 = m, f1
-    return best_m, best_f1, rows

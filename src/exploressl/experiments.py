@@ -28,13 +28,7 @@ from .data import (
     subset,
     write_label_map,
 )
-from .engine import (
-    EngineConfig,
-    best_extra_classes_sweep,
-    calibrate_random_rate,
-    exploratory_em,
-    semisup_em,
-)
+from .engine import EngineConfig, RunResult, calibrate_random_rate, exploratory_em, semisup_em
 from .evaluation import eval_rows, paired_significance, seed_macro_f1
 from .models import ModelFamily
 from .selection import SelectionCriterion
@@ -67,6 +61,13 @@ RANGES = {
     "sweep_m_values": (lambda v: v >= 0, ">= 0"),
     "workers": (lambda v: v >= 1, ">= 1"),
 }
+# the list fields that some algorithms run once per item of, with those
+# algorithms: an empty one would leave their cells with nothing to run
+PER_ITEM = {
+    "criteria": ("exploratory",),
+    "p_new": ("crp-standard", "crp-modified"),
+    "sweep_m_values": ("semisup-sweep",),
+}
 
 
 @dataclass
@@ -94,6 +95,13 @@ class ExperimentSpec:
     def __post_init__(self):
         for key in {**CHOICES, **RANGES}:
             check_value(key, getattr(self, key))
+        for key in ("families", "algorithms"):
+            if not len(getattr(self, key)):
+                raise ValueError(f"{key}: none given, and a grid needs at least one")
+        for key, users in PER_ITEM.items():
+            needs = [a for a in self.algorithms if a in users]
+            if needs and not len(getattr(self, key)):
+                raise ValueError(f"{key}: none given, and algorithm {needs[0]} needs at least one")
 
 
 def check_value(key: str, value) -> None:
@@ -128,23 +136,25 @@ def prepare_family_datasets(raw: Dataset) -> dict[ModelFamily, Dataset]:
     }
 
 
-# a pool worker's dataset per family, set once by its initializer: tasks carry
-# only the family name, so the datasets are not sent again with every task
-_WORKER_DATASETS: dict[ModelFamily, Dataset] = {}
+# a pool worker's spec, partitions and dataset per family, set once by its
+# initializer: tasks carry only their grid coordinates, so none of these is
+# sent again with every task
+_WORKER: dict = {}
 
 
-def _init_worker(datasets: dict[ModelFamily, Dataset]) -> None:
-    _WORKER_DATASETS.update(datasets)
+def _init_worker(spec: ExperimentSpec, partitions: list[SeedPartition],
+                 datasets: dict[ModelFamily, Dataset]) -> None:
+    _WORKER.update(spec=spec, partitions=partitions, datasets=datasets)
 
 
 def _run_in_worker(task: dict) -> dict:
-    return _run_one(task, _WORKER_DATASETS)
+    return _run_one(task, **_WORKER)
 
 
-def _run_one(task: dict, datasets: dict[ModelFamily, Dataset]) -> dict:
+def _run_one(task: dict, spec: ExperimentSpec, partitions: list[SeedPartition],
+             datasets: dict[ModelFamily, Dataset]) -> dict:
     """Execute one grid cell on one partition; returns a result row."""
-    p: SeedPartition = task["partition"]
-    spec: ExperimentSpec = task["spec"]
+    p = partitions[task["partition_index"]]
     family = ModelFamily(task["family"])
     d = datasets[family]
     algorithm = task["algorithm"]
@@ -153,8 +163,8 @@ def _run_one(task: dict, datasets: dict[ModelFamily, Dataset]) -> dict:
         dataset=Path(spec.dataset_path).name,
         algorithm=algorithm,
         family=family.value,
-        criterion=task.get("criterion") or "",
-        p_new=task.get("p_new") if task.get("p_new") is not None else "",
+        criterion=task["criterion"] or "",
+        p_new=task["p_new"] if task["p_new"] is not None else "",
         partition=task["partition_index"],
     )
     try:
@@ -167,6 +177,13 @@ def _run_one(task: dict, datasets: dict[ModelFamily, Dataset]) -> dict:
             ll_rel_tolerance=spec.ll_rel_tolerance,
             rng_seed=run_seed,
         )
+        # the rows every run is scored on, and the only read of test labels
+        eval_idx, gold = eval_rows(d, p, spec.include_seeds_in_eval)
+
+        def score(result: RunResult) -> float:
+            assigned = result.final_state.assignments[eval_idx]
+            return seed_macro_f1(assigned, gold, p.seeded_class_ids)
+
         if algorithm == "exploratory":
             kind = CriterionKind(task["criterion"])
             rate = (calibrate_random_rate(d, p, family, CriterionKind(spec.random_reference))
@@ -175,46 +192,29 @@ def _run_one(task: dict, datasets: dict[ModelFamily, Dataset]) -> dict:
         elif algorithm == "semisup":
             result = semisup_em(d, p, cfg)
         elif algorithm == "semisup-sweep":
-            best_m, best_f1, per_m = best_extra_classes_sweep(
-                d, p, cfg, list(spec.sweep_m_values), spec.include_seeds_in_eval
-            )
-            # the run of the best m, as its row of the sweep table reports it
-            best = next(r for r in per_m if r["extra_classes"] == best_m)
-            row.update(
-                seed_f1=f"{best_f1:.6f}",
-                clusters=best["clusters"],
-                iterations=best["iterations"],
-                runtime_s=f"{time.perf_counter() - t0:.3f}",
-            )
-            row["sweep_table"] = per_m
-            return row
-        else:
-            pick = (
-                crp_mod.PickRule.STANDARD
-                if algorithm == "crp-standard"
-                else crp_mod.PickRule.MODIFIED
-            )
-            result = crp_mod.crp_gibbs(
-                d,
-                p,
-                crp_mod.CrpConfig(
-                    p_new=float(task["p_new"]),
-                    num_epochs=spec.crp_epochs,
-                    pick=pick,
-                    family=family,
-                    rng_seed=run_seed,
-                ),
-            )
-        eval_idx, gold = eval_rows(d, p, spec.include_seeds_in_eval)
-        assignments = result.final_state.assignments  # int64, aligned with d.instance_ids
-        f1 = seed_macro_f1(assignments[eval_idx], gold, p.seeded_class_ids)
+            # oracle baseline: one run per extra-class count m, keeping the
+            # first that scores best on the test labels, so an upper bound
+            table, best_f1 = [], -1.0
+            for m in spec.sweep_m_values:
+                run = semisup_em(d, p, replace(cfg, extra_classes=m))
+                f1 = score(run)
+                table.append({"extra_classes": m, "seed_macro_f1": f1,
+                              "clusters": run.final_state.num_classes,
+                              "iterations": run.iterations_run})
+                if f1 > best_f1:
+                    result, best_f1 = run, f1
+            row["sweep_table"] = table
+        else:  # crp-standard or crp-modified
+            result = crp_mod.crp_gibbs(d, p, crp_mod.CrpConfig(
+                p_new=float(task["p_new"]), num_epochs=spec.crp_epochs, family=family,
+                pick=crp_mod.PickRule(algorithm.removeprefix("crp-")), rng_seed=run_seed))
         row.update(
-            seed_f1=f"{f1:.6f}",
+            seed_f1=f"{score(result):.6f}",
             clusters=result.final_state.num_classes,
             iterations=result.iterations_run,
             runtime_s=f"{time.perf_counter() - t0:.3f}",
         )
-        row["assignments"] = assignments
+        row["assignments"] = result.final_state.assignments  # aligned with d.instance_ids
     except Exception as e:  # noqa: BLE001 - per-run failures become tagged rows
         log.exception("run failed: %s", row)
         row["error"] = f"{type(e).__name__}: {e}"
@@ -222,26 +222,20 @@ def _run_one(task: dict, datasets: dict[ModelFamily, Dataset]) -> dict:
 
 
 def build_tasks(spec: ExperimentSpec, partitions: list[SeedPartition]) -> list[dict]:
+    """One task per grid cell and partition: its coordinates and run seed."""
     tasks = []
     for fi, family in enumerate(spec.families):
         for ai, algorithm in enumerate(spec.algorithms):
-            crits = list(spec.criteria) if algorithm == "exploratory" else [None]
-            pnews = list(spec.p_new) if algorithm.startswith("crp") else [None]
+            crits = list(spec.criteria) if algorithm in PER_ITEM["criteria"] else [None]
+            pnews = list(spec.p_new) if algorithm in PER_ITEM["p_new"] else [None]
             for ci, criterion in enumerate(crits):
                 for ni, p_new in enumerate(pnews):
-                    for pi, partition in enumerate(partitions):
-                        tasks.append(
-                            {
-                                "spec": spec,
-                                "partition": partition,
-                                "partition_index": pi,
-                                "family": family,
-                                "algorithm": algorithm,
-                                "criterion": criterion,
-                                "p_new": p_new,
-                                "run_seed": derive_seed(spec.rng_seed, fi, ai, ci, ni, pi),
-                            }
-                        )
+                    for pi in range(len(partitions)):
+                        tasks.append({
+                            "family": family, "algorithm": algorithm, "criterion": criterion,
+                            "p_new": p_new, "partition_index": pi,
+                            "run_seed": derive_seed(spec.rng_seed, fi, ai, ci, ni, pi),
+                        })
     return tasks
 
 
@@ -265,6 +259,12 @@ def run_experiment(spec: ExperimentSpec) -> int:
         spec.num_partitions,
         spec.rng_seed,
     )
+    if "semisup-sweep" in spec.algorithms:
+        most = max(spec.sweep_m_values)
+        for pi, p in enumerate(partitions):
+            if most > len(p.unlabeled_idx):
+                raise ValueError(f"sweep_m_values: {most} exceeds the {len(p.unlabeled_idx)} "
+                                 f"unlabeled instances of partition {pi}")
     tasks = build_tasks(spec, partitions)
     # every check that can reject the spec or the dataset has run by now, so
     # a failed run leaves no output directory behind
@@ -274,10 +274,10 @@ def run_experiment(spec: ExperimentSpec) -> int:
 
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers, initializer=_init_worker,
-                                 initargs=(datasets,)) as pool:
+                                 initargs=(spec, partitions, datasets)) as pool:
             rows = list(pool.map(_run_in_worker, tasks))
     else:
-        rows = [_run_one(t, datasets) for t in tasks]
+        rows = [_run_one(t, spec, partitions, datasets) for t in tasks]
 
     _write_rows(rows, out / "runs.csv")
     _write_assignments(rows, out, any_d.instance_ids)

@@ -210,6 +210,18 @@ class TestRunCommand:
         (["--sweep-m-values", "0,2,-3"], "sweep_m_values: -3 is not >= 0$"),
         (["--workers", "0"], "workers: 0 is not >= 1$"),
         (["--workers=-2"], "workers: -2 is not >= 1$"),
+        # a grid in which some cell would have nothing to run
+        (["--algorithms", "semisup-sweep", "--sweep-m-values="],
+         "sweep_m_values: none given, and algorithm semisup-sweep needs at least one$"),
+        # the 60-row dataset leaves 58 unlabeled rows, which only drawing the
+        # partitions checks
+        (["--algorithms", "semisup-sweep", "--sweep-m-values", "0,100"],
+         "sweep_m_values: 100 exceeds the 58 unlabeled instances of partition 0$"),
+        (["--criteria="], "criteria: none given, and algorithm exploratory needs at least one$"),
+        (["--families="], "families: none given, and a grid needs at least one$"),
+        (["--algorithms="], "algorithms: none given, and a grid needs at least one$"),
+        (["--algorithms", "crp-standard", "--p-new="],
+         "p_new: none given, and algorithm crp-standard needs at least one$"),
     ])
     def test_out_of_range_flag_fails_before_any_file(
         self, dataset_file, tmp_path, flags, message
@@ -376,6 +388,7 @@ class TestSweepPnewCommand:
         (["--p-new", "0.1,often"], "p_new: could not convert string to float: 'often'$"),
         (["--p-new", "0.1,1.5"], "p_new: 1.5 is not in \\(0, 1\\)$"),
         (["--p-new", "0.1", "--num-partitions", "0"], "num_partitions: 0 is not >= 1$"),
+        (["--p-new="], "p_new: none given, and algorithm crp-standard needs at least one$"),
     ])
     def test_bad_value_is_one_line(self, dataset_file, tmp_path, flags, message):
         out = tmp_path / "out"

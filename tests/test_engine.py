@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from exploressl.criteria import CriterionConfig, CriterionKind
-from exploressl.data import SeedPartition, make_partitions
+from exploressl.crp import CrpConfig, PickRule, crp_gibbs
+from exploressl.data import Dataset, SeedPartition, make_partitions
 from exploressl.engine import (
     EngineConfig,
-    best_extra_classes_sweep,
     calibrate_random_rate,
     exploratory_em,
     semisup_em,
@@ -206,30 +206,6 @@ class TestSemisupEm:
         assert np.array_equal(a.final_state.assignments, b.final_state.assignments)
 
 
-class TestBestExtraClassesSweep:
-    def test_single_zero_matches_plain(self):
-        d, p = small_synthetic(14)
-        cfg = EngineConfig(family=ModelFamily.NB)
-        best_m, best_f1, rows = best_extra_classes_sweep(d, p, cfg, [0])
-        plain = semisup_em(d, p, cfg)
-        assert best_m == 0
-        assert best_f1 == pytest.approx(eval_f1(d, p, plain))
-
-    def test_table_has_one_row_per_m(self):
-        d, p = small_synthetic(15)
-        cfg = EngineConfig(family=ModelFamily.NB)
-        _, _, rows = best_extra_classes_sweep(d, p, cfg, [0, 1, 2, 5])
-        assert [r["extra_classes"] for r in rows] == [0, 1, 2, 5]
-
-    def test_tie_prefers_smaller_m(self):
-        d, p = small_synthetic(16, classes=2, seeded=2)
-        cfg = EngineConfig(family=ModelFamily.NB)
-        best_m, _, rows = best_extra_classes_sweep(d, p, cfg, [0, 1])
-        f1s = [r["seed_macro_f1"] for r in rows]
-        if f1s[0] == f1s[1]:
-            assert best_m == 0
-
-
 class TestCalibrateRandomRate:
     def test_rate_in_unit_interval(self):
         d, p = small_synthetic(17)
@@ -240,3 +216,45 @@ class TestCalibrateRandomRate:
         d, p = small_synthetic(18)
         with pytest.raises(ValueError):
             calibrate_random_rate(d, p, ModelFamily.NB, CriterionKind.RANDOM)
+
+
+def blind_to_unlabeled_gold(d, p, how):
+    """d with the gold ids of p's unlabeled rows set to -1 or permuted."""
+    gold = d.gold_ids.copy()
+    rows = p.unlabeled_idx
+    gold[rows] = -1 if how == "hidden" else np.random.default_rng(0).permutation(gold[rows])
+    assert not np.array_equal(gold, d.gold_ids)
+    return Dataset(d.matrix(), gold, d.instance_ids, d.label_names)
+
+
+def outcome(result):
+    s = result.final_state
+    return (s.assignments.tolist(), s.num_classes, result.iterations_run, result.ll_trace,
+            result.class_count_trace, result.can_add_latched_at)
+
+
+class TestNoRunReadsTestLabels:
+    # the gold id of an unlabeled row is a test label: only scoring may read it
+    @pytest.mark.parametrize("how", ["hidden", "permuted"])
+    @pytest.mark.parametrize("family", list(ModelFamily))
+    def test_runs_do_not_change_with_unlabeled_gold(self, family, how):
+        raw, p = small_synthetic(21, classes=4, seeded=2)
+        d = prepare_family_datasets(raw)[family]
+        assert len(d) == len(raw)
+        blind = blind_to_unlabeled_gold(d, p, how)
+        rates = [calibrate_random_rate(x, p, family, ref)
+                 for ref in (CriterionKind.MINMAX, CriterionKind.JS) for x in (d, blind)]
+        assert rates[0] == rates[1] and rates[2] == rates[3]
+        runs = [
+            lambda x: exploratory_em(x, p, EngineConfig(
+                family, CriterionConfig(CriterionKind.JS), rng_seed=4)),
+            lambda x: exploratory_em(x, p, EngineConfig(
+                family, CriterionConfig(CriterionKind.RANDOM, rates[0]), rng_seed=4)),
+            lambda x: semisup_em(x, p, EngineConfig(family, extra_classes=2, rng_seed=4)),
+        ] + [
+            lambda x, pick=pick: crp_gibbs(x, p, CrpConfig(
+                1e-2, num_epochs=3, pick=pick, family=family, rng_seed=4))
+            for pick in PickRule
+        ]
+        for run in runs:
+            assert outcome(run(blind)) == outcome(run(d))

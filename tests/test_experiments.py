@@ -11,7 +11,9 @@ import scipy.sparse as sp
 
 from exploressl import experiments
 from exploressl.cli import main
-from exploressl.data import DataFormatError, Dataset
+from exploressl.data import DataFormatError, Dataset, load_dataset, make_partitions
+from exploressl.engine import semisup_em
+from exploressl.evaluation import eval_rows, seed_macro_f1
 from exploressl.experiments import ExperimentSpec, prepare_family_datasets, run_experiment
 from exploressl.models import ModelFamily
 from exploressl.synth import GeneratorFamily, SyntheticSpec, generate_synthetic
@@ -77,10 +79,17 @@ def test_grid_keeps_no_dataset_alive(dataset_file, tmp_path, monkeypatch, worker
     assert len(made) == 6 and all(ref() is None for ref in made)
 
 
+def sweep_table(out, row):
+    with open(out / f"sweep_semisup-sweep_{row['family']}_part{row['partition']}.json",
+              encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 @pytest.mark.parametrize("include_seeds", [False, True])
 def test_sweep_of_m_0_scores_as_semisup(dataset_file, tmp_path, include_seeds):
     # with m = 0 alone, semisup-sweep fits semisup's model, which draws no
-    # random numbers, so both must score it on the rows include_seeds_in_eval picks
+    # random numbers, so both must score it on the rows include_seeds_in_eval
+    # picks and write the same assignments
     spec = ExperimentSpec(
         dataset_path=str(dataset_file), output_dir=str(tmp_path), families=("nb", "kmeans"),
         algorithms=("semisup", "semisup-sweep"), num_partitions=3, seeds_fraction=0.1,
@@ -90,36 +99,100 @@ def test_sweep_of_m_0_scores_as_semisup(dataset_file, tmp_path, include_seeds):
     f1 = {}
     for r in runs_without_runtime(tmp_path):
         f1.setdefault(r["algorithm"], []).append((r["family"], r["partition"], r["seed_f1"]))
+        if r["algorithm"] == "semisup-sweep":
+            assert [t["extra_classes"] for t in sweep_table(tmp_path, r)] == [0]
     assert len(f1["semisup"]) == 6
     assert f1["semisup-sweep"] == f1["semisup"]
+    for family, part, _ in f1["semisup"]:
+        name = f"{family}_part{part}.csv"
+        assert filecmp.cmp(tmp_path / f"assign_semisup_{name}",
+                           tmp_path / f"assign_semisup-sweep_{name}", shallow=False)
 
 
 def test_sweep_row_reports_the_best_m_run(dataset_file, tmp_path):
-    # runs.csv's sweep row holds the seed F1, cluster count and iterations of
-    # the best m's run, as its row of sweep_*.json reports them
+    # one sweep_*.json entry per m, in list order; runs.csv's sweep row holds
+    # the seed F1, cluster count and iterations of the first best m's run, as
+    # its entry reports them
     spec = ExperimentSpec(
         dataset_path=str(dataset_file), output_dir=str(tmp_path), families=("nb", "kmeans"),
         algorithms=("semisup-sweep",), num_partitions=2, seeds_fraction=0.1,
-        sweep_m_values=(0, 1, 2),
+        sweep_m_values=(2, 0, 1),
     )
     assert run_experiment(spec) == 0
     rows = runs_without_runtime(tmp_path)
     assert len(rows) == 4
     for r in rows:
-        with open(tmp_path / f"sweep_semisup-sweep_{r['family']}_part{r['partition']}.json",
-                  encoding="utf-8") as fh:
-            table = json.load(fh)
-        assert [t["extra_classes"] for t in table] == [0, 1, 2]
-        best = max(table, key=lambda t: (t["seed_macro_f1"], -t["extra_classes"]))
+        table = sweep_table(tmp_path, r)
+        assert [list(t) for t in table] == [
+            ["extra_classes", "seed_macro_f1", "clusters", "iterations"]] * 3
+        assert [t["extra_classes"] for t in table] == [2, 0, 1]
+        best = max(table, key=lambda t: t["seed_macro_f1"])  # the first of equals
         assert (r["seed_f1"], r["clusters"], r["iterations"]) == (
             f"{best['seed_macro_f1']:.6f}", str(best["clusters"]), str(best["iterations"]))
 
 
+def test_sweep_keeps_the_first_of_tied_runs(dataset_file, tmp_path, monkeypatch):
+    # every m scores the same, so the row and its assignments are the first m's run
+    runs = []
+
+    def recorded(d, p, cfg):
+        runs.append((cfg.extra_classes, semisup_em(d, p, cfg)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(experiments, "semisup_em", recorded)
+    monkeypatch.setattr(experiments, "seed_macro_f1", lambda *args: 0.5)
+    spec = ExperimentSpec(
+        dataset_path=str(dataset_file), output_dir=str(tmp_path), families=("nb",),
+        algorithms=("semisup-sweep",), num_partitions=1, seeds_fraction=0.1,
+        sweep_m_values=(3, 1, 2),
+    )
+    assert run_experiment(spec) == 0
+    (row,) = runs_without_runtime(tmp_path)
+    assert [m for m, _ in runs] == [3, 1, 2]
+    first = runs[0][1]
+    assert (row["seed_f1"], row["clusters"], row["iterations"]) == (
+        "0.500000", str(first.final_state.num_classes), str(first.iterations_run))
+    with open(tmp_path / "assign_semisup-sweep_nb_part0.csv", encoding="utf-8") as fh:
+        clusters = [int(r["cluster"]) for r in csv.DictReader(fh)]
+    assert clusters == first.final_state.assignments.tolist()
+
+
+def test_every_successful_row_has_its_assignments_file(dataset_file, tmp_path, monkeypatch):
+    # and the file re-scores to the row's seed F1 on the rows it was scored on
+    drawn = []
+
+    def partitions(*args):
+        drawn.extend(make_partitions(*args))
+        return drawn
+
+    monkeypatch.setattr(experiments, "make_partitions", partitions)
+    spec = ExperimentSpec(
+        dataset_path=str(dataset_file), output_dir=str(tmp_path), families=("nb", "vmf"),
+        algorithms=experiments.ALGORITHMS, criteria=("js", "random"), p_new=(1e-2,),
+        num_partitions=2, seeds_fraction=0.1, sweep_m_values=(0, 2), crp_epochs=3,
+        max_iterations=3,
+    )
+    assert run_experiment(spec) == 0
+    d = prepare_family_datasets(load_dataset(str(dataset_file)))[ModelFamily.NB]
+    rows = runs_without_runtime(tmp_path)
+    assert len(rows) == 2 * 6 * 2 and not any(r["error"] for r in rows)
+    for r in rows:
+        r["p_new"] = float(r["p_new"]) if r["p_new"] else ""
+        with open(tmp_path / f"assign_{experiments._run_id(r)}.csv", encoding="utf-8") as fh:
+            clusters = np.array([int(x["cluster"]) for x in csv.DictReader(fh)])
+        p = drawn[int(r["partition"])]
+        eval_idx, gold = eval_rows(d, p)
+        f1 = seed_macro_f1(clusters[eval_idx], gold, p.seeded_class_ids)
+        assert f"{f1:.6f}" == r["seed_f1"]
+
+
 def test_tasks_carry_no_dataset():
+    # nor the spec or a partition: each worker gets those once, when it starts
     spec = ExperimentSpec(dataset_path="d.txt", output_dir="out", families=("nb", "vmf"))
     tasks = experiments.build_tasks(spec, partitions=[None])
     assert [t["family"] for t in tasks] == ["nb", "nb", "vmf", "vmf"]
-    assert all("dataset" not in t for t in tasks)
+    assert all(set(t) == {"family", "algorithm", "criterion", "p_new", "partition_index",
+                          "run_seed"} for t in tasks)
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -147,6 +220,9 @@ def test_spec_takes_the_range_limits_and_numpy_values():
                    p_new=(1e-12, 0.999), ll_rel_tolerance=1e-300)
     ExperimentSpec(dataset_path="d.txt", output_dir="out", num_partitions=np.int64(2),
                    p_new=np.array([1e-3, 1e-2]), families=np.array(["nb", "vmf"]))
+    # an empty list that no requested algorithm runs over
+    ExperimentSpec(dataset_path="d.txt", output_dir="out", algorithms=("semisup",),
+                   criteria=(), p_new=(), sweep_m_values=np.array([], dtype=int))
     with pytest.raises(ValueError, match="^num_partitions: 0 is not >= 1$"):
         ExperimentSpec(dataset_path="d.txt", output_dir="out", num_partitions=np.int64(0))
 
