@@ -13,7 +13,7 @@ from exploressl.engine import (
     semisup_em,
 )
 from exploressl.evaluation import seed_macro_f1
-from exploressl.experiments import prepare_family_datasets
+from exploressl.experiments import ExperimentSpec, _run_one, prepare_family_datasets
 from exploressl.models import ModelFamily
 from exploressl.synth import SyntheticSpec, generate_synthetic
 
@@ -204,6 +204,32 @@ class TestSemisupEm:
         a = semisup_em(d, p, cfg)
         b = semisup_em(d, p, cfg)
         assert np.array_equal(a.final_state.assignments, b.final_state.assignments)
+
+
+def sweep_cell(d, p, m_values):
+    """The semisup-sweep grid cell's row for NB on d and p."""
+    spec = ExperimentSpec(dataset_path="d.txt", output_dir="out",
+                          sweep_m_values=tuple(m_values))
+    task = {"family": "nb", "algorithm": "semisup-sweep", "criterion": None,
+            "p_new": None, "partition_index": 0, "run_seed": 0}
+    row = _run_one(task, spec, [p], {ModelFamily.NB: d})
+    assert not row["error"]
+    return row
+
+
+class TestBestExtraClassesSweep:
+    def test_single_zero_matches_plain(self):
+        d, p = small_synthetic(14)
+        row = sweep_cell(d, p, [0])
+        plain = semisup_em(d, p, EngineConfig(family=ModelFamily.NB))
+        assert [r["extra_classes"] for r in row["sweep_table"]] == [0]
+        assert row["seed_f1"] == f"{eval_f1(d, p, plain):.6f}"
+        assert np.array_equal(row["assignments"], plain.final_state.assignments)
+
+    def test_table_has_one_row_per_m(self):
+        d, p = small_synthetic(15)
+        row = sweep_cell(d, p, [0, 1, 2, 5])
+        assert [r["extra_classes"] for r in row["sweep_table"]] == [0, 1, 2, 5]
 
 
 class TestCalibrateRandomRate:
