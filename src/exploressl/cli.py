@@ -60,8 +60,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="CSV with columns instance_id,cluster")
     ev.add_argument("--dataset", required=True)
     ev.add_argument("--format", choices=CHOICES["dataset_format"])
-    ev.add_argument("--seed-classes", required=True,
-                    help="comma list of dense class ids to average F1 over")
+    scored = ev.add_mutually_exclusive_group(required=True)
+    scored.add_argument("--seed-classes",
+                        help="comma list of dense class ids to average F1 over, on every row")
+    scored.add_argument("--partitions",
+                        help="a run's partitions.json: score the classes and rows that run "
+                             "scored on partition --partition")
+    ev.add_argument("--partition", type=int, help="partition index within --partitions")
     ev.add_argument("--output", help="write the JSON report here (default stdout)")
 
     sweep = sub.add_parser("sweep-pnew", help="CRP concentration-parameter sweep")
@@ -122,19 +127,44 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    seeded = []
-    for token in args.seed_classes.split(","):
+def _saved_partition(path: str, k: int) -> tuple[list[int], set[str]]:
+    """Partition k of a partitions.json that run wrote: its seeded class ids,
+    and the ids of the instances run did not score (its labeled ones, unless
+    the run scored them too)."""
+    with _reading(path), open(path, encoding="utf-8") as fh:
         try:
-            seeded.append(int(token))
-        except ValueError:
-            raise ValueError(f"--seed-classes: {token!r} is not an integer class id") from None
+            saved = json.load(fh)
+            parts = [([int(c) for c in part["seeded_class_ids"]],
+                      set(part["labeled_instance_ids"])) for part in saved["partitions"]]
+            with_seeds = saved["include_seeds_in_eval"] is True
+        except (ValueError, KeyError, TypeError):
+            raise DataFormatError("not a partitions.json that run writes") from None
+    if not 0 <= k < len(parts):
+        raise ValueError(f"--partition: {path} holds partitions 0 to {len(parts) - 1}, not {k}")
+    seeded, labeled = parts[k]
+    return seeded, set() if with_seeds else labeled
+
+
+def _cmd_eval(args: argparse.Namespace) -> int:
+    if (args.partitions is None) != (args.partition is None):
+        raise ValueError("--partitions and --partition go together")
+    if args.partitions is not None:
+        seeded, unscored = _saved_partition(args.partitions, args.partition)
+    else:
+        seeded, unscored = [], set()
+        for token in args.seed_classes.split(","):
+            try:
+                seeded.append(int(token))
+            except ValueError:
+                raise ValueError(
+                    f"--seed-classes: {token!r} is not an integer class id") from None
     with _reading(args.dataset):
         d = load_dataset(args.dataset, args.format or ExperimentSpec.dataset_format)
     class_ids = sorted(set(d.gold_ids.tolist()) - {-1})
     unknown = [c for c in seeded if c not in class_ids]
     if unknown:
-        raise ValueError(f"--seed-classes: no row of {args.dataset} has class {unknown[0]}; "
+        flag = "--seed-classes" if args.partitions is None else "--partitions"
+        raise ValueError(f"{flag}: no row of {args.dataset} has class {unknown[0]}; "
                          f"its class ids are {', '.join(map(str, class_ids)) or 'none'}")
     by_id = {iid: i for i, iid in enumerate(d.instance_ids)}
     assignments, gold, seen = [], [], set()
@@ -153,7 +183,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 raise DataFormatError(
                     f"line {reader.line_num}: cluster {cluster!r} is not an integer") from None
             i = by_id.get(iid)
-            if i is not None and d.gold_ids[i] >= 0:
+            if i is not None and d.gold_ids[i] >= 0 and iid not in unscored:
                 assignments.append(cluster)
                 gold.append(int(d.gold_ids[i]))
         if not gold:

@@ -15,10 +15,13 @@ from .engine import RunResult, _pass
 from .models import (
     ModelFamily,
     data_log_likelihood,
-    init_from_seeds,
+    fit_seeds,
+    init_from_seeds,  # noqa: F401 - kept as a module attribute: benchmarks/ trace it by name
     init_new_class,  # noqa: F401 - kept as a module attribute: benchmarks/ trace it by name
     m_step,
     posterior,  # noqa: F401 - kept as a module attribute: benchmarks/ trace it by name
+    refit,
+    sum_classes,
 )
 
 
@@ -54,10 +57,10 @@ def crp_pick_standard(
 
 
 def mod_new_class_probabilities(p_new: float, post: np.ndarray) -> np.ndarray:
-    """Per row of an (r, k) posterior matrix: q = p_new / (k * d), d = JS
-    divergence of the row from uniform over its k classes, clamped to
-    [0, 1]; a perfectly uniform row (d = 0) gives q = 1."""
-    k = post.shape[1]
+    """Per column of a (k, r) class-major posterior matrix: q = p_new / (k * d),
+    d = JS divergence of the column from uniform over its k classes, clamped
+    to [0, 1]; a perfectly uniform column (d = 0) gives q = 1."""
+    k = post.shape[0]
     d = js_from_uniform(post)
     with np.errstate(divide="ignore"):
         return np.where(d == 0.0, 1.0, np.minimum(1.0, p_new / (k * d)))
@@ -69,7 +72,7 @@ def mod_crp_pick(
     """New-class coin with bias from mod_new_class_probabilities; tails
     samples an existing class from the posterior."""
     k = len(post)
-    q = mod_new_class_probabilities(p_new, _check_distribution(post, "posterior")[None, :])[0]
+    q = mod_new_class_probabilities(p_new, _check_distribution(post, "posterior")[:, None])[0]
     if rng.random() < q:
         return k, True
     return int(rng.choice(k, p=post)), False
@@ -85,30 +88,46 @@ SUM_TOLERANCE = {PickRule.STANDARD: float(np.sqrt(np.finfo(np.float64).eps)),
 def pick_chunk(
     rule: PickRule, p_new: float, post: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, bool]:
-    """The pick step for the rows of an (r, k) posterior chunk in order,
-    drawing from rng exactly what a loop of crp_pick_standard or mod_crp_pick
-    over the rows would draw until one of them opens a class.
+    """The pick step for the columns of a (k, r) class-major posterior chunk
+    in order, drawing from rng exactly what a loop of crp_pick_standard or
+    mod_crp_pick over the columns would draw until one of them opens a class.
 
-    Returns the labels of the rows before the first row that opens a class,
-    and whether a row opens one (the row after those labels). Each row costs
-    a coin against its new-class probability and, on tails, the one uniform
-    that rng.choice compares with the row's normalised cumulative sum."""
+    Returns the labels of the columns before the first one that opens a
+    class, and whether one opens (the column after those labels). Each
+    column costs a coin against its new-class probability and, on tails, the
+    one uniform that rng.choice compares with the column's normalised
+    cumulative sum. Its sum (models.sum_classes) and cumulative sum add the
+    classes in the order np.sum and np.cumsum add a row's."""
     if not np.all(post >= 0.0):
         raise ValueError("posterior has negative or NaN entries")
-    if np.any(np.abs(post.sum(axis=1) - 1.0) > SUM_TOLERANCE[rule]):
-        raise ValueError("posterior rows do not sum to 1")
+    if np.any(np.abs(sum_classes(post) - 1.0) > SUM_TOLERANCE[rule]):
+        raise ValueError("posterior columns do not sum to 1")
     q = p_new if rule is PickRule.STANDARD else mod_new_class_probabilities(p_new, post)
     start_state = rng.bit_generator.state
-    coins, uniforms = rng.random((len(post), 2)).T
+    coins, uniforms = rng.random((post.shape[1], 2)).T
     opens = np.flatnonzero(coins < q)
-    stop = opens[0] if len(opens) else len(post)
+    stop = opens[0] if len(opens) else post.shape[1]
     if len(opens):
-        # rewind to leave the stream where the opening row's coin left it
+        # rewind to leave the stream where the opening column's coin left it
         rng.bit_generator.state = start_state
         rng.random(2 * stop + 1)
-    cdf = np.cumsum(post[:stop], axis=1)
-    cdf = cdf / cdf[:, -1:]
-    return np.count_nonzero(cdf <= uniforms[:stop, None], axis=1), len(opens) > 0
+    cdf = _cumsum_classes(post[:, :stop])
+    cdf /= cdf[-1]
+    return (cdf <= uniforms[:stop]).sum(axis=0), len(opens) > 0
+
+
+def _cumsum_classes(a: np.ndarray) -> np.ndarray:
+    """np.cumsum(a, axis=0), a new array: each column's running sums in
+    class order. np.cumsum runs its inner loop once per column, so an array
+    with more columns than classes is summed by one vectorised add per
+    class instead, which adds the same terms in the same order."""
+    m, r = a.shape
+    if m > r:
+        return np.cumsum(a.T, axis=1).T
+    out = a.copy(order="K")
+    for j in range(1, m):
+        out[j] += out[j - 1]
+    return out
 
 
 def crp_gibbs(d: Dataset, p: SeedPartition, cfg: CrpConfig) -> RunResult:
@@ -120,10 +139,12 @@ def crp_gibbs(d: Dataset, p: SeedPartition, cfg: CrpConfig) -> RunResult:
     unlabeled = p.unlabeled_idx
     rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, 11]))
 
-    state = init_from_seeds(d, p, cfg.family)
-    # random seeded-class start for the unlabeled pool
-    state.assignments[unlabeled] = rng.integers(state.num_classes, size=len(unlabeled))
-    state = m_step(state, d)
+    # random seeded-class start for the unlabeled pool, fitted from the
+    # seed fit's assignments without the seed fit's scores
+    seeded = p.seeded_class_ids.tolist()
+    vectors, _, _, assignments = fit_seeds(d, p, cfg.family)
+    assignments[unlabeled] = rng.integers(len(seeded), size=len(unlabeled))
+    state = refit(cfg.family, d, assignments, seeded, vectors)
 
     ll_trace: list[float] = []
     class_trace: list[int] = []

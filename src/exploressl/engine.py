@@ -17,6 +17,7 @@ from .models import (
     ModelFamily,
     ModelState,
     PassScores,
+    class_major,
     data_log_likelihood,
     free_parameter_count,
     init_from_seeds,
@@ -66,11 +67,12 @@ def _pass(
     """One sequential pass over `rows` in which each row takes a class or
     opens a new one seeded by itself.
 
-    pick(post, start) gets the posteriors of pass positions start onward and
-    returns the labels of the leading rows and whether the row after them
-    opens a class. The rows after an opening are scored again with the new
-    class and the rescaled priors, so each row sees the model exactly as a
-    one-at-a-time pass would leave it.
+    pick(post, start) gets the posteriors of pass positions start onward,
+    one column each (PassScores), and returns the labels of the leading
+    positions and whether the one after them opens a class. The rows after
+    an opening are scored again with the new class and the rescaled priors,
+    so each row sees the model exactly as a one-at-a-time pass would leave
+    it.
     """
     batch = PassScores(rows)
     start = 0
@@ -94,19 +96,19 @@ def _e_step(
 
     Without `fires` no class can open, so every row takes its MAP class from
     one argmax over the logits of its scores (models.logits), with no
-    chunking. With it, the rows go through _pass, and the first row it flags
-    in a chunk opens a new class.
+    chunking. With it, the rows go through _pass, and the first column it
+    flags in a chunk opens a new class.
     """
     before = state.assignments[rows]
     if fires is None:
-        labels = logits(state, state.scores[rows]).argmax(axis=1)
+        labels = logits(state, state.scores[rows].T).argmax(axis=0)
         state.assignments[rows] = labels
         return int(np.count_nonzero(labels != before))
 
     def pick(post: np.ndarray, start: int) -> tuple[np.ndarray, bool]:
         hits = np.flatnonzero(fires(post, start))
-        stop = hits[0] if len(hits) else len(post)
-        return post[:stop].argmax(axis=1), len(hits) > 0
+        stop = hits[0] if len(hits) else post.shape[1]
+        return post[:, :stop].argmax(axis=0), len(hits) > 0
 
     _pass(state, d, rows, pick)
     # each row is visited once, and a row that opens a class always changes
@@ -186,6 +188,12 @@ def _run_em(
             if creating:
                 latched_at = t
 
+        if t > 1 and changed == 0 and m_new == m_old:
+            # from t = 2 the state is the last M-step's, and an M-step on
+            # the same assignments would give it back bit for bit
+            ll_trace.append(ll)
+            class_trace.append(m_old)
+            break
         state = m_step(state, d)
         ll = data_log_likelihood(state)
         m_now = state.num_classes
@@ -245,5 +253,5 @@ def calibrate_random_rate(
     unlabeled = p.unlabeled_idx
     if not len(unlabeled):
         return 0.0
-    post = posteriors(state, state.scores[unlabeled])
+    post = posteriors(state, class_major(state.scores, unlabeled))
     return int(np.count_nonzero(ref(post))) / len(unlabeled)

@@ -271,6 +271,8 @@ def run_experiment(spec: ExperimentSpec) -> int:
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_label_map(raw, out / "label_map.csv")
+    _write_partitions(partitions, any_d.instance_ids, spec.include_seeds_in_eval,
+                      out / "partitions.json")
 
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers, initializer=_init_worker,
@@ -295,6 +297,22 @@ def _write_rows(rows: list[dict], path: Path) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
+
+
+def _write_partitions(partitions: list[SeedPartition], instance_ids: list[str],
+                      include_seeds: bool, path: Path) -> None:
+    """partitions.json: each partition's seeded class ids and labeled
+    instance ids, and whether runs were scored on the labeled rows too, so
+    that `exploressl eval --partitions` scores the rows and classes a run's
+    seed_f1 was computed on."""
+    saved = {
+        "include_seeds_in_eval": include_seeds,
+        "partitions": [{"seeded_class_ids": p.seeded_class_ids.tolist(),
+                        "labeled_instance_ids": [instance_ids[i] for i in p.labeled_idx]}
+                       for p in partitions],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(saved, fh)
 
 
 def _run_id(row: dict) -> str:

@@ -24,8 +24,7 @@ KAPPA_MIN = 1e-2
 KAPPA_MAX = 1e4
 KAPPA_NEW = 1.0  # the concentration of a class opened from one instance
 KMEANS_LL_EPS = 1e-12  # floor inside log() for the K-Means likelihood surrogate
-E_STEP_CHUNK = 512  # the most pass positions whose posteriors are computed together
-CLASS_MAJOR_MAX_CLASSES = 32  # beyond this many classes numpy's row loop is faster
+E_STEP_CHUNK = 512  # a pass's first chunk is twice this long (see PassScores)
 CLASS_SUM_ENTRIES = 1 << 15  # about the entries class_sums adds in one np.add.at
 
 
@@ -151,89 +150,117 @@ def _banerjee_kappa(rbar: float, dim: int) -> float:
     return float(min(max(kappa, KAPPA_MIN), KAPPA_MAX))
 
 
-def reduce_classes(op: np.ufunc, a: np.ndarray) -> np.ndarray:
-    """op.reduce over the class axis of an (r, m) chunk, op np.maximum or
-    np.minimum: the values of a.max(axis=1) or a.min(axis=1).
+def sum_classes(a: np.ndarray) -> np.ndarray:
+    """The sum over the classes of an (m, r) class-major array, one per
+    column: bit for bit np.ascontiguousarray(a.T).sum(axis=1), numpy's sum
+    of each column laid out as a row.
 
-    Over a short row numpy runs its inner loop once per row. So a chunk of
-    at most CLASS_MAJOR_MAX_CLASSES classes and at least 4 rows per class is
-    reduced over a class-major copy, one vectorised pass per class; a wider
-    or shorter chunk is reduced row by row, where the copy would cost more.
-    Max and min are exact in any order, so both give the same values (the
-    sign of a zero maximum and the payload of a NaN aside)."""
-    r, m = a.shape
-    if m <= CLASS_MAJOR_MAX_CLASSES and r >= 4 * m:
-        return op.reduce(np.ascontiguousarray(a.T), axis=0)
-    return op.reduce(a, axis=1)
+    numpy adds a contiguous row of fewer than 8 entries one entry after
+    another, starting from 0, and so does a sum down axis 0, as m
+    vectorised passes over the columns. A longer row is added pairwise, in
+    an order only a row sum repeats, so a wider array is summed over its
+    transposed copy."""
+    if a.shape[0] < 8:
+        return a.sum(axis=0)
+    return np.ascontiguousarray(a.T).sum(axis=1)
+
+
+def class_major(scores: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A copy of the rows `rows` of an (n, m) score matrix as an (m, r)
+    class-major array, laid out so that a reduction down its classes runs
+    numpy's inner loop the fewer times: C-contiguous, one loop per class,
+    when it has at least as many rows as classes, else the transpose of a
+    C-contiguous (r, m) copy, one loop per row. numpy loops over an array
+    in memory order, so every reduction over axis 0 of the result, and each
+    elementwise step on it, takes the cheaper order by itself."""
+    chunk = scores[rows]
+    return np.ascontiguousarray(chunk.T) if len(rows) >= scores.shape[1] else chunk.T
 
 
 def logits(state: ModelState, scores: np.ndarray) -> np.ndarray:
-    """Each row's class logits, a new array: log prior + s (NB), log prior +
-    kappa * s (vMF), or prior * max(s, 0) (K-Means, whose posterior is this
-    row normalised rather than its softmax). scores is as posteriors()
-    takes it.
+    """The class logits of each column of scores, a new (m, r) array: log
+    prior + s (NB), log prior + kappa * s (vMF), or prior * max(s, 0)
+    (K-Means, whose posterior is this column normalised rather than its
+    softmax). scores is class-major, as posteriors() takes it, in any
+    memory layout.
 
-    The argmax of a row is its MAP class: it equals the argmax of the row's
-    posteriors, except where rounding in the normalisation makes two
-    posteriors equal that the logits tell apart. A K-Means row whose scores
-    are all non-positive is all zero, so its argmax is class 0, as the
-    uniform fallback's is."""
+    The argmax of a column is its MAP class: it equals the argmax of the
+    column's posteriors, except where rounding in the normalisation makes
+    two posteriors equal that the logits tell apart. A K-Means column whose
+    scores are all non-positive is all zero, so its argmax is class 0, as
+    the uniform fallback's is."""
     if state.num_classes == 0:
         raise ValueError("model has no classes")
     if state.family is ModelFamily.KMEANS:
-        return state.priors * np.maximum(scores, 0.0)
+        return state.priors[:, None] * np.maximum(scores, 0.0)
     if state.family is ModelFamily.NB:
-        return np.log(state.priors) + scores
-    return np.log(state.priors) + state.kappas * scores
+        return np.log(state.priors)[:, None] + scores
+    return np.log(state.priors)[:, None] + state.kappas[:, None] * scores
 
 
 def posteriors(state: ModelState, scores: np.ndarray) -> np.ndarray:
-    """P(C_j | x_i) over all live classes, one row per instance; each row is
-    non-negative and sums to 1.
+    """P(C_j | x_i) over all live classes, class-major: an (m, r) array
+    with one column per instance, each non-negative and summing to 1.
 
-    scores[i, j] is the inner product x_i . vectors[j], one column per live
-    class: rows of ModelState.scores. A K-Means row whose scores are all
-    non-positive is uniform. The vMF logits leave out the per-class
-    log normalizer log c_d(kappa_j) that data_log_likelihood includes, so
-    the two describe different models whenever the kappas differ (ROADMAP
-    item 3). Each row's largest logit, subtracted before exp, is taken by
-    reduce_classes."""
+    scores[j, i] is the inner product x_i . vectors[j], one row per live
+    class: columns of ModelState.scores, best laid out by class_major. A
+    K-Means column whose scores are all non-positive is uniform. The vMF
+    logits leave out the per-class log normalizer log c_d(kappa_j) that
+    data_log_likelihood includes, so the two describe different models
+    whenever the kappas differ (ROADMAP item 3). Each column's largest
+    logit is subtracted before exp; max is exact in any order, and the
+    normalisers are added by sum_classes, so each column equals the
+    posterior of its instance alone bit for bit."""
     z = logits(state, scores)
     if state.family is ModelFamily.KMEANS:
-        total = z.sum(axis=1, keepdims=True)
-        fallback = total[:, 0] <= 0.0
-        z[fallback] = 1.0
+        total = sum_classes(z)
+        fallback = total <= 0.0
+        z[:, fallback] = 1.0
         total[fallback] = state.num_classes
-        return z / total
-    z -= reduce_classes(np.maximum, z)[:, None]
-    p = np.exp(z)
-    return p / p.sum(axis=1, keepdims=True)
+    else:
+        z -= np.maximum.reduce(z, axis=0)
+        np.exp(z, out=z)
+        total = sum_classes(z)
+    z /= total
+    return z
 
 
 def posterior(state: ModelState, x: sp.csr_matrix) -> np.ndarray:
     """P(C_j | x) over all live classes for one instance, a 1 x vocab_size
-    CSR matrix such as Dataset.row gives: the one-row case of posteriors()."""
-    return posteriors(state, x @ state.vectors.T)[0]
+    CSR matrix such as Dataset.row gives: the one-column case of
+    posteriors()."""
+    return posteriors(state, (x @ state.vectors.T).T)[:, 0]
 
 
 class PassScores:
     """Posteriors of the rows `rows` of a state's dataset, in pass order, for
-    one E-step pass, handed out a chunk at a time from the state's scores.
+    one E-step pass, handed out a chunk at a time from the state's scores,
+    class-major: posteriors() of the chunk's scores as class_major lays
+    them out, C-contiguous unless the chunk has fewer rows than classes.
 
     A class opened at one position makes the posteriors of the rest of its
     chunk stale. So a chunk starting at pass position start is
 
-        min(E_STEP_CHUNK, rows left, max(2 * (start - last), gap))
+        min(rows left, max(2 * (start - last), gap))
 
     long, where last is the position of the last opening and gap the
     distance between the last two; the first opening of a pass counts its
-    gap from -E_STEP_CHUNK. A pass whose openings lie hundreds of rows
-    apart takes chunks that long right after each one, and one that opens
-    a class at every row uses chunks of one or two rows. Each opening
-    wastes at most the rest of its chunk, which is at most twice its own gap
-    plus the one before it, so a pass over n rows hands out at most
-    4n + E_STEP_CHUNK rows' posteriors in all. A row's posterior does not
-    depend on how the pass is split.
+    gap from -E_STEP_CHUNK. A pass that opens no class takes chunks of 2, 6,
+    18, ... times E_STEP_CHUNK rows, each three times the one before, so
+    a few chunks cover it; one whose openings lie hundreds of rows apart
+    takes chunks that long right after each one, and one that opens a class
+    at every row uses chunks of one or two rows.
+
+    Only an opening wastes rows: the rest of its chunk. Say the k-th
+    opening of a pass lies at o_k, with o_0 = -E_STEP_CHUNK and gaps
+    g_k = o_k - o_(k-1), g_0 = 0. Its chunk starts at some s with
+    o_(k-1) < s <= o_k, so it is at most max(2 (s - o_(k-1)), g_(k-1))
+    <= 2 g_k + g_(k-1) long: twice its own gap plus the one before it. The
+    gaps add up to at most n + E_STEP_CHUNK, and so do the gaps before the
+    openings, so a pass over n rows hands out at most
+    n + 2 (n + E_STEP_CHUNK) + (n + E_STEP_CHUNK) = 4n + 3 E_STEP_CHUNK rows'
+    posteriors in all. A row's posterior does not depend on how the pass is
+    split.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -248,10 +275,11 @@ class PassScores:
         self._opened_at = pos
 
     def posteriors(self, state: ModelState, start: int) -> np.ndarray:
-        """posteriors() of the chunk of pass positions that begins at start."""
+        """posteriors() of the chunk of pass positions that begins at start,
+        one column per position."""
         size = max(2 * (start - self._opened_at), self._gap)
-        stop = min(len(self._rows), start + E_STEP_CHUNK, start + size)
-        return posteriors(state, state.scores[self._rows[start:stop]])
+        chunk = self._rows[start : start + size]
+        return posteriors(state, class_major(state.scores, chunk))
 
 
 def class_sums(X: sp.csr_matrix, y: np.ndarray, m: int) -> np.ndarray:
@@ -307,9 +335,12 @@ def fit_classes(
     return vectors, kappas, priors, fitted
 
 
-def init_from_seeds(d: Dataset, p: SeedPartition, family: ModelFamily) -> ModelState:
-    """Supervised initialization: one class per seeded gold class, fitted
-    from its labeled instances. Unlabeled instances start unassigned (-1)."""
+def fit_seeds(
+    d: Dataset, p: SeedPartition, family: ModelFamily
+) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray, np.ndarray]:
+    """(vectors, kappas, priors, assignments) of the supervised start: one
+    class per seeded gold class, fitted from its labeled instances, which
+    are assigned to it. Unlabeled instances start unassigned (-1)."""
     seeded = p.seeded_class_ids.tolist()  # none: a fully unsupervised start
     k = len(seeded)
     labeled = p.labeled_idx
@@ -327,7 +358,14 @@ def init_from_seeds(d: Dataset, p: SeedPartition, family: ModelFamily) -> ModelS
         raise ValueError(f"seeded class {seeded[np.argmin(fitted)]}: {why}")
     assignments = np.full(len(d), -1, dtype=np.int64)
     assignments[labeled] = y
-    return ModelState(family, d.matrix(), vectors, priors, seeded, assignments, kappas)
+    return vectors, kappas, priors, assignments
+
+
+def init_from_seeds(d: Dataset, p: SeedPartition, family: ModelFamily) -> ModelState:
+    """The state of fit_seeds' supervised start."""
+    vectors, kappas, priors, assignments = fit_seeds(d, p, family)
+    return ModelState(family, d.matrix(), vectors, priors, p.seeded_class_ids.tolist(),
+                      assignments, kappas)
 
 
 def init_new_class(d: Dataset, i: int, family: ModelFamily) -> tuple[np.ndarray, Optional[float]]:
@@ -351,28 +389,37 @@ def init_new_class(d: Dataset, i: int, family: ModelFamily) -> tuple[np.ndarray,
 
 
 def m_step(state: ModelState, d: Dataset) -> ModelState:
-    """Re-estimate all parameters from the current hard assignments.
+    """Re-estimate all parameters from the current hard assignments: refit
+    of the state's family, assignments, seeded classes and vectors."""
+    return refit(state.family, d, state.assignments, state.seed_class_ids, state.vectors)
+
+
+def refit(
+    family: ModelFamily, d: Dataset, y: np.ndarray, seed_class_ids: list[int],
+    vectors: np.ndarray,
+) -> ModelState:
+    """The state fitted to hard assignments y over the classes of vectors,
+    the first len(seed_class_ids) of them seeded.
 
     Introduced classes left without members are dropped (assignment ids are
     remapped); seeded classes always survive, and one whose sum is degenerate
     (an empty seeded class) keeps its vector at concentration KAPPA_MIN."""
-    y = state.assignments
     if np.any(y < 0):
         raise ValueError("all instances must be assigned before the M-step")
-    m = state.num_classes
+    m = len(vectors)
     counts = np.bincount(y, minlength=m)
-    keep = np.flatnonzero((np.arange(m) < state.num_seeded) | (counts > 0))
+    keep = np.flatnonzero((np.arange(m) < len(seed_class_ids)) | (counts > 0))
     remap = np.full(m, -1, dtype=np.int64)
     remap[keep] = np.arange(len(keep))
     y_new = remap[y]
 
     X = d.matrix()
-    vectors, kappas, priors, fitted = fit_classes(state.family, X, y_new, len(keep))
+    fitted_vectors, kappas, priors, fitted = fit_classes(family, X, y_new, len(keep))
     stale = ~fitted
-    vectors[stale] = state.vectors[keep[stale]]
+    fitted_vectors[stale] = vectors[keep[stale]]
     if kappas is not None:
         kappas[stale] = KAPPA_MIN
-    return ModelState(state.family, X, vectors, priors, state.seed_class_ids, y_new, kappas)
+    return ModelState(family, X, fitted_vectors, priors, seed_class_ids, y_new, kappas)
 
 
 def data_log_likelihood(state: ModelState) -> float:

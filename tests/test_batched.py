@@ -2,9 +2,9 @@
 
 posteriors over a pass's score matrix, with or without a class added in the
 middle of the pass, must equal posterior() and the per-instance reference
-formulas below row by row, and minmax_fires / js_fires must equal
-minmax_criterion / js_criterion row by row, without letting a RuntimeWarning
-escape.
+formulas below instance by instance (a chunk holds one instance per column),
+and minmax_fires / js_fires must equal minmax_criterion / js_criterion
+instance by instance, without letting a RuntimeWarning escape.
 
 The class sums behind init_from_seeds and m_step must equal the formulas
 they replaced (kept below as references) bit for bit. So must the score
@@ -14,12 +14,13 @@ whole product, and the likelihood read from it.
 The E-step pass, however its chunks fall, must leave the same model as a
 pass that takes one row at a time, and the state's scores must equal the
 product over every row and class after it. However classes open, a pass over n
-rows hands out at most 4n + E_STEP_CHUNK rows' posteriors. A pass that cannot
-open a class takes each row's argmax logit, which must be the argmax of its
-posteriors on K-Means rows without a positive score and on exact ties.
+rows hands out at most 4n + 3 E_STEP_CHUNK rows' posteriors. A pass that
+cannot open a class takes each row's argmax logit, which must be the argmax of
+its posteriors on K-Means rows without a positive score and on exact ties.
 
-The class-axis max and min behind posteriors and minmax_fires must equal
-numpy's row reductions on chunks of either shape reduce_classes tells apart.
+The class-axis sum behind posteriors, the JS divergence and the Gibbs pick
+must equal numpy's sum of each instance's classes laid out as a row, bit for
+bit, at any class count.
 """
 
 import warnings
@@ -57,7 +58,7 @@ from exploressl.models import (
     m_step,
     posterior,
     posteriors,
-    reduce_classes,
+    sum_classes,
 )
 from reference import from_pairs, from_rows
 
@@ -144,10 +145,13 @@ def test_posteriors_match_posterior_row_by_row(family, seed, m, V, n):
         start, opening = 0, False
         while start < n:
             chunk = scores.posteriors(state, start)
-            assert 1 <= len(chunk) <= n - start
-            for q, row in enumerate(chunk):
-                assert np.array_equal(row, posterior(state, xs[start + q]))
-                assert np.array_equal(row, _reference_posterior(state, xs[start + q]))
+            assert chunk.shape[0] == state.num_classes and 1 <= chunk.shape[1] <= n - start
+            # one numpy inner loop per class, or per row where rows are fewer
+            wide = chunk.shape[1] >= chunk.shape[0]
+            assert chunk.flags.c_contiguous if wide else chunk.flags.f_contiguous
+            for q, column in enumerate(chunk.T):
+                assert np.array_equal(column, posterior(state, xs[start + q]))
+                assert np.array_equal(column, _reference_posterior(state, xs[start + q]))
             if opening:
                 # open a class at the chunk's first row, as the E-step does
                 # mid-pass: the later rows see the new column and the
@@ -156,7 +160,7 @@ def test_posteriors_match_posterior_row_by_row(family, seed, m, V, n):
                 scores.add_class(start)
                 start += 1
             else:
-                start += len(chunk)
+                start += chunk.shape[1]
             opening = not opening
 
 
@@ -177,21 +181,24 @@ def test_chunks_grow_back_after_an_opening():
         warnings.simplefilter("error", RuntimeWarning)
         while start < n:
             chunk = scores.posteriors(state, start)
-            sizes.append(len(chunk))
-            stop = start + len(chunk)
+            sizes.append(chunk.shape[1])
+            stop = start + chunk.shape[1]
             hit = next((q for q in opens if start <= q < stop), None)
             for q in range(start, stop if hit is None else hit + 1):
-                assert np.array_equal(chunk[q - start], posterior(state, xs[q]))
+                assert np.array_equal(chunk[:, q - start], posterior(state, xs[q]))
             if hit is None:
                 start = stop
             else:
                 state.add_class(init_new_class(d, hit, ModelFamily.VMF))
                 scores.add_class(hit)
                 start = hit + 1
-    # a chunk after an opening is at least the gap between the last two
-    # openings (the first counted from -E_STEP_CHUNK), and at most
-    # E_STEP_CHUNK long
-    assert sizes == [512, 512, 512, 512, 87]
+    # each chunk is max(2 * (start - last opening), gap between the last two
+    # openings) long, cut at the pass's end, the first opening counted from
+    # -E_STEP_CHUNK = -512: from 0, 2 * 512 = 1024; the opening at 10 makes
+    # the gap 522, so from 11, max(2, 522) = 522; from 533, max(1046, 522)
+    # reaches the end, 767 rows; the opening at 700 makes the gap 690, so
+    # from 701, max(2, 690) reaches the end, 599 rows
+    assert sizes == [1024, 522, 767, 599]
 
 
 def _opening_pattern(draw, n):
@@ -223,19 +230,21 @@ def test_chunks_stay_within_the_bound_for_any_openings(data, n, chunk):
         scores = PassScores(np.arange(n))
         while start < n:
             post = scores.posteriors(state, start)
-            assert 1 <= len(post) <= min(chunk, n - start)
-            handed += len(post)
-            hit = start + int(np.argmax(opens[start : start + len(post)]))
-            stop = hit + 1 if opens[hit] else start + len(post)
+            assert 1 <= post.shape[1] <= n - start
+            handed += post.shape[1]
+            hit = start + int(np.argmax(opens[start : start + post.shape[1]]))
+            stop = hit + 1 if opens[hit] else start + post.shape[1]
             # every row the pass takes, up to and including the one that
             # opens a class, sees the model as posterior() does
             for q in range(start, stop):
-                assert np.array_equal(post[q - start], posterior(state, xs[q]))
+                assert np.array_equal(post[:, q - start], posterior(state, xs[q]))
             if opens[hit]:
                 state.add_class(init_new_class(d, hit, ModelFamily.NB))
                 scores.add_class(hit)
             start = stop
-    assert handed <= 4 * n + chunk
+    # each opening wastes at most twice its gap plus the one before it, and
+    # the gaps add up to at most n + E_STEP_CHUNK (PassScores)
+    assert handed <= 4 * n + 3 * chunk
 
 
 def test_kmeans_all_zero_scores_fall_back_to_uniform():
@@ -245,8 +254,8 @@ def test_kmeans_all_zero_scores_fall_back_to_uniform():
     d = from_rows([x], [-1], 6)
     state = _state(ModelFamily.KMEANS, params, d)
     batch = PassScores(np.arange(1)).posteriors(state, 0)
-    assert np.array_equal(batch[0], np.full(4, 0.25))
-    assert np.array_equal(batch[0], posterior(state, x))
+    assert np.array_equal(batch[:, 0], np.full(4, 0.25))
+    assert np.array_equal(batch[:, 0], posterior(state, x))
 
 
 TINY = 5e-324  # smallest subnormal: max/min overflows to inf
@@ -284,18 +293,19 @@ def test_criteria_match_scalar_row_by_row(k, raw):
         return
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        mm = minmax_fires(post)
-        js = js_fires(post)
-        for q, row in enumerate(post):
-            if abs(row.sum() - 1.0) > 1e-9:
-                continue  # the scalar functions reject it
-            assert mm[q] == minmax_criterion(row)
-            assert js[q] == js_criterion(row)
+        for chunk in (post.T, np.ascontiguousarray(post.T)):  # either class_major layout
+            mm = minmax_fires(chunk)
+            js = js_fires(chunk)
+            for q, row in enumerate(post):
+                if abs(row.sum() - 1.0) > 1e-9:
+                    continue  # the scalar functions reject it
+                assert mm[q] == minmax_criterion(row)
+                assert js[q] == js_criterion(row)
 
 
 @pytest.mark.parametrize("row", EDGE_ROWS)
 def test_edge_rows_batch_equals_scalar(row):
-    post = np.array([row])
+    post = np.array([row]).T
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert minmax_fires(post)[0] == minmax_criterion(row)
@@ -311,34 +321,37 @@ def test_overflowing_ratio_never_fires_minmax():
 def test_random_pass_draws_match_one_draw_per_instance():
     cfg = CriterionConfig(CriterionKind.RANDOM, random_rate=0.3)
     one_by_one = np.random.default_rng(9)
-    per_instance = [for_pass(cfg, 1, one_by_one)(np.full((1, 2), 0.5), 0)[0] for _ in range(40)]
+    per_instance = [for_pass(cfg, 1, one_by_one)(np.full((2, 1), 0.5), 0)[0] for _ in range(40)]
     fires = for_pass(cfg, 40, np.random.default_rng(9))
-    post = np.full((40, 2), 0.5)
-    # however the pass is split, row q gets the q-th draw
+    post = np.full((2, 40), 0.5)
+    # however the pass is split, the instance at position q gets the q-th draw
     assert list(fires(post, 0)) == per_instance
-    assert list(fires(post[:15], 25)) == per_instance[25:]
+    assert list(fires(post[:, :15], 25)) == per_instance[25:]
 
 
-SPECIAL_VALUES = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0])
+TINIES = np.array([5e-324, -5e-324, 1e-310, -2.2e-308, 0.0, -0.0])
 
 
 @given(
     st.integers(0, 2**32 - 1),
-    st.integers(1, models.CLASS_MAJOR_MAX_CLASSES + 8),
-    st.integers(0, 6),  # whole rows per class: 4 or more makes a chunk tall
-    st.integers(0, 3),
+    st.one_of(st.integers(1, 16), st.integers(1, 300)),  # often near 8, where the sum switches
+    st.integers(1, 40),
     st.floats(0.0, 1.0),
+    st.booleans(),
 )
-@settings(max_examples=200, deadline=None)
-def test_reduce_classes_equals_numpy_row_reductions(seed, m, per_class, extra, special):
+@settings(max_examples=300, deadline=None)
+def test_sum_classes_equals_numpy_row_sums(seed, m, r, tiny, signed):
+    # mixed magnitudes over 600 orders, with zeros of either sign and
+    # subnormals among them; the sums must match bit for bit, zero signs too
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((m * per_class + extra, m))
-    hit = rng.random(a.shape) < special
-    a[hit] = rng.choice(SPECIAL_VALUES, size=int(hit.sum()))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert np.array_equal(reduce_classes(np.maximum, a), a.max(axis=1), equal_nan=True)
-        assert np.array_equal(reduce_classes(np.minimum, a), a.min(axis=1), equal_nan=True)
+    a = rng.random((m, r)) * 10.0 ** rng.uniform(-300, 300, (m, r))
+    if signed:
+        a *= rng.choice([-1.0, 1.0], size=a.shape)
+    hit = rng.random(a.shape) < tiny
+    a[hit] = rng.choice(TINIES, size=int(hit.sum()))
+    want = np.ascontiguousarray(a.T).sum(axis=1)
+    for layout in (a, np.asfortranarray(a)):
+        assert sum_classes(layout).view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def _float_rows(rng, n, V):
@@ -533,7 +546,7 @@ def test_e_step_pass_matches_one_row_at_a_time(family, seed, m, V, n, rate, chun
     reference.assignments = batched.assignments.copy()
 
     def fires(post, start):
-        return opens[start : start + len(post)]
+        return opens[start : start + post.shape[1]]
 
     with warnings.catch_warnings(), mock.patch.object(models, "E_STEP_CHUNK", chunk):
         warnings.simplefilter("error", RuntimeWarning)
@@ -577,7 +590,7 @@ def test_e_step_without_a_criterion_takes_the_posterior_argmax(
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         changed = _e_step(state, d, np.arange(n)[::-1])
-        assert np.array_equal(state.assignments, posteriors(state, base).argmax(axis=1))
+        assert np.array_equal(state.assignments, posteriors(state, base.T).argmax(axis=0))
     assert state.assignments.tolist() == want
     assert changed == np.count_nonzero(want)
     assert state.scores is scores_before

@@ -335,6 +335,59 @@ class TestEvalCommand:
         # instances, so just sanity check the shared scale
         assert float(runs[0]["seed_f1"]) <= 1.0
 
+    @pytest.mark.parametrize("include_seeds", [False, True])
+    def test_partitions_rescore_every_row_to_its_seed_f1(
+        self, dataset_file, tmp_path, include_seeds
+    ):
+        out = tmp_path / "out"
+        main([
+            "run", "--dataset", str(dataset_file), "--output", str(out),
+            "--families", "nb,kmeans", "--algorithms", "exploratory,semisup,crp-modified",
+            "--criteria", "js,random", "--p-new", "0.01", "--crp-epochs", "2",
+            "--num-partitions", "3", "--num-seed-classes", "2", "--seeds-fraction", "0.2",
+            *(["--include-seeds-in-eval"] if include_seeds else []),
+        ])
+        saved = json.loads((out / "partitions.json").read_text())
+        assert saved["include_seeds_in_eval"] is include_seeds
+        assert [len(p["seeded_class_ids"]) for p in saved["partitions"]] == [2, 2, 2]
+        rows = read_runs(out)
+        assert len(rows) == 2 * 4 * 3 and not any(r["error"] for r in rows)
+        report = tmp_path / "report.json"
+        for row in rows:
+            name = "_".join(filter(None, [
+                "assign", row["algorithm"], row["family"], row["criterion"],
+                row["p_new"] and f"pnew{float(row['p_new']):g}", f"part{row['partition']}"]))
+            main(["eval", "--assignments", str(out / f"{name}.csv"),
+                  "--dataset", str(dataset_file), "--partitions", str(out / "partitions.json"),
+                  "--partition", row["partition"], "--output", str(report)])
+            assert f"{json.loads(report.read_text())['macro_f1_seed']:.6f}" == row["seed_f1"]
+
+    @pytest.mark.parametrize("flags, text, message", [
+        (["--partitions", "{saved}"], None, "--partitions and --partition go together"),
+        (["--partitions", "{saved}", "--partition", "2"], None,
+         "--partition: {saved} holds partitions 0 to 1, not 2"),
+        (["--partitions", "{saved}", "--partition", "-1"], None,
+         "--partition: {saved} holds partitions 0 to 1, not -1"),
+        (["--partitions", "{saved}", "--partition", "0"], '{"partitions": [{}]}',
+         "{saved}: not a partitions.json that run writes"),
+        (["--partitions", "{saved}", "--partition", "0"], "[",
+         "{saved}: not a partitions.json that run writes"),
+        (["--partitions", "{saved}", "--partition", "0"],
+         '{"include_seeds_in_eval": false, "partitions": '
+         '[{"seeded_class_ids": [0, 7], "labeled_instance_ids": []}]}',
+         "--partitions: no row of {dataset} has class 7; its class ids are 0, 1, 2"),
+    ])
+    def test_eval_bad_partitions(self, dataset_file, tmp_path, flags, text, message):
+        saved = tmp_path / "partitions.json"
+        saved.write_text(text or json.dumps({"include_seeds_in_eval": False, "partitions": [
+            {"seeded_class_ids": [0], "labeled_instance_ids": []}] * 2}))
+        report = tmp_path / "report.json"
+        message = message.format(saved=saved, dataset=dataset_file)
+        with pytest.raises(SystemExit, match=f"^eval: {re.escape(message)}$"):
+            main(["eval", "--assignments", str(dataset_file), "--dataset", str(dataset_file),
+                  *(f.format(saved=saved) for f in flags), "--output", str(report)])
+        assert not report.exists()
+
     @pytest.mark.parametrize("seeds, message", [
         ("0,x", "--seed-classes: 'x' is not an integer class id"),
         ("0,", "--seed-classes: '' is not an integer class id"),
@@ -376,7 +429,8 @@ class TestSweepPnewCommand:
         assert main(["run", *flags, "--output", str(run), "--families", "nb",
                      "--algorithms", "semisup,crp-standard,crp-modified", "--criteria", ""]) == 0
         names = sorted(f.name for f in sweep.glob("*.*") if f.name != "runs.csv")
-        assert len(names) == 12  # 10 assignment files, label_map.csv and summary.json
+        # 10 assignment files, label_map.csv, partitions.json and summary.json
+        assert len(names) == 13
         _, mismatch, errors = filecmp.cmpfiles(sweep, run, names, shallow=False)
         assert (mismatch, errors) == ([], [])
         rows = [read_runs(sweep), read_runs(run)]

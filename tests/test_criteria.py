@@ -50,7 +50,7 @@ def test_js_from_uniform_matches_oracle(seed, k, r):
     post[-1] = np.eye(k)[rng.integers(k)]
     u = np.full(k, 1.0 / k)
     expected = [js_oracle(u, row) for row in post]
-    assert np.allclose(js_from_uniform(post), expected, rtol=0.0, atol=1e-12)
+    assert np.allclose(js_from_uniform(post.T), expected, rtol=0.0, atol=1e-12)
 
 
 class TestJsCriterion:
@@ -114,7 +114,7 @@ class TestRandomCriterion:
     def fires(rate, n, seed=0):
         """The random criterion's flags over one pass of n uniform rows."""
         cfg = CriterionConfig(CriterionKind.RANDOM, random_rate=rate)
-        return for_pass(cfg, n, np.random.default_rng(seed))(np.full((n, 2), 0.5), 0)
+        return for_pass(cfg, n, np.random.default_rng(seed))(np.full((2, n), 0.5), 0)
 
     def test_rate_zero_and_one(self):
         assert self.fires(1.0, 100).all()

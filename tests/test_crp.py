@@ -47,16 +47,17 @@ class TestModifiedPick:
     def test_q_clamps_to_one(self):
         # p_new/(k*d) = 0.01/(5*0.002) = 1
         post = _posterior_with_js(5, 0.002)
-        assert mod_new_class_probabilities(0.01, post[None])[0] == pytest.approx(1.0, abs=1e-6)
+        assert mod_new_class_probabilities(0.01, post[:, None])[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_q_hand_value(self):
         post = _posterior_with_js(10, 0.5)
-        assert mod_new_class_probabilities(0.01, post[None])[0] == pytest.approx(0.002, rel=1e-3)
+        q = mod_new_class_probabilities(0.01, post[:, None])[0]
+        assert q == pytest.approx(0.002, rel=1e-3)
 
     def test_uniform_always_spawns(self):
         rng = np.random.default_rng(0)
         post = np.full(4, 0.25)
-        assert mod_new_class_probabilities(1e-9, post[None])[0] == 1.0
+        assert mod_new_class_probabilities(1e-9, post[:, None])[0] == 1.0
         label, created = mod_crp_pick(1e-9, post, rng)
         assert created and label == 4
 
@@ -77,11 +78,11 @@ class TestModifiedPick:
             assert qs == sorted(qs, reverse=True)
             # and directly over posteriors with growing divergence
             posts = [_posterior_with_js(4, d) for d in (0.05, 0.1, 0.3)]
-            qvals = mod_new_class_probabilities(p_new, np.stack(posts))
+            qvals = mod_new_class_probabilities(p_new, np.stack(posts, axis=1))
             assert all(a >= b for a, b in zip(qvals, qvals[1:]))
             # larger class count at equal divergence lowers q
-            q_small = mod_new_class_probabilities(p_new, _posterior_with_js(3, 0.2)[None])[0]
-            q_big = mod_new_class_probabilities(p_new, _posterior_with_js(8, 0.2)[None])[0]
+            q_small = mod_new_class_probabilities(p_new, _posterior_with_js(3, 0.2)[:, None])[0]
+            q_big = mod_new_class_probabilities(p_new, _posterior_with_js(8, 0.2)[:, None])[0]
             assert q_big <= q_small
 
 
@@ -100,12 +101,12 @@ def _posterior_with_js(k, target):
     lo, hi = 0.0, 1.0 - 1e-9
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if js_from_uniform(tilt(mid)[None])[0] < target:
+        if js_from_uniform(tilt(mid)[:, None])[0] < target:
             lo = mid
         else:
             hi = mid
     p = tilt(0.5 * (lo + hi))
-    assert js_from_uniform(p[None])[0] == pytest.approx(target, rel=1e-4)
+    assert js_from_uniform(p[:, None])[0] == pytest.approx(target, rel=1e-4)
     return p
 
 
@@ -172,12 +173,16 @@ def _reference_pick(rule, p_new, post, rng):
 
 
 def _assert_pick_matches_reference(rule, p_new, post, seed):
-    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    """post holds one instance per row; pick_chunk takes it class-major, in
+    either layout models.class_major gives."""
+    ref_rng = np.random.default_rng(seed)
     ref_labels, ref_opened = _reference_pick(rule, p_new, post, ref_rng)
-    labels, opens = pick_chunk(rule, p_new, post, rng)
-    assert labels.tolist() == ref_labels
-    assert (len(labels) if opens else None) == ref_opened
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for chunk in (np.ascontiguousarray(post.T), post.T):
+        rng = np.random.default_rng(seed)
+        labels, opens = pick_chunk(rule, p_new, chunk, rng)
+        assert labels.tolist() == ref_labels
+        assert (len(labels) if opens else None) == ref_opened
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
     return ref_opened
 
 
@@ -231,7 +236,7 @@ class TestPickChunk:
     def test_sum_tolerance_per_rule(self):
         # rng.choice accepts a sum off by sqrt(eps) (about 1.5e-8); the JS
         # divergence of the modified rule accepts 1e-9
-        post = np.array([[0.5, 0.5 + 1e-8]])
+        post = np.array([[0.5], [0.5 + 1e-8]])
         labels, _ = pick_chunk(PickRule.STANDARD, 1e-12, post, np.random.default_rng(0))
         assert len(labels) == 1
         with pytest.raises(ValueError):
@@ -239,11 +244,11 @@ class TestPickChunk:
 
 
 def _negative(post):
-    post[0, :2] = [post[0, 0] + post[0, 1] + 1e-3, -1e-3]
+    post[:2, 0] = [post[0, 0] + post[1, 0] + 1e-3, -1e-3]
 
 
 def _off_sum(post):
-    post[-1] *= 1.0 + 1e-6
+    post[:, -1] *= 1.0 + 1e-6
 
 
 def _nan(post):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from exploressl.criteria import CriterionConfig, CriterionKind
+from exploressl import engine
 from exploressl.crp import CrpConfig, PickRule, crp_gibbs
 from exploressl.data import Dataset, SeedPartition, make_partitions
 from exploressl.engine import (
@@ -14,7 +15,7 @@ from exploressl.engine import (
 )
 from exploressl.evaluation import seed_macro_f1
 from exploressl.experiments import ExperimentSpec, _run_one, prepare_family_datasets
-from exploressl.models import ModelFamily
+from exploressl.models import ModelFamily, data_log_likelihood, m_step
 from exploressl.synth import SyntheticSpec, generate_synthetic
 
 
@@ -176,6 +177,38 @@ class TestStoppingRule:
         r = self.js_run(ModelFamily.VMF, SyntheticSpec(4, 40, 40, 4.0, rng_seed=2))
         assert r.can_add_latched_at == 1
         assert r.iterations_run == 2
+
+
+@pytest.mark.parametrize("family", list(ModelFamily))
+def test_a_run_that_stops_unchanged_ends_on_a_fixed_point(monkeypatch, family):
+    # a run whose last iteration changed no assignment and opened no class
+    # from t = 2 stops without the M-step; its final state must be what that
+    # M-step would have given, and ll_trace[-1] its likelihood
+    calls = []
+    monkeypatch.setattr(engine, "m_step", lambda state, d: calls.append(1) or m_step(state, d))
+    stopped = 0
+    for seed in range(6):
+        raw, p = small_synthetic(30 + seed, classes=4, seeded=2)
+        d = prepare_family_datasets(raw)[family]
+        for cfg in (EngineConfig(family), EngineConfig(family, extra_classes=2, rng_seed=seed),
+                    minmax_cfg(family=family), EngineConfig(family, CriterionConfig(
+                        CriterionKind.JS), max_iterations=3)):
+            calls.clear()
+            r = (semisup_em if cfg.criterion is None else exploratory_em)(d, p, cfg)
+            assert len(r.ll_trace) == len(r.class_count_trace) == r.iterations_run
+            if len(calls) == r.iterations_run:
+                continue  # the last iteration refit
+            assert len(calls) == r.iterations_run - 1 and r.iterations_run >= 2
+            stopped += 1
+            s = r.final_state
+            refit = m_step(s, d)
+            assert np.array_equal(refit.assignments, s.assignments)
+            assert np.array_equal(refit.vectors, s.vectors)
+            assert np.array_equal(refit.priors, s.priors)
+            assert family is not ModelFamily.VMF or np.array_equal(refit.kappas, s.kappas)
+            assert data_log_likelihood(refit) == r.ll_trace[-1]
+            assert r.class_count_trace[-1] == s.num_classes
+    assert stopped
 
 
 class TestSemisupEm:

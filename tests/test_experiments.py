@@ -56,7 +56,8 @@ def test_parallel_grid_equals_serial(dataset_file, tmp_path):
     assert len(names) == 20
     assert names == sorted(f.name for f in parallel.glob("assign_*.csv"))
     _, mismatch, errors = filecmp.cmpfiles(
-        serial, parallel, names + ["summary.json", "label_map.csv"], shallow=False)
+        serial, parallel, names + ["summary.json", "label_map.csv", "partitions.json"],
+        shallow=False)
     assert (mismatch, errors) == ([], [])
     assert runs_without_runtime(serial) == runs_without_runtime(parallel)
 
