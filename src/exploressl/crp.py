@@ -144,7 +144,7 @@ def crp_gibbs(d: Dataset, p: SeedPartition, cfg: CrpConfig) -> RunResult:
     seeded = p.seeded_class_ids.tolist()
     vectors, _, _, assignments = fit_seeds(d, p, cfg.family)
     assignments[unlabeled] = rng.integers(len(seeded), size=len(unlabeled))
-    state = refit(cfg.family, d, assignments, seeded, vectors)
+    state = refit(cfg.family, d.matrix(), assignments, seeded, vectors)
 
     ll_trace: list[float] = []
     class_trace: list[int] = []
@@ -155,9 +155,9 @@ def crp_gibbs(d: Dataset, p: SeedPartition, cfg: CrpConfig) -> RunResult:
                 raise FloatingPointError(f"non-finite posterior at epoch {epoch}")
             return pick_chunk(cfg.pick, cfg.p_new, post, rng)
 
-        _pass(state, d, unlabeled, pick)
+        _pass(state, unlabeled, pick)
         # refresh parameters and prune emptied introduced classes
-        state = m_step(state, d)
+        state = m_step(state)
         ll_trace.append(data_log_likelihood(state))
         class_trace.append(state.num_classes)
 

@@ -16,7 +16,6 @@ from .data import Dataset, SeedPartition
 from .models import (
     ModelFamily,
     ModelState,
-    PassScores,
     class_major,
     data_log_likelihood,
     free_parameter_count,
@@ -30,6 +29,8 @@ from .models import (
 from .selection import SelectionCriterion, accept_exploratory, score_model, score_with_fallback
 
 log = logging.getLogger(__name__)
+
+E_STEP_CHUNK = 512  # a pass's first chunk is twice this long (see _pass)
 
 
 @dataclass
@@ -61,35 +62,39 @@ class RunResult:
 
 
 def _pass(
-    state: ModelState, d: Dataset, rows: np.ndarray,
+    state: ModelState, rows: np.ndarray,
     pick: Callable[[np.ndarray, int], tuple[np.ndarray, bool]],
 ) -> None:
     """One sequential pass over `rows` in which each row takes a class or
     opens a new one seeded by itself.
 
-    pick(post, start) gets the posteriors of pass positions start onward,
-    one column each (PassScores), and returns the labels of the leading
-    positions and whether the one after them opens a class. The rows after
-    an opening are scored again with the new class and the rescaled priors,
-    so each row sees the model exactly as a one-at-a-time pass would leave
-    it.
+    pick(post, start) gets the posteriors of the chunk of pass positions
+    from start on, class-major (models.class_major), and returns the labels
+    of the leading positions and whether the one after them opens a class.
+    The rows after an opening are scored again with the new class and the
+    rescaled priors, so each row sees the model exactly as a one-at-a-time
+    pass would leave it. A chunk from start is max(2 (start - opened), gap)
+    long, opened the position of the last opening (the first counts from
+    -E_STEP_CHUNK) and gap the distance between the last two: README § Model
+    fitting gives the rule and its bound of 4n + 3 E_STEP_CHUNK rows'
+    posteriors per pass over n rows.
     """
-    batch = PassScores(rows)
-    start = 0
+    start, opened, gap = 0, -E_STEP_CHUNK, 0
     while start < len(rows):
-        labels, opens = pick(batch.posteriors(state, start), start)
+        chunk = rows[start : start + max(2 * (start - opened), gap)]
+        labels, opens = pick(posteriors(state, class_major(state.scores, chunk)), start)
         stop = start + len(labels)
         state.assignments[rows[start:stop]] = labels
         if opens:
             i = rows[stop]
-            state.assignments[i] = state.add_class(init_new_class(d, i, state.family))
-            batch.add_class(stop)
+            state.assignments[i] = state.add_class(init_new_class(state.X, i, state.family))
+            opened, gap = stop, stop - opened
             stop += 1
         start = stop
 
 
 def _e_step(
-    state: ModelState, d: Dataset, rows: np.ndarray,
+    state: ModelState, rows: np.ndarray,
     fires: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
 ) -> int:
     """Hard E-step over `rows` in order; returns how many assignments changed.
@@ -110,7 +115,7 @@ def _e_step(
         stop = hits[0] if len(hits) else post.shape[1]
         return post[:, :stop].argmax(axis=0), len(hits) > 0
 
-    _pass(state, d, rows, pick)
+    _pass(state, rows, pick)
     # each row is visited once, and a row that opens a class always changes
     return int(np.count_nonzero(state.assignments[rows] != before))
 
@@ -133,7 +138,7 @@ def _run_em(
         rng = np.random.default_rng(np.random.SeedSequence([cfg.rng_seed, 7]))
         picked = rng.choice(len(unlabeled), size=cfg.extra_classes, replace=False)
         for pos in picked:
-            state.add_class(init_new_class(d, unlabeled[pos], cfg.family))
+            state.add_class(init_new_class(state.X, unlabeled[pos], cfg.family))
 
     if state.num_classes == 0:
         # no seeded classes at all: bootstrap one class from the first
@@ -141,12 +146,12 @@ def _run_em(
         if criterion is None or not len(unlabeled):
             raise ValueError("no seeded classes and no way to create any")
         first = unlabeled[0]
-        state.add_class(init_new_class(d, first, cfg.family))
+        state.add_class(init_new_class(state.X, first, cfg.family))
         state.assignments[first] = 0
 
     # initial hard labels for the unlabeled pool, so the first baseline
     # likelihood is well defined
-    _e_step(state, d, unlabeled)
+    _e_step(state, unlabeled)
     ll = data_log_likelihood(state)
 
     latched_at: Optional[int] = None  # the iteration whose gate first rejected
@@ -165,7 +170,7 @@ def _run_em(
 
         creating = criterion is not None and latched_at is None
         fires = for_pass(criterion, len(unlabeled), coins) if creating else None
-        changed = _e_step(state, d, unlabeled, fires)
+        changed = _e_step(state, unlabeled, fires)
 
         m_new = state.num_classes
         explore_ll = data_log_likelihood(state)
@@ -184,7 +189,7 @@ def _run_em(
             if m_new > m_old:
                 state.truncate(m_old)
                 dropped = unlabeled[state.assignments[unlabeled] >= m_old]
-                _e_step(state, d, dropped)
+                _e_step(state, dropped)
             if creating:
                 latched_at = t
 
@@ -194,7 +199,7 @@ def _run_em(
             ll_trace.append(ll)
             class_trace.append(m_old)
             break
-        state = m_step(state, d)
+        state = m_step(state)
         ll = data_log_likelihood(state)
         m_now = state.num_classes
         ll_trace.append(ll)

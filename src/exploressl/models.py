@@ -24,7 +24,6 @@ KAPPA_MIN = 1e-2
 KAPPA_MAX = 1e4
 KAPPA_NEW = 1.0  # the concentration of a class opened from one instance
 KMEANS_LL_EPS = 1e-12  # floor inside log() for the K-Means likelihood surrogate
-E_STEP_CHUNK = 512  # a pass's first chunk is twice this long (see PassScores)
 CLASS_SUM_ENTRIES = 1 << 15  # about the entries class_sums adds in one np.add.at
 
 
@@ -232,56 +231,6 @@ def posterior(state: ModelState, x: sp.csr_matrix) -> np.ndarray:
     return posteriors(state, (x @ state.vectors.T).T)[:, 0]
 
 
-class PassScores:
-    """Posteriors of the rows `rows` of a state's dataset, in pass order, for
-    one E-step pass, handed out a chunk at a time from the state's scores,
-    class-major: posteriors() of the chunk's scores as class_major lays
-    them out, C-contiguous unless the chunk has fewer rows than classes.
-
-    A class opened at one position makes the posteriors of the rest of its
-    chunk stale. So a chunk starting at pass position start is
-
-        min(rows left, max(2 * (start - last), gap))
-
-    long, where last is the position of the last opening and gap the
-    distance between the last two; the first opening of a pass counts its
-    gap from -E_STEP_CHUNK. A pass that opens no class takes chunks of 2, 6,
-    18, ... times E_STEP_CHUNK rows, each three times the one before, so
-    a few chunks cover it; one whose openings lie hundreds of rows apart
-    takes chunks that long right after each one, and one that opens a class
-    at every row uses chunks of one or two rows.
-
-    Only an opening wastes rows: the rest of its chunk. Say the k-th
-    opening of a pass lies at o_k, with o_0 = -E_STEP_CHUNK and gaps
-    g_k = o_k - o_(k-1), g_0 = 0. Its chunk starts at some s with
-    o_(k-1) < s <= o_k, so it is at most max(2 (s - o_(k-1)), g_(k-1))
-    <= 2 g_k + g_(k-1) long: twice its own gap plus the one before it. The
-    gaps add up to at most n + E_STEP_CHUNK, and so do the gaps before the
-    openings, so a pass over n rows hands out at most
-    n + 2 (n + E_STEP_CHUNK) + (n + E_STEP_CHUNK) = 4n + 3 E_STEP_CHUNK rows'
-    posteriors in all. A row's posterior does not depend on how the pass is
-    split.
-    """
-
-    def __init__(self, rows: np.ndarray):
-        self._rows = rows
-        self._opened_at = -E_STEP_CHUNK
-        self._gap = 0  # between the last two openings
-
-    def add_class(self, pos: int) -> None:
-        """Note that the row at pass position pos (in the last chunk handed
-        out) opened a class."""
-        self._gap = pos - self._opened_at
-        self._opened_at = pos
-
-    def posteriors(self, state: ModelState, start: int) -> np.ndarray:
-        """posteriors() of the chunk of pass positions that begins at start,
-        one column per position."""
-        size = max(2 * (start - self._opened_at), self._gap)
-        chunk = self._rows[start : start + size]
-        return posteriors(state, class_major(state.scores, chunk))
-
-
 def class_sums(X: sp.csr_matrix, y: np.ndarray, m: int) -> np.ndarray:
     """(m, V) sums of the rows of X per class label y[row], all y in [0, m).
 
@@ -368,38 +317,41 @@ def init_from_seeds(d: Dataset, p: SeedPartition, family: ModelFamily) -> ModelS
                       assignments, kappas)
 
 
-def init_new_class(d: Dataset, i: int, family: ModelFamily) -> tuple[np.ndarray, Optional[float]]:
-    """(vector, kappa) of a brand-new class seeded by row i of d alone, kappa
+def init_new_class(
+    X: sp.csr_matrix, i: int, family: ModelFamily
+) -> tuple[np.ndarray, Optional[float]]:
+    """(vector, kappa) of a brand-new class seeded by row i of X alone, kappa
     None outside vMF: add-one smoothed log probabilities (NB), the row plus
     1/V per word, L1-normalized (K-Means), or the row's direction at
     concentration KAPPA_NEW (vMF)."""
-    X = d.matrix()
     lo, hi = X.indptr[i], X.indptr[i + 1]
     if lo == hi:
         raise ValueError("cannot initialize a class from an all-zero instance")
-    dense = np.zeros(d.vocab_size)
+    V = X.shape[1]
+    dense = np.zeros(V)
     dense[X.indices[lo:hi]] = X.data[lo:hi]
     if family is ModelFamily.NB:
         smoothed = dense + 1.0
         return np.log(smoothed / smoothed.sum()), None
     if family is ModelFamily.KMEANS:
-        smoothed = dense + 1.0 / d.vocab_size
+        smoothed = dense + 1.0 / V
         return smoothed / smoothed.sum(), None
     return dense / np.linalg.norm(dense), KAPPA_NEW
 
 
-def m_step(state: ModelState, d: Dataset) -> ModelState:
-    """Re-estimate all parameters from the current hard assignments: refit
-    of the state's family, assignments, seeded classes and vectors."""
-    return refit(state.family, d, state.assignments, state.seed_class_ids, state.vectors)
+def m_step(state: ModelState) -> ModelState:
+    """Re-estimate all parameters of the state's rows X from their current
+    hard assignments: refit of the state's family, X, assignments, seeded
+    classes and vectors."""
+    return refit(state.family, state.X, state.assignments, state.seed_class_ids, state.vectors)
 
 
 def refit(
-    family: ModelFamily, d: Dataset, y: np.ndarray, seed_class_ids: list[int],
+    family: ModelFamily, X: sp.csr_matrix, y: np.ndarray, seed_class_ids: list[int],
     vectors: np.ndarray,
 ) -> ModelState:
-    """The state fitted to hard assignments y over the classes of vectors,
-    the first len(seed_class_ids) of them seeded.
+    """The state of the rows of X fitted to hard assignments y over the
+    classes of vectors, the first len(seed_class_ids) of them seeded.
 
     Introduced classes left without members are dropped (assignment ids are
     remapped); seeded classes always survive, and one whose sum is degenerate
@@ -413,7 +365,6 @@ def refit(
     remap[keep] = np.arange(len(keep))
     y_new = remap[y]
 
-    X = d.matrix()
     fitted_vectors, kappas, priors, fitted = fit_classes(family, X, y_new, len(keep))
     stale = ~fitted
     fitted_vectors[stale] = vectors[keep[stale]]

@@ -36,6 +36,8 @@ class SyntheticSpec:
             raise ValueError("separation must be non-negative")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
+        if self.doc_length < 1:
+            raise ValueError("doc_length must be positive")
 
 
 def multinomial_class_distributions(spec: SyntheticSpec) -> np.ndarray:

@@ -31,7 +31,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from exploressl import models
+from exploressl import engine
 from exploressl.criteria import (
     CriterionConfig,
     CriterionKind,
@@ -42,13 +42,12 @@ from exploressl.criteria import (
     minmax_fires,
 )
 from exploressl.data import SeedPartition
-from exploressl.engine import _e_step
+from exploressl.engine import _e_step, _pass
 from exploressl.models import (
     KAPPA_MIN,
     KMEANS_LL_EPS,
     ModelFamily,
     ModelState,
-    PassScores,
     _banerjee_kappa,
     _vmf_log_normalizer,
     class_sums,
@@ -139,29 +138,27 @@ def test_posteriors_match_posterior_row_by_row(family, seed, m, V, n):
     xs = _instances(rng, n, V)
     d = from_rows(xs, [-1] * n, V)
     state = _state(family, params, d)
+    starts = []
+
+    def pick(chunk, start):
+        assert chunk.shape[0] == state.num_classes and 1 <= chunk.shape[1] <= n - start
+        # one numpy inner loop per class, or per row where rows are fewer
+        wide = chunk.shape[1] >= chunk.shape[0]
+        assert chunk.flags.c_contiguous if wide else chunk.flags.f_contiguous
+        for q, column in enumerate(chunk.T):
+            assert np.array_equal(column, posterior(state, xs[start + q]))
+            assert np.array_equal(column, _reference_posterior(state, xs[start + q]))
+        # every other chunk opens a class at its first row, as the E-step
+        # does mid-pass: the later rows see the new column and the rescaled
+        # priors
+        opening = len(starts) % 2 == 1
+        starts.append(start)
+        taken = 0 if opening else chunk.shape[1]
+        return chunk[:, :taken].argmax(axis=0), opening
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        scores = PassScores(np.arange(n))
-        start, opening = 0, False
-        while start < n:
-            chunk = scores.posteriors(state, start)
-            assert chunk.shape[0] == state.num_classes and 1 <= chunk.shape[1] <= n - start
-            # one numpy inner loop per class, or per row where rows are fewer
-            wide = chunk.shape[1] >= chunk.shape[0]
-            assert chunk.flags.c_contiguous if wide else chunk.flags.f_contiguous
-            for q, column in enumerate(chunk.T):
-                assert np.array_equal(column, posterior(state, xs[start + q]))
-                assert np.array_equal(column, _reference_posterior(state, xs[start + q]))
-            if opening:
-                # open a class at the chunk's first row, as the E-step does
-                # mid-pass: the later rows see the new column and the
-                # rescaled priors
-                state.add_class(init_new_class(d, start, family))
-                scores.add_class(start)
-                start += 1
-            else:
-                start += chunk.shape[1]
-            opening = not opening
+        _pass(state, np.arange(n), pick)
 
 
 def test_chunks_grow_back_after_an_opening():
@@ -171,27 +168,24 @@ def test_chunks_grow_back_after_an_opening():
     xs = _instances(rng, n, V)
     d = from_rows(xs, [-1] * n, V)
     state = _state(ModelFamily.VMF, params, d)
-    scores = PassScores(np.arange(n))
     # open classes at 10, in the first chunk, and at 700, in a later chunk,
     # as the E-step does when the criterion fires there; every row handed
     # out before and after them must match posterior()
     opens = [10, 700]
-    sizes, start = [], 0
+    sizes = []
+
+    def pick(chunk, start):
+        sizes.append(chunk.shape[1])
+        stop = start + chunk.shape[1]
+        hit = next((q for q in opens if start <= q < stop), None)
+        for q in range(start, stop if hit is None else hit + 1):
+            assert np.array_equal(chunk[:, q - start], posterior(state, xs[q]))
+        taken = chunk.shape[1] if hit is None else hit - start
+        return chunk[:, :taken].argmax(axis=0), hit is not None
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        while start < n:
-            chunk = scores.posteriors(state, start)
-            sizes.append(chunk.shape[1])
-            stop = start + chunk.shape[1]
-            hit = next((q for q in opens if start <= q < stop), None)
-            for q in range(start, stop if hit is None else hit + 1):
-                assert np.array_equal(chunk[:, q - start], posterior(state, xs[q]))
-            if hit is None:
-                start = stop
-            else:
-                state.add_class(init_new_class(d, hit, ModelFamily.VMF))
-                scores.add_class(hit)
-                start = hit + 1
+        _pass(state, np.arange(n), pick)
     # each chunk is max(2 * (start - last opening), gap between the last two
     # openings) long, cut at the pass's end, the first opening counted from
     # -E_STEP_CHUNK = -512: from 0, 2 * 512 = 1024; the opening at 10 makes
@@ -215,7 +209,7 @@ def _opening_pattern(draw, n):
     return (np.arange(n) >= gap) & (np.arange(n) < gap + burst)
 
 
-@given(st.data(), st.integers(1, 300), st.sampled_from([1, 2, 5, 16, 64, models.E_STEP_CHUNK]))
+@given(st.data(), st.integers(1, 300), st.sampled_from([1, 2, 5, 16, 64, engine.E_STEP_CHUNK]))
 @settings(max_examples=60, deadline=None)
 def test_chunks_stay_within_the_bound_for_any_openings(data, n, chunk):
     rng = np.random.default_rng(n)
@@ -225,26 +219,24 @@ def test_chunks_stay_within_the_bound_for_any_openings(data, n, chunk):
     d = from_rows(xs, [-1] * n, V)
     state = _state(ModelFamily.NB, params, d)
     opens = _opening_pattern(data.draw, n)
-    handed, start = 0, 0
-    with mock.patch.object(models, "E_STEP_CHUNK", chunk):
-        scores = PassScores(np.arange(n))
-        while start < n:
-            post = scores.posteriors(state, start)
-            assert 1 <= post.shape[1] <= n - start
-            handed += post.shape[1]
-            hit = start + int(np.argmax(opens[start : start + post.shape[1]]))
-            stop = hit + 1 if opens[hit] else start + post.shape[1]
-            # every row the pass takes, up to and including the one that
-            # opens a class, sees the model as posterior() does
-            for q in range(start, stop):
-                assert np.array_equal(post[:, q - start], posterior(state, xs[q]))
-            if opens[hit]:
-                state.add_class(init_new_class(d, hit, ModelFamily.NB))
-                scores.add_class(hit)
-            start = stop
+    handed = []
+
+    def pick(post, start):
+        assert 1 <= post.shape[1] <= n - start
+        handed.append(post.shape[1])
+        hit = start + int(np.argmax(opens[start : start + post.shape[1]]))
+        taken = hit - start if opens[hit] else post.shape[1]
+        # every row the pass takes, up to and including the one that
+        # opens a class, sees the model as posterior() does
+        for q in range(start, start + taken + int(opens[hit])):
+            assert np.array_equal(post[:, q - start], posterior(state, xs[q]))
+        return post[:, :taken].argmax(axis=0), bool(opens[hit])
+
+    with mock.patch.object(engine, "E_STEP_CHUNK", chunk):
+        _pass(state, np.arange(n), pick)
     # each opening wastes at most twice its gap plus the one before it, and
-    # the gaps add up to at most n + E_STEP_CHUNK (PassScores)
-    assert handed <= 4 * n + 3 * chunk
+    # the gaps add up to at most n + E_STEP_CHUNK (README, Model fitting)
+    assert sum(handed) <= 4 * n + 3 * chunk
 
 
 def test_kmeans_all_zero_scores_fall_back_to_uniform():
@@ -253,7 +245,14 @@ def test_kmeans_all_zero_scores_fall_back_to_uniform():
     x = from_pairs([(4, 1.0), (5, 2.0)])
     d = from_rows([x], [-1], 6)
     state = _state(ModelFamily.KMEANS, params, d)
-    batch = PassScores(np.arange(1)).posteriors(state, 0)
+    chunks = []
+
+    def pick(post, start):
+        chunks.append(post)
+        return post.argmax(axis=0), False
+
+    _pass(state, np.arange(1), pick)
+    batch = chunks[0]
     assert np.array_equal(batch[:, 0], np.full(4, 0.25))
     assert np.array_equal(batch[:, 0], posterior(state, x))
 
@@ -443,7 +442,7 @@ def test_m_step_and_seed_init_match_the_former_sums(family, seed, k, extra, V, n
     # extra introduced classes, and labels that leave some classes of both
     # kinds empty: the seeded ones keep their parameters, the rest go
     for i in range(extra):
-        state.add_class(init_new_class(d, i, family))
+        state.add_class(init_new_class(d.matrix(), i, family))
     m = state.num_classes
     state.assignments = rng.choice(rng.choice(m, size=int(rng.integers(1, m + 1))), size=n)
     old = state.vectors.copy()
@@ -452,7 +451,7 @@ def test_m_step_and_seed_init_match_the_former_sums(family, seed, k, extra, V, n
     remap = np.full(m, -1, dtype=np.int64)
     remap[keep] = np.arange(len(keep))
     sums = _indicator_sums(X, remap[state.assignments], len(keep))
-    new = m_step(state, d)
+    new = m_step(state)
     assert np.array_equal(new.assignments, remap[state.assignments])
     for j, old_j in enumerate(keep):
         vector, kappa = _reference_params(family, sums[j], counts[old_j], V, old[old_j])
@@ -497,7 +496,7 @@ def test_state_scores_stay_the_product(family, seed, k, V, extra, fitted, ops):
     state = init_from_seeds(d, p, family)
     state.assignments[k:] = rng.integers(k, size=extra)
     if fitted:
-        state = m_step(state, d)
+        state = m_step(state)
     for op in [None, *ops]:
         if op == "truncate":
             m_keep = int(rng.integers(state.num_seeded, state.num_classes + 1))
@@ -506,7 +505,7 @@ def test_state_scores_stay_the_product(family, seed, k, V, extra, fitted, ops):
             state.assignments[late] = rng.integers(m_keep, size=int(late.sum()))
         elif op is not None:
             i = op % n
-            state.assignments[i] = state.add_class(init_new_class(d, i, family))
+            state.assignments[i] = state.add_class(init_new_class(d.matrix(), i, family))
         assert np.array_equal(state.scores, d.matrix() @ state.vectors.T)
         assert data_log_likelihood(state) == _reference_log_likelihood(state, d)
 
@@ -517,7 +516,7 @@ def _reference_e_step(state, d, rows, opens):
     changed = 0
     for pos, i in enumerate(rows):
         if opens[pos]:
-            j = state.add_class(init_new_class(d, i, state.family))
+            j = state.add_class(init_new_class(d.matrix(), i, state.family))
         else:
             j = int(np.argmax(posterior(state, d.row(i))))
         changed += int(state.assignments[i] != j)
@@ -532,7 +531,7 @@ def _reference_e_step(state, d, rows, opens):
     st.integers(3, 12),
     st.integers(1, 40),
     st.floats(0.0, 0.5),
-    st.sampled_from([1, 3, 7, models.E_STEP_CHUNK]),
+    st.sampled_from([1, 3, 7, engine.E_STEP_CHUNK]),
 )
 @settings(max_examples=150, deadline=None)
 def test_e_step_pass_matches_one_row_at_a_time(family, seed, m, V, n, rate, chunk):
@@ -548,10 +547,10 @@ def test_e_step_pass_matches_one_row_at_a_time(family, seed, m, V, n, rate, chun
     def fires(post, start):
         return opens[start : start + post.shape[1]]
 
-    with warnings.catch_warnings(), mock.patch.object(models, "E_STEP_CHUNK", chunk):
+    with warnings.catch_warnings(), mock.patch.object(engine, "E_STEP_CHUNK", chunk):
         warnings.simplefilter("error", RuntimeWarning)
         # a pass that opens nothing runs without a criterion, as semisup_em's do
-        changed = _e_step(batched, d, rows, fires if opens.any() else None)
+        changed = _e_step(batched, rows, fires if opens.any() else None)
     want = _reference_e_step(reference, d, rows, opens)
     assert changed == want
     # the grown scores are the product over every row and every class
@@ -589,7 +588,7 @@ def test_e_step_without_a_criterion_takes_the_posterior_argmax(
     scores_before = state.scores
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        changed = _e_step(state, d, np.arange(n)[::-1])
+        changed = _e_step(state, np.arange(n)[::-1])
         assert np.array_equal(state.assignments, posteriors(state, base.T).argmax(axis=0))
     assert state.assignments.tolist() == want
     assert changed == np.count_nonzero(want)

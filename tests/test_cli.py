@@ -38,6 +38,8 @@ class TestSynthCommand:
         (["--classes", "0"], "num_classes, instances_per_class, vocab_size must be positive$"),
         (["--separation", "-1"], "separation must be non-negative$"),
         (["--rng-seed", "-1"], "rng_seed must be non-negative$"),
+        (["--doc-length", "0"], "doc_length must be positive$"),
+        (["--doc-length", "-3"], "doc_length must be positive$"),
     ])
     def test_bad_spec_is_one_line_and_writes_nothing(self, tmp_path, flags, message):
         out = tmp_path / "d.txt"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exploressl import engine
 from exploressl.crp import (
     CrpConfig,
     PickRule,
@@ -13,7 +14,7 @@ from exploressl.crp import (
 )
 from exploressl.criteria import js_from_uniform
 from exploressl.data import make_partitions
-from exploressl.models import ModelFamily, PassScores
+from exploressl.models import ModelFamily
 from exploressl.synth import SyntheticSpec, generate_synthetic
 
 
@@ -260,14 +261,14 @@ def _nan(post):
     "corrupt,error", [(_negative, ValueError), (_off_sum, ValueError), (_nan, FloatingPointError)]
 )
 def test_gibbs_rejects_bad_posterior_chunks(monkeypatch, rule, corrupt, error):
-    chunk_posteriors = PassScores.posteriors
+    chunk_posteriors = engine.posteriors
 
-    def corrupted(self, state, start):
-        post = chunk_posteriors(self, state, start)
+    def corrupted(state, scores):
+        post = chunk_posteriors(state, scores)
         corrupt(post)
         return post
 
-    monkeypatch.setattr(PassScores, "posteriors", corrupted)
+    monkeypatch.setattr(engine, "posteriors", corrupted)
     d, p = setup_run(5)
     cfg = CrpConfig(p_new=0.05, num_epochs=1, pick=rule, family=ModelFamily.NB, rng_seed=1)
     with pytest.raises(error):

@@ -185,7 +185,7 @@ def test_a_run_that_stops_unchanged_ends_on_a_fixed_point(monkeypatch, family):
     # from t = 2 stops without the M-step; its final state must be what that
     # M-step would have given, and ll_trace[-1] its likelihood
     calls = []
-    monkeypatch.setattr(engine, "m_step", lambda state, d: calls.append(1) or m_step(state, d))
+    monkeypatch.setattr(engine, "m_step", lambda state: calls.append(1) or m_step(state))
     stopped = 0
     for seed in range(6):
         raw, p = small_synthetic(30 + seed, classes=4, seeded=2)
@@ -201,7 +201,7 @@ def test_a_run_that_stops_unchanged_ends_on_a_fixed_point(monkeypatch, family):
             assert len(calls) == r.iterations_run - 1 and r.iterations_run >= 2
             stopped += 1
             s = r.final_state
-            refit = m_step(s, d)
+            refit = m_step(s)
             assert np.array_equal(refit.assignments, s.assignments)
             assert np.array_equal(refit.vectors, s.vectors)
             assert np.array_equal(refit.priors, s.priors)
@@ -209,6 +209,72 @@ def test_a_run_that_stops_unchanged_ends_on_a_fixed_point(monkeypatch, family):
             assert data_log_likelihood(refit) == r.ll_trace[-1]
             assert r.class_count_trace[-1] == s.num_classes
     assert stopped
+
+
+@pytest.fixture(scope="module")
+def overlap_corpus():
+    """6 classes x 80 over V=300 at separation 3, 3 of them seeded at 10 %, in
+    3 partitions: a corpus on which exploratory JS and MinMax runs latch at
+    iteration 1 and keep only the seeded classes."""
+    datasets = prepare_family_datasets(generate_synthetic(SyntheticSpec(6, 80, 300, 3.0,
+                                                                        rng_seed=1)))
+    return datasets, make_partitions(datasets[ModelFamily.NB], 3, 0.1, 3, 1)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: semisup_em stops after one M-step while an "
+                   "exploratory run that latched at iteration 1 keeps iterating")
+@pytest.mark.parametrize("kind", [CriterionKind.JS, CriterionKind.MINMAX])
+@pytest.mark.parametrize("family", list(ModelFamily))
+def test_a_run_that_latches_at_once_and_keeps_no_class_is_semisup(overlap_corpus, family,
+                                                                  kind):
+    # an exploratory run whose gate rejects the first pass, and which ends
+    # with the seeded classes alone, has run semisup_em's EM
+    datasets, partitions = overlap_corpus
+    d = datasets[family]
+    compared = 0
+    for p in partitions:
+        r = exploratory_em(d, p, EngineConfig(family, CriterionConfig(kind)))
+        if r.can_add_latched_at != 1 or r.final_state.num_classes != len(p.seeded_class_ids):
+            continue
+        base = semisup_em(d, p, EngineConfig(family))
+        assert np.array_equal(r.final_state.assignments, base.final_state.assignments)
+        compared += 1
+    if not compared:
+        pytest.skip("no run latched at iteration 1 and kept only the seeded classes")
+
+
+PREFIX_ARMS = {
+    "exploratory-js": lambda d, p, family, k: exploratory_em(
+        d, p, EngineConfig(family, CriterionConfig(CriterionKind.JS), max_iterations=k)),
+    "semisup-extra-1": lambda d, p, family, k: semisup_em(
+        d, p, EngineConfig(family, extra_classes=1, max_iterations=k)),
+    **{f"crp-{rule.value}": lambda d, p, family, k, rule=rule: crp_gibbs(
+        d, p, CrpConfig(1e-2, num_epochs=k, pick=rule, family=family)) for rule in PickRule},
+}
+
+
+@pytest.mark.parametrize("arm", PREFIX_ARMS)
+@pytest.mark.parametrize("family", list(ModelFamily))
+def test_a_capped_run_is_a_prefix_of_the_uncapped_one(family, arm):
+    # a run capped at k iterations (Gibbs: epochs) is the first k of the
+    # uncapped run: its traces are their first k entries, and it has latched
+    # where the uncapped run latched by k; a cap at the run's own length
+    # changes nothing. On five disjoint blocks with two seeded, the NB and
+    # K-Means JS runs latch at iteration 3
+    datasets = prepare_family_datasets(generate_synthetic(SyntheticSpec(5, 40, 50, 1e6,
+                                                                        rng_seed=3)))
+    d = datasets[family]
+    run = PREFIX_ARMS[arm]
+    for p in make_partitions(d, 2, 0.1, 2, 1):
+        full = run(d, p, family, 15 if arm in ("exploratory-js", "semisup-extra-1") else 5)
+        latched = full.can_add_latched_at
+        for k in range(1, full.iterations_run + 1):
+            capped = run(d, p, family, k)
+            assert capped.iterations_run == k
+            assert capped.ll_trace == full.ll_trace[:k]
+            assert capped.class_count_trace == full.class_count_trace[:k]
+            assert capped.can_add_latched_at == (latched if latched and latched <= k else None)
 
 
 class TestSemisupEm:

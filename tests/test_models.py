@@ -25,7 +25,7 @@ def dataset(rows, labels, vocab):
 
 def new_class(x, family, vocab):
     """init_new_class for the sparse vector x, as the one row of a dataset."""
-    return init_new_class(from_rows([x], [-1], vocab), 0, family)
+    return init_new_class(from_rows([x], [-1], vocab).matrix(), 0, family)
 
 
 def partition(d, labeled, seeded):
@@ -218,7 +218,7 @@ class TestInitNewClass:
         reason="a vMF class opened from one instance gets kappa KAPPA_NEW = 1 and prior "
         "2/(n + m + 1) = 2/13, so its logit for its own instance is log(2/13) + 1, below "
         "log(11/26) for each old class orthogonal to it: posterior 0.3308 against 0.3346 "
-        "(ROADMAP item 2, the kappa decision)",
+        "(ROADMAP item 3, the kappa decision)",
     )
     def test_vmf_class_at_kappa_new_ranks_highest_for_its_point(self):
         # the vMF case of the test above with the opened class at KAPPA_NEW
@@ -287,7 +287,7 @@ class TestMStep:
         d = dataset([[(0, 2.0)], [(1, 3.0)]], [0, 1], 2)
         p = partition(d, labeled=[0, 1], seeded=[0, 1])
         s = init_from_seeds(d, p, ModelFamily.NB)
-        s2 = m_step(s, d)
+        s2 = m_step(s)
         assert np.allclose(s.vectors, s2.vectors)
         assert np.allclose(s.priors, s2.priors)
 
@@ -295,16 +295,16 @@ class TestMStep:
         d = dataset([[(0, 1.0)], [(1, 1.0)]], [0, 0], 2)
         p = partition(d, labeled=[0, 1], seeded=[0])
         s = init_from_seeds(d, p, ModelFamily.KMEANS)
-        s2 = m_step(s, d)
+        s2 = m_step(s)
         assert np.allclose(s2.vectors[0], [0.5, 0.5])
 
     def test_empty_introduced_class_dropped(self):
         d = dataset([[(0, 1.0)], [(1, 1.0)]], [0, -1], 2)
         p = partition(d, labeled=[0], seeded=[0])
         s = init_from_seeds(d, p, ModelFamily.NB)
-        s.add_class(init_new_class(d, 1, ModelFamily.NB))
+        s.add_class(init_new_class(d.matrix(), 1, ModelFamily.NB))
         s.assignments[1] = 0  # introduced class left empty
-        s2 = m_step(s, d)
+        s2 = m_step(s)
         assert s2.num_classes == 1
 
     def test_seeded_class_survives_without_unlabeled(self):
@@ -312,7 +312,7 @@ class TestMStep:
         p = partition(d, labeled=[0, 1], seeded=[0, 1])
         s = init_from_seeds(d, p, ModelFamily.NB)
         s.assignments[2] = 1
-        s2 = m_step(s, d)
+        s2 = m_step(s)
         assert s2.num_classes == 2
 
     def test_sole_member_gets_max_posterior(self):
@@ -327,9 +327,9 @@ class TestMStep:
                     [normalize(x, norm) for x in d.instances], d.gold_ids, 3
                 )
             s = init_from_seeds(dd, p, fam)
-            s.add_class(init_new_class(dd, 2, fam))
+            s.add_class(init_new_class(dd.matrix(), 2, fam))
             s.assignments[2] = 2
-            s2 = m_step(s, dd)
+            s2 = m_step(s)
             assert int(np.argmax(posterior(s2, dd.instances[2]))) == 2
 
 

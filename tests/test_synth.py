@@ -97,6 +97,12 @@ class TestGenerator:
         with pytest.raises(ValueError):
             SyntheticSpec(2, 5, 10, separation=-1.0)
 
+    @pytest.mark.parametrize("doc_length", [0, -3])
+    def test_document_length_below_one_is_refused(self, doc_length):
+        # a zero-length document has no words, so tf-idf drops every row
+        with pytest.raises(ValueError, match="^doc_length must be positive$"):
+            SyntheticSpec(2, 3, 10, separation=1.0, doc_length=doc_length)
+
 
 class TestBayesOracle:
     def test_zero_separation_is_chance(self):
