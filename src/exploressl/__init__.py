@@ -20,8 +20,10 @@ from .data import (
 from .engine import (
     EngineConfig,
     RunResult,
+    SeedStart,
     calibrate_random_rate,
     exploratory_em,
+    seed_start,
     semisup_em,
 )
 from .evaluation import (

@@ -455,7 +455,9 @@ def tfidf_weight(d: Dataset) -> Dataset:
 def _tfidf_weight(d: Dataset) -> tuple[Dataset, np.ndarray]:
     """tfidf_weight(d), and the positions in d of the rows it keeps."""
     X = d.matrix()
-    df = np.bincount(X.indices, minlength=d.vocab_size)
+    # np.bincount would copy the read-only ids; np.add.at reads them in place
+    df = np.zeros(d.vocab_size, dtype=np.int64)
+    np.add.at(df, X.indices, 1)
     idf = np.log(len(d) / np.maximum(df, 1))  # read only where df >= 1
     weights = idf[X.indices]
     weights *= X.data

@@ -120,16 +120,33 @@ def _e_step(
     return int(np.count_nonzero(state.assignments[rows] != before))
 
 
-def _run_em(
-    d: Dataset, p: SeedPartition, cfg: EngineConfig, criterion: Optional[CriterionConfig]
-) -> RunResult:
-    """Hard EM from the seeded classes; a criterion, if given, may open
-    classes during the E-step until the selection gate first rejects. The
-    random criterion's coins come from one stream seeded by cfg.rng_seed."""
-    p.validate(d)
-    n = len(d)
-    unlabeled = p.unlabeled_idx
+@dataclass(frozen=True)
+class SeedStart:
+    """Where every run on one dataset, partition and family without extra
+    classes begins: the seed fit after one E-step over the unlabeled rows,
+    and its log-likelihood. A run given a start works on a fork of its state
+    (ModelState.fork), so one start serves any number of runs unchanged."""
 
+    state: ModelState
+    ll: float
+    partition: SeedPartition
+
+
+def seed_start(d: Dataset, p: SeedPartition, family: ModelFamily) -> SeedStart:
+    """The start that exploratory_em, semisup_em without extra classes and
+    calibrate_random_rate take as `start=` for d, p and family, which they
+    would otherwise build themselves. p must seed at least one class."""
+    return _begin(d, p, EngineConfig(family), None)
+
+
+def _begin(
+    d: Dataset, p: SeedPartition, cfg: EngineConfig, criterion: Optional[CriterionConfig]
+) -> SeedStart:
+    """The start of a run given none: the seed fit plus cfg.extra_classes
+    classes opened at random unlabeled rows, or, with no seeded class and a
+    criterion, one class opened at the first unlabeled row."""
+    p.validate(d)
+    unlabeled = p.unlabeled_idx
     state = init_from_seeds(d, p, cfg.family)
 
     if cfg.extra_classes:
@@ -152,7 +169,34 @@ def _run_em(
     # initial hard labels for the unlabeled pool, so the first baseline
     # likelihood is well defined
     _e_step(state, unlabeled)
-    ll = data_log_likelihood(state)
+    return SeedStart(state, data_log_likelihood(state), p)
+
+
+def _check_start(start: SeedStart, d: Dataset, p: SeedPartition, family: ModelFamily) -> None:
+    if start.partition is not p or start.state.X is not d.matrix() \
+            or start.state.family is not family:
+        raise ValueError("start is not seed_start of this dataset, partition and family")
+
+
+def _run_em(
+    d: Dataset, p: SeedPartition, cfg: EngineConfig, criterion: Optional[CriterionConfig],
+    start: Optional[SeedStart] = None,
+) -> RunResult:
+    """Hard EM from the seeded classes; a criterion, if given, may open
+    classes during the E-step until the selection gate first rejects. The
+    random criterion's coins come from one stream seeded by cfg.rng_seed.
+    A start (seed_start of d, p and cfg.family) takes the place of the seed
+    fit and first E-step of a run without extra classes."""
+    if start is None:
+        start = _begin(d, p, cfg, criterion)
+    elif cfg.extra_classes:
+        raise ValueError("a run with extra classes takes no seed start")
+    else:
+        _check_start(start, d, p, cfg.family)
+    n = len(d)
+    unlabeled = p.unlabeled_idx
+    state, ll = start.state.fork(), start.ll
+    del start  # one built here is freed with the fork's first M-step
 
     latched_at: Optional[int] = None  # the iteration whose gate first rejected
     ll_trace: list[float] = []
@@ -225,21 +269,28 @@ def _run_em(
     )
 
 
-def exploratory_em(d: Dataset, p: SeedPartition, cfg: EngineConfig) -> RunResult:
+def exploratory_em(
+    d: Dataset, p: SeedPartition, cfg: EngineConfig, *, start: Optional[SeedStart] = None
+) -> RunResult:
     """EM that may create a class per hard-to-classify instance during the
     E-step; a penalized-likelihood gate compares the grown model against the
-    pre-E-step one and permanently disables creation on first rejection."""
+    pre-E-step one and permanently disables creation on first rejection.
+    A start from seed_start(d, p, cfg.family) changes no result."""
     if cfg.extra_classes != 0:
         raise ValueError("exploratory mode requires extra_classes = 0")
     if cfg.criterion is None:
         raise ValueError("exploratory mode requires a class-creation criterion")
-    return _run_em(d, p, cfg, cfg.criterion)
+    return _run_em(d, p, cfg, cfg.criterion, start)
 
 
-def semisup_em(d: Dataset, p: SeedPartition, cfg: EngineConfig) -> RunResult:
+def semisup_em(
+    d: Dataset, p: SeedPartition, cfg: EngineConfig, *, start: Optional[SeedStart] = None
+) -> RunResult:
     """Standard classification EM over the seeded classes plus
-    cfg.extra_classes classes initialized from random unlabeled instances."""
-    return _run_em(d, p, cfg, None)
+    cfg.extra_classes classes initialized from random unlabeled instances.
+    Without extra classes, a start from seed_start(d, p, cfg.family) changes
+    no result."""
+    return _run_em(d, p, cfg, None, start)
 
 
 def calibrate_random_rate(
@@ -247,14 +298,22 @@ def calibrate_random_rate(
     p: SeedPartition,
     family: ModelFamily,
     reference: CriterionKind = CriterionKind.MINMAX,
+    *,
+    start: Optional[SeedStart] = None,
 ) -> float:
     """Empirical firing rate of a reference criterion over one pass of the
     seed-initialized model's posteriors; used to parameterize the random
-    criterion for the same partition."""
+    criterion for the same partition. The posteriors are read from the
+    scores of a start from seed_start(d, p, family), if given, which its
+    E-step left as the seed fit's."""
     if reference is CriterionKind.RANDOM:
         raise ValueError("reference must be minmax or js")
     ref = minmax_fires if reference is CriterionKind.MINMAX else js_fires
-    state = init_from_seeds(d, p, family)
+    if start is None:
+        state = init_from_seeds(d, p, family)
+    else:
+        _check_start(start, d, p, family)
+        state = start.state
     unlabeled = p.unlabeled_idx
     if not len(unlabeled):
         return 0.0

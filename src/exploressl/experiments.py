@@ -4,6 +4,7 @@ partition fan-out, and CSV/JSON report emission."""
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import time
@@ -11,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +29,15 @@ from .data import (
     subset,
     write_label_map,
 )
-from .engine import EngineConfig, RunResult, calibrate_random_rate, exploratory_em, semisup_em
+from .engine import (
+    EngineConfig,
+    RunResult,
+    SeedStart,
+    calibrate_random_rate,
+    exploratory_em,
+    seed_start,
+    semisup_em,
+)
 from .evaluation import eval_rows, paired_significance, seed_macro_f1
 from .models import ModelFamily
 from .selection import SelectionCriterion
@@ -147,16 +156,32 @@ def _init_worker(spec: ExperimentSpec, partitions: list[SeedPartition],
     _WORKER.update(spec=spec, partitions=partitions, datasets=datasets)
 
 
-def _run_in_worker(task: dict) -> dict:
-    return _run_one(task, **_WORKER)
+def _run_group_in_worker(tasks: list[dict]) -> list[dict]:
+    return _run_group(tasks, **_WORKER)
+
+
+def _run_group(tasks: list[dict], spec: ExperimentSpec, partitions: list[SeedPartition],
+               datasets: dict[ModelFamily, Dataset]) -> list[dict]:
+    """Execute the cells of one family and partition in order; returns their
+    rows. They share one seed start, built for the first cell that takes it
+    and dropped on return, so one start is alive at a time."""
+    family = ModelFamily(tasks[0]["family"])
+    p = partitions[tasks[0]["partition_index"]]
+    start = functools.cache(functools.partial(seed_start, datasets[family], p, family))
+    return [_run_one(task, spec, partitions, datasets, start) for task in tasks]
 
 
 def _run_one(task: dict, spec: ExperimentSpec, partitions: list[SeedPartition],
-             datasets: dict[ModelFamily, Dataset]) -> dict:
-    """Execute one grid cell on one partition; returns a result row."""
+             datasets: dict[ModelFamily, Dataset],
+             start: Optional[Callable[[], SeedStart]] = None) -> dict:
+    """Execute one grid cell on one partition; returns a result row.
+    start() gives the cell's engine.seed_start, which is built here if not
+    given; a cell whose runs all take extra classes never calls it."""
     p = partitions[task["partition_index"]]
     family = ModelFamily(task["family"])
     d = datasets[family]
+    if start is None:
+        start = functools.cache(functools.partial(seed_start, d, p, family))
     algorithm = task["algorithm"]
     row = dict.fromkeys(CSV_COLUMNS, "")
     row.update(
@@ -186,17 +211,20 @@ def _run_one(task: dict, spec: ExperimentSpec, partitions: list[SeedPartition],
 
         if algorithm == "exploratory":
             kind = CriterionKind(task["criterion"])
-            rate = (calibrate_random_rate(d, p, family, CriterionKind(spec.random_reference))
+            rate = (calibrate_random_rate(d, p, family, CriterionKind(spec.random_reference),
+                                          start=start())
                     if kind is CriterionKind.RANDOM else None)
-            result = exploratory_em(d, p, replace(cfg, criterion=CriterionConfig(kind, rate)))
+            result = exploratory_em(d, p, replace(cfg, criterion=CriterionConfig(kind, rate)),
+                                    start=start())
         elif algorithm == "semisup":
-            result = semisup_em(d, p, cfg)
+            result = semisup_em(d, p, cfg, start=start())
         elif algorithm == "semisup-sweep":
             # oracle baseline: one run per extra-class count m, keeping the
             # first that scores best on the test labels, so an upper bound
             table, best_f1 = [], -1.0
             for m in spec.sweep_m_values:
-                run = semisup_em(d, p, replace(cfg, extra_classes=m))
+                run = (semisup_em(d, p, cfg, start=start()) if m == 0
+                       else semisup_em(d, p, replace(cfg, extra_classes=m)))
                 f1 = score(run)
                 table.append({"extra_classes": m, "seed_macro_f1": f1,
                               "clusters": run.final_state.num_classes,
@@ -274,12 +302,22 @@ def run_experiment(spec: ExperimentSpec) -> int:
     _write_partitions(partitions, any_d.instance_ids, spec.include_seeds_in_eval,
                       out / "partitions.json")
 
+    # the cells of one family and partition run back to back, so that they
+    # share one seed start; rows are written in task order
+    groups: dict[tuple, list[int]] = {}
+    for i, task in enumerate(tasks):
+        groups.setdefault((task["family"], task["partition_index"]), []).append(i)
+    batches = [[tasks[i] for i in group] for group in groups.values()]
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers, initializer=_init_worker,
                                  initargs=(spec, partitions, datasets)) as pool:
-            rows = list(pool.map(_run_in_worker, tasks))
+            done = list(pool.map(_run_group_in_worker, batches))
     else:
-        rows = [_run_one(t, spec, partitions, datasets) for t in tasks]
+        done = [_run_group(batch, spec, partitions, datasets) for batch in batches]
+    rows: list[dict] = [{}] * len(tasks)
+    for group, batch_rows in zip(groups.values(), done):
+        for i, row in zip(group, batch_rows):
+            rows[i] = row
 
     _write_rows(rows, out / "runs.csv")
     _write_assignments(rows, out, any_d.instance_ids)

@@ -11,6 +11,7 @@ free-parameter count for penalized model selection.
 
 from __future__ import annotations
 
+import copy
 import math
 from enum import Enum
 from typing import Optional
@@ -45,7 +46,7 @@ class ModelState:
     with gold class seed_class_ids[j], and every later class was opened by
     add_class. scores is computed here and kept current by add_class and
     truncate, so each E-step pass and likelihood until the next M-step reads
-    this one matrix."""
+    this one matrix; m_step drops it."""
 
     def __init__(
         self,
@@ -118,6 +119,15 @@ class ModelState:
         if self.family is ModelFamily.VMF:
             self.kappas = np.append(self.kappas, kappa)
         return m
+
+    def fork(self) -> "ModelState":
+        """A state that shares this one's parameters and scores but has its
+        own assignments and no spare room, so that add_class, truncate and
+        m_step on it never write an array this one holds."""
+        other = copy.copy(self)
+        other.assignments = self.assignments.copy()
+        other._room = 0
+        return other
 
     def truncate(self, m_keep: int) -> None:
         """Drop all classes with index >= m_keep (used when a grown model is
@@ -342,7 +352,14 @@ def init_new_class(
 def m_step(state: ModelState) -> ModelState:
     """Re-estimate all parameters of the state's rows X from their current
     hard assignments: refit of the state's family, X, assignments, seeded
-    classes and vectors."""
+    classes and vectors.
+
+    The argument's scores and spare room are dropped first (its scores is
+    None after the call), so the new state's product never lives beside
+    them; of its arrays, only the vectors of the live classes, which a
+    class left without a fit keeps, are read from then on."""
+    state.scores = state._rows = state._columns = None
+    state._room = 0
     return refit(state.family, state.X, state.assignments, state.seed_class_ids, state.vectors)
 
 

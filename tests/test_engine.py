@@ -11,11 +11,12 @@ from exploressl.engine import (
     EngineConfig,
     calibrate_random_rate,
     exploratory_em,
+    seed_start,
     semisup_em,
 )
 from exploressl.evaluation import seed_macro_f1
 from exploressl.experiments import ExperimentSpec, _run_one, prepare_family_datasets
-from exploressl.models import ModelFamily, data_log_likelihood, m_step
+from exploressl.models import ModelFamily, ModelState, data_log_likelihood, m_step
 from exploressl.synth import SyntheticSpec, generate_synthetic
 
 
@@ -383,3 +384,59 @@ class TestNoRunReadsTestLabels:
         ]
         for run in runs:
             assert outcome(run(blind)) == outcome(run(d))
+
+
+START_ARRAYS = ("assignments", "scores", "vectors", "priors", "kappas")
+
+
+def test_runs_forked_from_one_seed_start_equal_runs_without_it(monkeypatch):
+    # every run that takes the start gives the result of the same run built
+    # from scratch, and leaves the start as seed_start made it; on four
+    # disjoint blocks with two seeded, MinMax and JS open classes that the
+    # gate keeps and the random criterion opens so many that it truncates
+    truncated = []
+    truncate = ModelState.truncate
+    monkeypatch.setattr(ModelState, "truncate",
+                        lambda state, m_keep: truncated.append(state.family) or truncate(
+                            state, m_keep))
+    accepted = []
+    raw, p = small_synthetic(8, classes=4, seeded=2)
+    for family, d in prepare_family_datasets(raw).items():
+        start = seed_start(d, p, family)
+        rate = calibrate_random_rate(d, p, family, start=start)
+        assert rate == calibrate_random_rate(d, p, family)
+        criteria = [CriterionConfig(CriterionKind.MINMAX), CriterionConfig(CriterionKind.JS),
+                    CriterionConfig(CriterionKind.RANDOM, rate)]
+        for cfg in [EngineConfig(family, c, rng_seed=5) for c in criteria] + [
+                EngineConfig(family)]:
+            run = semisup_em if cfg.criterion is None else exploratory_em
+            forked = run(d, p, cfg, start=start)
+            assert outcome(forked) == outcome(run(d, p, cfg))
+            if forked.final_state.num_classes > len(p.seeded_class_ids):
+                accepted.append(family)
+        fresh = seed_start(d, p, family)
+        assert start.ll == fresh.ll
+        for name in START_ARRAYS:
+            mine, want = getattr(start.state, name), getattr(fresh.state, name)
+            assert (mine is want is None) or np.array_equal(mine, want), name
+    assert accepted and truncated
+
+
+def test_a_seed_start_fits_only_its_own_runs():
+    raw, p = small_synthetic(8, classes=4, seeded=2)
+    datasets = prepare_family_datasets(raw)
+    d = datasets[ModelFamily.NB]
+    start = seed_start(d, p, ModelFamily.NB)
+    other = make_partitions(d, 2, 0.1, 1, 9)[0]
+    for run in (
+        lambda: semisup_em(d, other, EngineConfig(ModelFamily.NB), start=start),
+        lambda: semisup_em(datasets[ModelFamily.KMEANS], p, EngineConfig(ModelFamily.KMEANS),
+                           start=start),
+        lambda: calibrate_random_rate(d, p, ModelFamily.VMF, start=start),
+    ):
+        with pytest.raises(ValueError, match="not seed_start"):
+            run()
+    with pytest.raises(ValueError, match="extra classes"):
+        semisup_em(d, p, EngineConfig(ModelFamily.NB, extra_classes=1), start=start)
+    with pytest.raises(ValueError, match="no seeded classes"):
+        seed_start(d, SeedPartition([], [], range(len(d))), ModelFamily.NB)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from exploressl import experiments
+from exploressl import engine, experiments
 from exploressl.cli import main
 from exploressl.data import DataFormatError, Dataset, load_dataset, make_partitions
 from exploressl.engine import semisup_em
@@ -78,6 +78,34 @@ def test_grid_keeps_no_dataset_alive(dataset_file, tmp_path, monkeypatch, worker
     run_grid(dataset_file, tmp_path / "out", workers=workers)
     gc.collect()
     assert len(made) == 6 and all(ref() is None for ref in made)
+
+
+def test_grid_fits_the_seeds_once_per_family_and_partition(dataset_file, tmp_path, monkeypatch):
+    # every cell of a family and partition forks one seed start; only a
+    # sweep run with extra classes fits the seeds again. Rows keep task order
+    fits = []
+    fit = engine.init_from_seeds
+    monkeypatch.setattr(engine, "init_from_seeds",
+                        lambda d, p, family: fits.append((family, p)) or fit(d, p, family))
+    tasks = []
+    build = experiments.build_tasks
+    monkeypatch.setattr(experiments, "build_tasks",
+                        lambda *args: tasks.extend(build(*args)) or tasks)
+    spec = ExperimentSpec(
+        dataset_path=str(dataset_file), output_dir=str(tmp_path), families=("nb", "kmeans"),
+        algorithms=("exploratory", "semisup", "semisup-sweep"),
+        criteria=("minmax", "js", "random"), num_seed_classes=2, seeds_fraction=0.1,
+        num_partitions=2, sweep_m_values=(0, 2), rng_seed=5,
+    )
+    assert run_experiment(spec) == 0
+    rows = runs_without_runtime(tmp_path)
+    assert not any(r["error"] for r in rows)
+    assert [(r["family"], r["algorithm"], r["criterion"], r["partition"]) for r in rows] == [
+        (t["family"], t["algorithm"], t["criterion"] or "", str(t["partition_index"]))
+        for t in tasks]
+    # (family, partition) groups: one start each, plus the m = 2 sweep run
+    assert len(fits) == 2 * 2 + 2 * 2
+    assert len({(family, id(p)) for family, p in fits}) == 4
 
 
 def sweep_table(out, row):

@@ -275,6 +275,23 @@ class TestAddClass:
         assert np.array_equal(s.vectors[:3], shown)
         assert np.array_equal(s.scores[:, :3], shown_scores)
 
+    def test_a_fork_and_its_origin_never_write_what_the_other_holds(self):
+        d = dataset([[(0, 3.0)], [(1, 1.0)]], [0, 1], 2)
+        s = nb_state([[0.5, 0.5], [0.25, 0.75]], [0.5, 0.5], assignments=[0, 1], X=d.matrix())
+        s.add_class(new_class(from_pairs([(0, 3.0)]), ModelFamily.NB, 2))  # leaves spare room
+        kept = [a.copy() for a in (s.vectors, s.scores, s.assignments)]
+        fork = s.fork()
+        fork.assignments[:] = 2
+        fork.add_class(new_class(from_pairs([(1, 3.0)]), ModelFamily.NB, 2))
+        forked = [a.copy() for a in (fork.vectors, fork.scores, fork.priors, fork.assignments)]
+        s.add_class(new_class(from_pairs([(0, 1.0), (1, 1.0)]), ModelFamily.NB, 2))
+        for mine, want in zip((fork.vectors, fork.scores, fork.priors, fork.assignments), forked):
+            assert np.array_equal(mine, want)
+        fork.truncate(3)
+        m_step(fork)
+        for mine, want in zip((s.vectors[:3], s.scores[:, :3], s.assignments), kept):
+            assert np.array_equal(mine, want)
+
     def test_assignments_must_cover_every_row(self):
         d = dataset([[(0, 3.0)], [(1, 1.0)]], [0, 1], 2)
         for assignments in ([0], [0, 1, 1], []):
@@ -331,6 +348,24 @@ class TestMStep:
             s.assignments[2] = 2
             s2 = m_step(s)
             assert int(np.argmax(posterior(s2, dd.instances[2]))) == 2
+
+
+    @pytest.mark.parametrize("family", list(ModelFamily))
+    def test_drops_the_arguments_scores_and_fits_as_before(self, family):
+        # the argument's product and spare room are gone after the call, and
+        # the fit equals the one of a fork that kept them
+        d = dataset([[(0, 1.0)], [(1, 1.0)], [(0, 1.0), (1, 2.0)]], [0, -1, -1], 2)
+        p = partition(d, labeled=[0], seeded=[0])
+        s = init_from_seeds(d, p, family)
+        s.add_class(init_new_class(d.matrix(), 1, family))
+        s.assignments[1:] = 1
+        kept = s.fork()
+        s2 = m_step(s)
+        assert s.scores is None and kept.scores.shape == (3, 2)
+        want = m_step(kept)
+        for name in ("assignments", "vectors", "priors", "scores"):
+            assert np.array_equal(getattr(s2, name), getattr(want, name))
+        assert family is not ModelFamily.VMF or np.array_equal(s2.kappas, want.kappas)
 
 
 class TestDataLogLikelihood:
