@@ -125,17 +125,25 @@ class SeedStart:
     """Where every run on one dataset, partition and family without extra
     classes begins: the seed fit after one E-step over the unlabeled rows,
     and its log-likelihood. A run given a start works on a fork of its state
-    (ModelState.fork), so one start serves any number of runs unchanged."""
+    (ModelState.fork), so one start serves any number of runs with unchanged
+    results.
+
+    fits maps the assignments an M-step of those runs refit, as bytes, to
+    the fitted state and its log-likelihood, so a later run that reaches the
+    same assignments forks the fit in place of computing it again (_fit). It
+    lives as long as the start."""
 
     state: ModelState
     ll: float
     partition: SeedPartition
+    fits: dict[bytes, tuple[ModelState, float]] = field(default_factory=dict, repr=False)
 
 
 def seed_start(d: Dataset, p: SeedPartition, family: ModelFamily) -> SeedStart:
     """The start that exploratory_em, semisup_em without extra classes and
     calibrate_random_rate take as `start=` for d, p and family, which they
-    would otherwise build themselves. p must seed at least one class."""
+    would otherwise build themselves; it serves any number of runs with
+    unchanged results. p must seed at least one class."""
     return _begin(d, p, EngineConfig(family), None)
 
 
@@ -178,6 +186,29 @@ def _check_start(start: SeedStart, d: Dataset, p: SeedPartition, family: ModelFa
         raise ValueError("start is not seed_start of this dataset, partition and family")
 
 
+def _fit(
+    state: ModelState, fits: Optional[dict[bytes, tuple[ModelState, float]]]
+) -> tuple[ModelState, float]:
+    """m_step(state) and the log-likelihood of the result.
+
+    With a table (SeedStart.fits) the M-step is looked up by the state's
+    assignments first: a fit made from the same ones is forked, with its
+    likelihood, in place of computing both again. A fit is kept only if it
+    read no old vector (ModelState.kept_old_vector), since only then is it a
+    function of the assignments alone on the start's rows, family and
+    seeded classes. On a hit the caller drops the argument, as m_step would
+    have dropped its scores and spare room."""
+    key = None if fits is None else state.assignments.tobytes()
+    if key is not None and key in fits:
+        kept, ll = fits[key]
+        return kept.fork(), ll
+    state = m_step(state)
+    ll = data_log_likelihood(state)
+    if key is not None and not state.kept_old_vector:
+        fits[key] = state.fork(), ll
+    return state, ll
+
+
 def _run_em(
     d: Dataset, p: SeedPartition, cfg: EngineConfig, criterion: Optional[CriterionConfig],
     start: Optional[SeedStart] = None,
@@ -186,7 +217,9 @@ def _run_em(
     classes during the E-step until the selection gate first rejects. The
     random criterion's coins come from one stream seeded by cfg.rng_seed.
     A start (seed_start of d, p and cfg.family) takes the place of the seed
-    fit and first E-step of a run without extra classes."""
+    fit and first E-step of a run without extra classes, and the fits in its
+    table take the place of M-steps that earlier runs on it already made."""
+    fits = None if start is None else start.fits  # a run that builds its start keeps no table
     if start is None:
         start = _begin(d, p, cfg, criterion)
     elif cfg.extra_classes:
@@ -243,8 +276,7 @@ def _run_em(
             ll_trace.append(ll)
             class_trace.append(m_old)
             break
-        state = m_step(state)
-        ll = data_log_likelihood(state)
+        state, ll = _fit(state, fits)
         m_now = state.num_classes
         ll_trace.append(ll)
         class_trace.append(m_now)

@@ -46,7 +46,10 @@ class ModelState:
     with gold class seed_class_ids[j], and every later class was opened by
     add_class. scores is computed here and kept current by add_class and
     truncate, so each E-step pass and likelihood until the next M-step reads
-    this one matrix; m_step drops it."""
+    this one matrix; m_step drops it. kept_old_vector is True on a state
+    whose refit kept an old vector for a class it could not fit; a refit
+    that kept none is a function of the family, X, the assignments and the
+    seeded classes alone."""
 
     def __init__(
         self,
@@ -68,6 +71,7 @@ class ModelState:
         self._validate()
         self.scores = X @ vectors.T  # (n, m)
         self._room = 0  # vectors and scores are the first m rows of _rows and columns of _columns
+        self.kept_old_vector = False
 
     def _validate(self):
         m = len(self.priors)
@@ -372,7 +376,8 @@ def refit(
 
     Introduced classes left without members are dropped (assignment ids are
     remapped); seeded classes always survive, and one whose sum is degenerate
-    (an empty seeded class) keeps its vector at concentration KAPPA_MIN."""
+    (an empty seeded class) keeps its vector at concentration KAPPA_MIN, and
+    the state says so in kept_old_vector."""
     if np.any(y < 0):
         raise ValueError("all instances must be assigned before the M-step")
     m = len(vectors)
@@ -387,7 +392,9 @@ def refit(
     fitted_vectors[stale] = vectors[keep[stale]]
     if kappas is not None:
         kappas[stale] = KAPPA_MIN
-    return ModelState(family, X, fitted_vectors, priors, seed_class_ids, y_new, kappas)
+    state = ModelState(family, X, fitted_vectors, priors, seed_class_ids, y_new, kappas)
+    state.kept_old_vector = bool(stale.any())
+    return state
 
 
 def data_log_likelihood(state: ModelState) -> float:

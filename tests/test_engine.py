@@ -16,7 +16,7 @@ from exploressl.engine import (
 )
 from exploressl.evaluation import seed_macro_f1
 from exploressl.experiments import ExperimentSpec, _run_one, prepare_family_datasets
-from exploressl.models import ModelFamily, ModelState, data_log_likelihood, m_step
+from exploressl.models import ModelFamily, ModelState, data_log_likelihood, m_step, refit
 from exploressl.synth import SyntheticSpec, generate_synthetic
 
 
@@ -245,6 +245,26 @@ def test_a_run_that_latches_at_once_and_keeps_no_class_is_semisup(overlap_corpus
         pytest.skip("no run latched at iteration 1 and kept only the seeded classes")
 
 
+@pytest.mark.parametrize("family", list(ModelFamily))
+def test_minmax_after_js_on_one_start_refits_nothing(overlap_corpus, monkeypatch, family):
+    # both latch at iteration 1 and keep no class, so from then on MinMax
+    # follows the trajectory JS took: every M-step it needs is a kept fit
+    datasets, partitions = overlap_corpus
+    d = datasets[family]
+    calls = []
+    monkeypatch.setattr(engine, "m_step", lambda state: calls.append(1) or m_step(state))
+    for p in partitions:
+        start = seed_start(d, p, family)
+        for kind in (CriterionKind.JS, CriterionKind.MINMAX):
+            calls.clear()
+            cfg = EngineConfig(family, CriterionConfig(kind))
+            r = exploratory_em(d, p, cfg, start=start)
+            assert r.can_add_latched_at == 1
+            assert r.final_state.num_classes == len(p.seeded_class_ids)
+        assert calls == []
+        assert outcome(r) == outcome(exploratory_em(d, p, cfg))
+
+
 PREFIX_ARMS = {
     "exploratory-js": lambda d, p, family, k: exploratory_em(
         d, p, EngineConfig(family, CriterionConfig(CriterionKind.JS), max_iterations=k)),
@@ -440,3 +460,62 @@ def test_a_seed_start_fits_only_its_own_runs():
         semisup_em(d, p, EngineConfig(ModelFamily.NB, extra_classes=1), start=start)
     with pytest.raises(ValueError, match="no seeded classes"):
         seed_start(d, SeedPartition([], [], range(len(d))), ModelFamily.NB)
+
+
+@pytest.mark.parametrize("family", [ModelFamily.KMEANS, ModelFamily.VMF])
+def test_a_fit_that_kept_an_old_vector_is_never_reused(family):
+    # a seeded class left without members keeps the vector it had before the
+    # M-step, so the same assignments refit from two different old vectors
+    # give two different states: each must be the one m_step gives
+    raw, p = small_synthetic(8, classes=4, seeded=2)
+    d = prepare_family_datasets(raw)[family]
+    start = seed_start(d, p, family)
+    s = start.state
+    y = np.zeros(len(d), dtype=np.int64)  # seeded class 1 has no member
+
+    def state(vectors):
+        return ModelState(family, d.matrix(), vectors, s.priors, s.seed_class_ids, y.copy(),
+                          s.kappas)
+
+    for old in (s.vectors, s.vectors[::-1].copy()):
+        got, ll = engine._fit(state(old), start.fits)
+        want = m_step(state(old))
+        assert got.kept_old_vector and np.array_equal(got.vectors[1], old[1])
+        for name in START_ARRAYS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert ll == data_log_likelihood(want)
+    assert not start.fits
+
+
+def test_every_kept_fit_is_a_fresh_m_step_of_its_assignments(monkeypatch):
+    # the group of test_runs_forked_from_one_seed_start_equal_runs_without_it,
+    # run twice, so the second pass forks every fit the first one kept and
+    # opens, truncates and refits classes on the forks: afterwards each kept
+    # fit is still what an M-step makes of its assignments
+    truncated = []
+    truncate = ModelState.truncate
+    monkeypatch.setattr(ModelState, "truncate",
+                        lambda state, m_keep: truncated.append(state.family) or truncate(
+                            state, m_keep))
+    raw, p = small_synthetic(8, classes=4, seeded=2)
+    for family, d in prepare_family_datasets(raw).items():
+        start = seed_start(d, p, family)
+        rate = calibrate_random_rate(d, p, family, start=start)
+        criteria = [CriterionConfig(CriterionKind.MINMAX), CriterionConfig(CriterionKind.JS),
+                    CriterionConfig(CriterionKind.RANDOM, rate)]
+        for cfg in [EngineConfig(family, c, rng_seed=5) for c in criteria] * 2 + [
+                EngineConfig(family)] * 2:
+            run = semisup_em if cfg.criterion is None else exploratory_em
+            assert outcome(run(d, p, cfg, start=start)) == outcome(run(d, p, cfg))
+        assert start.fits
+        for key, (kept, ll) in start.fits.items():
+            y = np.frombuffer(key, dtype=np.int64)
+            m = max(int(y.max()) + 1, len(p.seeded_class_ids))
+            vectors = np.zeros((m, d.matrix().shape[1]))  # an M-step kept here reads none
+            fresh = refit(family, d.matrix(), y, kept.seed_class_ids, vectors)
+            assert not kept.kept_old_vector
+            for name in START_ARRAYS:
+                mine, want = getattr(kept, name), getattr(fresh, name)
+                assert (mine is want is None) or np.array_equal(mine, want), name
+            assert ll == data_log_likelihood(fresh)
+    assert truncated

@@ -15,7 +15,7 @@ from exploressl.data import DataFormatError, Dataset, load_dataset, make_partiti
 from exploressl.engine import semisup_em
 from exploressl.evaluation import eval_rows, seed_macro_f1
 from exploressl.experiments import ExperimentSpec, prepare_family_datasets, run_experiment
-from exploressl.models import ModelFamily
+from exploressl.models import ModelFamily, m_step
 from exploressl.synth import GeneratorFamily, SyntheticSpec, generate_synthetic
 
 
@@ -106,6 +106,31 @@ def test_grid_fits_the_seeds_once_per_family_and_partition(dataset_file, tmp_pat
     # (family, partition) groups: one start each, plus the m = 2 sweep run
     assert len(fits) == 2 * 2 + 2 * 2
     assert len({(family, id(p)) for family, p in fits}) == 4
+
+
+def test_a_sweep_run_of_m_0_after_semisup_refits_nothing(dataset_file, tmp_path, monkeypatch):
+    # the sweep's m = 0 run is the semisup cell's run on the same seed start,
+    # so every M-step it reaches is a fit the start already keeps
+    fits = []
+    monkeypatch.setattr(engine, "m_step", lambda state: fits.append(1) or m_step(state))
+    per_run = []
+
+    def counted(*args, **kwargs):
+        before = len(fits)
+        result = semisup_em(*args, **kwargs)
+        per_run.append(len(fits) - before)
+        return result
+
+    monkeypatch.setattr(experiments, "semisup_em", counted)
+    spec = ExperimentSpec(
+        dataset_path=str(dataset_file), output_dir=str(tmp_path), families=("nb", "kmeans"),
+        algorithms=("semisup", "semisup-sweep"), num_partitions=2, seeds_fraction=0.1,
+        sweep_m_values=(0,),
+    )
+    assert run_experiment(spec) == 0
+    # one (family, partition) group after another: the semisup cell, then the sweep
+    assert len(per_run) == 8
+    assert all(per_run[::2]) and per_run[1::2] == [0] * 4
 
 
 def sweep_table(out, row):

@@ -21,12 +21,19 @@ import hashlib
 import numpy as np
 import pytest
 
+from exploressl import engine
 from exploressl.criteria import CriterionConfig, CriterionKind
 from exploressl.crp import CrpConfig, PickRule, crp_gibbs
 from exploressl.data import make_partitions
-from exploressl.engine import EngineConfig, calibrate_random_rate, exploratory_em, semisup_em
+from exploressl.engine import (
+    EngineConfig,
+    calibrate_random_rate,
+    exploratory_em,
+    seed_start,
+    semisup_em,
+)
 from exploressl.experiments import prepare_family_datasets
-from exploressl.models import ModelFamily, data_log_likelihood
+from exploressl.models import ModelFamily, data_log_likelihood, m_step
 from exploressl.synth import SyntheticSpec, generate_synthetic
 
 CORPORA = {
@@ -110,14 +117,19 @@ def corpora():
     return out
 
 
-def _run(d, p, family, algorithm):
+EM_ALGORITHMS = ("minmax", "js", "random", "semisup")
+
+
+def _run(d, p, family, algorithm, start=None):
+    """The golden run of one key; an exploratory run takes start, if given
+    (semisup's extra classes take none)."""
     if algorithm in ("minmax", "js"):
         crit = CriterionConfig(CriterionKind(algorithm))
-        return exploratory_em(d, p, EngineConfig(family, crit, rng_seed=RUN_SEED))
+        return exploratory_em(d, p, EngineConfig(family, crit, rng_seed=RUN_SEED), start=start)
     if algorithm == "random":
-        rate = calibrate_random_rate(d, p, family)
+        rate = calibrate_random_rate(d, p, family, start=start)
         crit = CriterionConfig(CriterionKind.RANDOM, random_rate=rate)
-        return exploratory_em(d, p, EngineConfig(family, crit, rng_seed=RUN_SEED))
+        return exploratory_em(d, p, EngineConfig(family, crit, rng_seed=RUN_SEED), start=start)
     if algorithm == "semisup":
         return semisup_em(d, p, EngineConfig(family, extra_classes=2, rng_seed=RUN_SEED))
     pick = PickRule.STANDARD if algorithm == "crp-standard" else PickRule.MODIFIED
@@ -125,11 +137,7 @@ def _run(d, p, family, algorithm):
     return crp_gibbs(d, p, cfg)
 
 
-@pytest.mark.parametrize("corpus,family,algorithm", sorted(GOLDEN))
-def test_golden_assignments(corpora, corpus, family, algorithm):
-    datasets, p = corpora[corpus]
-    fam = ModelFamily(family)
-    r = _run(datasets[fam], p, fam, algorithm)
+def _assert_golden(key, r):
     assignments = np.asarray(r.final_state.assignments, dtype=np.int64)
     got = (
         hashlib.sha256(assignments.tobytes()).hexdigest(),
@@ -137,11 +145,47 @@ def test_golden_assignments(corpora, corpus, family, algorithm):
         r.iterations_run,
         r.class_count_trace,
     )
-    key = (corpus, family, algorithm)
     assert got == GOLDEN[key] or got == TIE_BROKEN_BY_SUMMATION_ORDER.get(key)
+
+
+@pytest.mark.parametrize("corpus,family,algorithm", sorted(GOLDEN))
+def test_golden_assignments(corpora, corpus, family, algorithm):
+    datasets, p = corpora[corpus]
+    fam = ModelFamily(family)
+    r = _run(datasets[fam], p, fam, algorithm)
+    _assert_golden((corpus, family, algorithm), r)
     # the drivers read the likelihood from the score matrix the state keeps
     # across openings; a stale one would show here against a fresh product
     state = r.final_state
     assert np.array_equal(state.scores, datasets[fam].matrix() @ state.vectors.T)
     assert r.ll_trace[-1] == data_log_likelihood(state)
 
+
+@pytest.mark.parametrize("order", ["listed", "reversed"])
+@pytest.mark.parametrize("corpus,family", sorted({
+    (corpus, family) for corpus, family, algorithm in GOLDEN if algorithm in EM_ALGORITHMS}))
+def test_golden_em_runs_on_one_shared_start(corpora, monkeypatch, corpus, family, order):
+    # the EM keys of one corpus and family run back to back on one seed start,
+    # as the cells of a grid group do, so a run that reaches assignments an
+    # earlier run fitted reuses that fit: each still gives its golden run. On
+    # "overlap" the four K-Means arms, and the four vMF ones, end alike, and
+    # the three that take the start reuse fits
+    datasets, p = corpora[corpus]
+    fam = ModelFamily(family)
+    d = datasets[fam]
+    algorithms = [a for c, f, a in GOLDEN if (c, f) == (corpus, family) and a in EM_ALGORITHMS]
+    if order == "reversed":
+        algorithms.reverse()
+    calls = []
+    monkeypatch.setattr(engine, "m_step", lambda state: calls.append(1) or m_step(state))
+    start = seed_start(d, p, fam)
+    for algorithm in algorithms:
+        _assert_golden((corpus, family, algorithm), _run(d, p, fam, algorithm, start))
+    shared = len(calls)
+    calls.clear()
+    for algorithm in algorithms:
+        _run(d, p, fam, algorithm)
+    assert shared <= len(calls)
+    if corpus == "overlap" and fam is not ModelFamily.NB:
+        assert len({GOLDEN[(corpus, family, a)][0] for a in algorithms}) == 1
+        assert shared < len(calls)
