@@ -57,9 +57,15 @@ def js_from_uniform(post: np.ndarray) -> np.ndarray:
     uniform's, at 1/k > 0, need no such guard; the result lies in [0, ln 2]."""
     u = 1.0 / post.shape[0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_a = np.log(0.5 * (u + post))
-        kl_u = u * (np.log(u) - log_a)
-        kl_post = np.where(post > 0, post * (np.log(post) - log_a), 0.0)
+        log_a = post + u
+        log_a *= 0.5
+        np.log(log_a, out=log_a)
+        kl_post = np.log(post)
+        kl_post -= log_a
+        kl_post *= post
+        np.copyto(kl_post, 0.0, where=~(post > 0))
+        kl_u = np.subtract(np.log(u), log_a, out=log_a)
+        kl_u *= u
     return 0.5 * (sum_classes(kl_u) + sum_classes(kl_post))
 
 

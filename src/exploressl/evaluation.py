@@ -9,6 +9,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+GRID_PER_PAIR = 4  # the widest (cluster x gold) grid build_confusion counts directly, per pair
+
 
 @dataclass
 class ConfusionMatrix:
@@ -102,14 +104,42 @@ def eval_rows(d, p, include_seeds: bool = False) -> tuple[np.ndarray, np.ndarray
 def build_confusion(
     assignments: Sequence[int], gold_ids: Sequence[int]
 ) -> ConfusionMatrix:
-    """Counts of (cluster, gold class) pairs; rows and columns in sorted id order."""
+    """Counts of (cluster, gold class) pairs; rows and columns in sorted id order.
+
+    Non-negative integer ids whose (cluster x gold) grid holds at most
+    GRID_PER_PAIR cells per pair are counted over that whole grid in one
+    pass, then the rows and columns no pair reached are dropped; any other
+    ids (negative, huge or not integers) are coded by sorting."""
     if len(assignments) != len(gold_ids):
         raise ValueError("assignments and gold_ids must align")
-    row_ids, r = np.unique(np.asarray(assignments), return_inverse=True)
-    col_ids, c = np.unique(np.asarray(gold_ids), return_inverse=True)
-    shape = (len(row_ids), len(col_ids))
-    counts = np.bincount(r * shape[1] + c, minlength=shape[0] * shape[1]).reshape(shape)
-    return ConfusionMatrix(counts.astype(np.int64), row_ids.tolist(), col_ids.tolist())
+    a, g = np.asarray(assignments), np.asarray(gold_ids)
+    grid = _id_grid(a, g)
+    if grid is not None:
+        rows, cols = grid
+        pairs = a.astype(np.intp, copy=False) * cols + g.astype(np.intp, copy=False)
+        counts = np.bincount(pairs, minlength=rows * cols).reshape(rows, cols)
+        row_ids = np.flatnonzero(counts.any(axis=1))
+        col_ids = np.flatnonzero(counts.any(axis=0))
+        counts = counts[row_ids][:, col_ids]
+    else:
+        row_ids, r = np.unique(a, return_inverse=True)
+        col_ids, c = np.unique(g, return_inverse=True)
+        shape = (len(row_ids), len(col_ids))
+        counts = np.bincount(r * shape[1] + c, minlength=shape[0] * shape[1]).reshape(shape)
+    return ConfusionMatrix(counts.astype(np.int64, copy=False), row_ids.tolist(),
+                           col_ids.tolist())
+
+
+def _id_grid(a: np.ndarray, g: np.ndarray):
+    """(rows, cols) of the grid of id pairs (a, g), with every id an index
+    into it, if both arrays hold non-empty non-negative integers and the
+    grid has at most GRID_PER_PAIR cells per pair; else None."""
+    if not len(a) or a.dtype.kind not in "iu" or g.dtype.kind not in "iu":
+        return None
+    if a.min() < 0 or g.min() < 0:
+        return None
+    rows, cols = int(a.max()) + 1, int(g.max()) + 1
+    return (rows, cols) if rows * cols <= GRID_PER_PAIR * len(a) else None
 
 
 def _matching(cm: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -369,15 +369,12 @@ def _write_assignments(rows: list[dict], out: Path, instance_ids: list[str]) -> 
 
     Each file holds the bytes csv.writer gives for the header
     instance_id,cluster and one (id, cluster) row per instance, CRLF line
-    ends. The id column is the same in every file, so csv.writer formats it
-    once: each row (id, "") is that id's prefix, quoted as csv quotes it,
-    plus "\r\n". A file is one list [prefix, token, prefix, token, ...]
-    joined, its token slots filled from a table of f"{cluster}\r\n", one
-    entry per distinct cluster."""
-    lines: list[str] = []
-    csv.writer(SimpleNamespace(write=lines.append)).writerows((i, "") for i in instance_ids)
-    parts: list[str] = [""] * (2 * len(lines))
-    parts[0::2] = [line[:-2] for line in lines]  # each prefix without its "\r\n"
+    ends. The id column is the same in every file, so it is formatted once
+    (_id_fields). A file is one list [id, token, id, token, ...] joined, its
+    token slots filled from a table of f",{cluster}\r\n" indexed by cluster
+    id: a run's final assignments are its class indices 0..m-1."""
+    parts: list[str] = [""] * (2 * len(instance_ids))
+    parts[0::2] = _id_fields(instance_ids)
     for row in rows:
         sweep_table = row.pop("sweep_table", None)
         if sweep_table is not None:
@@ -386,12 +383,28 @@ def _write_assignments(rows: list[dict], out: Path, instance_ids: list[str]) -> 
         assignments = row.pop("assignments", None)
         if assignments is None:
             continue
-        clusters, slot = np.unique(assignments, return_inverse=True)
-        tokens = np.array([f"{c}\r\n" for c in clusters.tolist()], dtype=object)
-        parts[1::2] = tokens[slot].tolist()
+        clusters = range(int(assignments.max(initial=-1)) + 1)
+        tokens = np.array([f",{c}\r\n" for c in clusters], dtype=object)
+        parts[1::2] = tokens[assignments].tolist()
         with open(out / f"assign_{_run_id(row)}.csv", "w", encoding="utf-8",
                   newline="") as fh:
             fh.write("instance_id,cluster\r\n" + "".join(parts))
+
+
+def _id_fields(instance_ids: list) -> list[str]:
+    """Each id as csv.writer writes it in the first field of a row: a str
+    holding no comma, double quote, \r or \n is written as it is, so when
+    every id is such a str they are their own fields; otherwise each row
+    (id, "") that csv.writer formats, less its ",\r\n"."""
+    try:
+        text = "".join(instance_ids)
+    except TypeError:  # an id that is not a str
+        text = ","
+    if not any(c in text for c in ',"\r\n'):
+        return instance_ids
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append)).writerows((i, "") for i in instance_ids)
+    return [line[:-3] for line in lines]
 
 
 def _group_key(row: dict) -> tuple:

@@ -26,6 +26,7 @@ KAPPA_MAX = 1e4
 KAPPA_NEW = 1.0  # the concentration of a class opened from one instance
 KMEANS_LL_EPS = 1e-12  # floor inside log() for the K-Means likelihood surrogate
 CLASS_SUM_ENTRIES = 1 << 15  # about the entries class_sums adds in one np.add.at
+PAIRWISE_BLOCK = 128  # the longest row numpy's pairwise sum adds without halving
 
 
 class ModelFamily(Enum):
@@ -170,12 +171,40 @@ def sum_classes(a: np.ndarray) -> np.ndarray:
 
     numpy adds a contiguous row of fewer than 8 entries one entry after
     another, starting from 0, and so does a sum down axis 0, as m
-    vectorised passes over the columns. A longer row is added pairwise, in
-    an order only a row sum repeats, so a wider array is summed over its
-    transposed copy."""
-    if a.shape[0] < 8:
+    vectorised passes over the columns. A longer row is added pairwise
+    (_pairwise_rows), which takes about m/8 + 10 vectorised passes; a chunk
+    with fewer columns than classes is summed over its transposed copy
+    instead, one row sum per column, the fewer calls."""
+    m, r = a.shape
+    if m < 8:
         return a.sum(axis=0)
+    if r >= m:
+        return _pairwise_rows(a)
     return np.ascontiguousarray(a.T).sum(axis=1)
+
+
+def _pairwise_rows(a: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of each column of an (n, r) array, n >= 8, in
+    the order its C loop adds a row of n entries: above PAIRWISE_BLOCK
+    entries the two halves (the first a multiple of 8) are summed apart and
+    added; up to it, 8 accumulators take every eighth entry, are combined
+    as ((0+1) + (2+3)) + ((4+5) + (6+7)), and the n % 8 left are added one
+    after another. Each accumulator starts from 0 here, where numpy starts
+    it from its first entry and adds the whole sum to 0; both give the same
+    bits, since only the sign of a zero could differ and no sum started
+    from 0 is -0."""
+    n = a.shape[0]
+    if n > PAIRWISE_BLOCK:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_rows(a[:half]) + _pairwise_rows(a[half:])
+    end = n - n % 8
+    acc = a[:end].reshape(end // 8, 8, a.shape[1]).sum(axis=0)  # sequential down axis 0
+    acc = acc[0::2] + acc[1::2]
+    acc = acc[0::2] + acc[1::2]
+    total = acc[0] + acc[1]
+    for row in a[end:]:
+        total += row
+    return total
 
 
 def class_major(scores: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -283,7 +312,8 @@ def fit_classes(
     kappas = None
     if family is ModelFamily.NB:
         vectors += 1.0
-        np.log(vectors / vectors.sum(axis=1, keepdims=True), out=vectors)
+        vectors /= vectors.sum(axis=1, keepdims=True)
+        np.log(vectors, out=vectors)
         return vectors, None, priors, np.ones(m, dtype=bool)
     if family is ModelFamily.KMEANS:
         norms = np.abs(vectors).sum(axis=1)
@@ -294,7 +324,10 @@ def fit_classes(
         fitted = norms > 1e-12
         rbar = norms / np.maximum(counts, 1.0)
         kappas = np.array([_banerjee_kappa(float(r), X.shape[1]) for r in rbar])
-    vectors[fitted] /= norms[fitted, None]
+    if fitted.all():
+        vectors /= norms[:, None]
+    else:
+        vectors[fitted] /= norms[fitted, None]
     return vectors, kappas, priors, fitted
 
 

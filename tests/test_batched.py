@@ -353,6 +353,33 @@ def test_sum_classes_equals_numpy_row_sums(seed, m, r, tiny, signed):
         assert sum_classes(layout).view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
+@given(
+    st.integers(0, 2**32 - 1),
+    # where numpy's pairwise sum changes course: 8 accumulators, their tail,
+    # and the halving above 128 entries, once and twice
+    st.one_of(st.sampled_from([8, 9, 16, 127, 128, 129, 136, 256, 257]), st.integers(8, 300)),
+    st.integers(0, 40),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_sum_classes_on_wide_chunks_equals_numpy_row_sums(seed, m, extra, tiny, signed):
+    # r >= m columns, so from 8 classes on the pairwise order is rebuilt down
+    # the classes; all-zero columns of either sign are drawn too
+    rng = np.random.default_rng(seed)
+    r = m + extra
+    a = rng.random((m, r)) * 10.0 ** rng.uniform(-300, 300, (m, r))
+    if signed:
+        a *= rng.choice([-1.0, 1.0], size=a.shape)
+    hit = rng.random(a.shape) < tiny
+    a[hit] = rng.choice(TINIES, size=int(hit.sum()))
+    a[:, 0] = -0.0
+    a[:, -1] = rng.choice([0.0, -0.0], size=m)
+    want = np.ascontiguousarray(a.T).sum(axis=1)
+    for layout in (a, np.asfortranarray(a)):
+        assert sum_classes(layout).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
 def _float_rows(rng, n, V):
     """n instances with positive weights over five orders of magnitude, so a
     sum taken in another order would differ in its last bits."""

@@ -165,6 +165,39 @@ def test_per_class_prf_matches_instance_loop(pairs, class_ids):
     assert cm.total() == len(pairs)
 
 
+def unique_confusion(assignments, gold_ids):
+    """build_confusion's former construction, the oracle: each id array
+    coded by np.unique, one count per pair."""
+    row_ids, r = np.unique(np.asarray(assignments), return_inverse=True)
+    col_ids, c = np.unique(np.asarray(gold_ids), return_inverse=True)
+    counts = np.zeros((len(row_ids), len(col_ids)), dtype=np.int64)
+    np.add.at(counts, (r, c), 1)
+    return counts, row_ids.tolist(), col_ids.tolist()
+
+
+# (lo, hi) of the drawn ids: small, negative, sparse and far above n, past int64
+ID_RANGES = [(0, 3), (0, 12), (-6, 12), (0, 10**12), (2**64 - 4, 2**64 + 4), (-3, 2**63 + 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(ID_RANGES), st.sampled_from(ID_RANGES),
+       st.sampled_from([None, np.int32, np.uint8, np.uint64]))
+def test_build_confusion_matches_unique_coding(data, cluster_range, gold_range, dtype):
+    n = data.draw(st.integers(0, 60) | st.sampled_from([0, 1]))
+    a = data.draw(st.lists(st.integers(*cluster_range), min_size=n, max_size=n))
+    y = data.draw(st.lists(st.integers(*gold_range), min_size=n, max_size=n))
+    if dtype is not None and all(0 <= i < np.iinfo(dtype).max for i in a):
+        a = np.array(a, dtype=dtype)  # an array of any integer type, read the same
+    cm = build_confusion(a, y)
+    counts, row_ids, col_ids = unique_confusion(a, y)
+    assert cm.counts.dtype == np.int64
+    assert cm.counts.tolist() == counts.tolist()
+    # the same ids of the same Python types: ints, or floats where numpy
+    # reads a list holding ids past int64 as float64
+    assert cm.row_ids == row_ids and cm.col_ids == col_ids
+    assert list(map(type, cm.row_ids + cm.col_ids)) == list(map(type, row_ids + col_ids))
+
+
 class TestAlignment:
     def test_identity_when_diagonal(self):
         cm = build_confusion([0, 1, 2], [0, 1, 2])

@@ -3,11 +3,15 @@ import filecmp
 import gc
 import io
 import json
+import tempfile
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exploressl import engine, experiments
 from exploressl.cli import main
@@ -311,6 +315,32 @@ def test_assignment_files_equal_csv_writer_output(tmp_path):
     assert sorted(f.name for f in tmp_path.iterdir()) == sorted(expected)
     for name, data in expected.items():
         assert (tmp_path / name).read_bytes() == data
+
+
+# ids that csv.writer writes as they are, and ids it quotes or formats
+PLAIN_IDS = st.text(st.characters(codec="utf-8", exclude_characters=',"\r\n'), max_size=8)
+ODD_IDS = st.one_of(
+    st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "ï", "☃"]), max_size=8),
+    st.sampled_from([",", '"', "\r", "\n", " x", "x ", "", 7, 2.5, None]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.lists(PLAIN_IDS, max_size=30),
+       st.lists(st.tuples(st.integers(0, 30), ODD_IDS), max_size=3))
+def test_assignment_files_equal_csv_writer_output_for_any_ids(data, ids, odd):
+    for at, i in odd:  # a few odd ids among plain ones, or none
+        ids.insert(at, i)
+    n = len(ids)
+    runs = [np.array(data.draw(st.lists(st.integers(0, hi), min_size=n, max_size=n)),
+                     dtype=np.int64) for hi in (3, 40)]
+    rows = [{"algorithm": "exploratory", "family": "nb", "criterion": "js", "p_new": "",
+             "partition": k, "error": "", "assignments": y} for k, y in enumerate(runs)]
+    with tempfile.TemporaryDirectory() as out:
+        experiments._write_assignments(rows, Path(out), ids)
+        for k, y in enumerate(runs):
+            got = (Path(out) / f"assign_exploratory_nb_js_part{k}.csv").read_bytes()
+            assert got == csv_writer_assignments(ids, y)
 
 
 def test_prepare_family_datasets_drops_the_same_rows_when_ids_repeat():
