@@ -130,13 +130,18 @@ class SeedStart:
 
     fits maps the assignments an M-step of those runs refit, as bytes, to
     the fitted state and its log-likelihood, so a later run that reaches the
-    same assignments forks the fit in place of computing it again (_fit). It
-    lives as long as the start."""
+    same assignments forks the fit in place of computing it again (_fit).
+    steps maps the key of a fit in fits to the plain E-step first made from
+    it: the labels of the unlabeled rows, how many changed, and the
+    log-likelihood after it, so a run on the fit that cannot open a class
+    replays the E-step in place of making it (_run_em). Both tables live as
+    long as the start."""
 
     state: ModelState
     ll: float
     partition: SeedPartition
     fits: dict[bytes, tuple[ModelState, float]] = field(default_factory=dict, repr=False)
+    steps: dict[bytes, tuple[np.ndarray, int, float]] = field(default_factory=dict, repr=False)
 
 
 def seed_start(d: Dataset, p: SeedPartition, family: ModelFamily) -> SeedStart:
@@ -187,18 +192,21 @@ def _check_start(start: SeedStart, d: Dataset, p: SeedPartition, family: ModelFa
 
 
 def _fit(
-    state: ModelState, fits: Optional[dict[bytes, tuple[ModelState, float]]]
+    state: ModelState, fits: Optional[dict[bytes, tuple[ModelState, float]]],
+    key: Optional[bytes] = None,
 ) -> tuple[ModelState, float]:
     """m_step(state) and the log-likelihood of the result.
 
     With a table (SeedStart.fits) the M-step is looked up by the state's
-    assignments first: a fit made from the same ones is forked, with its
-    likelihood, in place of computing both again. A fit is kept only if it
-    read no old vector (ModelState.kept_old_vector), since only then is it a
-    function of the assignments alone on the start's rows, family and
-    seeded classes. On a hit the caller drops the argument, as m_step would
-    have dropped its scores and spare room."""
-    key = None if fits is None else state.assignments.tobytes()
+    assignments first, as bytes (key, if the caller has made it): a fit made
+    from the same ones is forked, with its likelihood, in place of computing
+    both again. A fit is kept only if it read no old vector
+    (ModelState.kept_old_vector), since only then is it a function of the
+    assignments alone on the start's rows, family and seeded classes. On a
+    hit the caller drops the argument, as m_step would have dropped its
+    scores and spare room."""
+    if fits is not None and key is None:
+        key = state.assignments.tobytes()
     if key is not None and key in fits:
         kept, ll = fits[key]
         return kept.fork(), ll
@@ -217,15 +225,22 @@ def _run_em(
     classes during the E-step until the selection gate first rejects. The
     random criterion's coins come from one stream seeded by cfg.rng_seed.
     A start (seed_start of d, p and cfg.family) takes the place of the seed
-    fit and first E-step of a run without extra classes, and the fits in its
-    table take the place of M-steps that earlier runs on it already made."""
-    fits = None if start is None else start.fits  # a run that builds its start keeps no table
+    fit and first E-step of a run without extra classes, and the fits and
+    E-steps in its tables take the place of those that earlier runs on it
+    already made.
+
+    A pass that cannot open a class is a function of the state alone. So
+    the pass of iteration 1 gives the start's state back, which is the
+    result of such a pass, with the start's likelihood; and from a fit in
+    the start's table, the pass is replayed from SeedStart.steps."""
+    fits = steps = None  # a run that builds its start keeps no tables
     if start is None:
         start = _begin(d, p, cfg, criterion)
     elif cfg.extra_classes:
         raise ValueError("a run with extra classes takes no seed start")
     else:
         _check_start(start, d, p, cfg.family)
+        fits, steps = start.fits, start.steps
     n = len(d)
     unlabeled = p.unlabeled_idx
     state, ll = start.state.fork(), start.ll
@@ -238,6 +253,7 @@ def _run_em(
     coins = np.random.default_rng(cfg.rng_seed)
 
     iterations = 0
+    key = None  # the assignments the last M-step refit, as bytes, in a run with a table
     for t in range(1, cfg.max_iterations + 1):
         iterations = t
         m_old = state.num_classes
@@ -246,11 +262,21 @@ def _run_em(
         baseline_ll = ll
 
         creating = criterion is not None and latched_at is None
-        fires = for_pass(criterion, len(unlabeled), coins) if creating else None
-        changed = _e_step(state, unlabeled, fires)
+        if creating:
+            changed = _e_step(state, unlabeled, for_pass(criterion, len(unlabeled), coins))
+            explore_ll = data_log_likelihood(state)
+        elif t == 1:
+            changed, explore_ll = 0, ll  # the start's state is a plain E-step's own result
+        elif steps is not None and key in steps:
+            labels, changed, explore_ll = steps[key]
+            state.assignments[unlabeled] = labels
+        else:
+            changed = _e_step(state, unlabeled)
+            explore_ll = data_log_likelihood(state)
+            if fits is not None and key in fits:
+                steps[key] = state.assignments[unlabeled], changed, explore_ll
 
         m_new = state.num_classes
-        explore_ll = data_log_likelihood(state)
         if not (np.isfinite(baseline_ll) and np.isfinite(explore_ll)):
             raise FloatingPointError(f"non-finite likelihood at iteration {t}")
 
@@ -276,7 +302,8 @@ def _run_em(
             ll_trace.append(ll)
             class_trace.append(m_old)
             break
-        state, ll = _fit(state, fits)
+        key = None if fits is None else state.assignments.tobytes()
+        state, ll = _fit(state, fits, key)
         m_now = state.num_classes
         ll_trace.append(ll)
         class_trace.append(m_now)

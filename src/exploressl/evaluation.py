@@ -112,7 +112,7 @@ def build_confusion(
     ids (negative, huge or not integers) are coded by sorting."""
     if len(assignments) != len(gold_ids):
         raise ValueError("assignments and gold_ids must align")
-    a, g = np.asarray(assignments), np.asarray(gold_ids)
+    a, g = _id_array(assignments), _id_array(gold_ids)
     grid = _id_grid(a, g)
     if grid is not None:
         rows, cols = grid
@@ -128,6 +128,17 @@ def build_confusion(
         counts = np.bincount(r * shape[1] + c, minlength=shape[0] * shape[1]).reshape(shape)
     return ConfusionMatrix(counts.astype(np.int64, copy=False), row_ids.tolist(),
                            col_ids.tolist())
+
+
+def _id_array(ids: Sequence) -> np.ndarray:
+    """ids as numpy reads them, except that integers numpy would read as
+    float64 (a list holding ids past int64 beside others) are kept as Python
+    ints, so that no two of them merge."""
+    a = np.asarray(ids)
+    if a.dtype.kind == "f" and not isinstance(ids, np.ndarray) \
+            and all(isinstance(i, (int, np.integer)) for i in ids):
+        return np.array(ids, dtype=object)
+    return a
 
 
 def _id_grid(a: np.ndarray, g: np.ndarray):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import copy
 import math
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,14 +64,15 @@ class ModelState:
     ):
         self.family = family
         self.X = X  # (n, V)
-        self.vectors = vectors  # (m, V)
+        self._stacked = vectors  # (m0, V): the first m0 classes' vectors
+        self._opened: list[np.ndarray] = []  # those of the classes after them (vectors)
         self.priors = priors  # (m,)
         self.seed_class_ids = seed_class_ids
         self.assignments = assignments  # (n,), -1 = not yet assigned
         self.kappas = kappas  # (m,), vMF only
         self._validate()
         self.scores = X @ vectors.T  # (n, m)
-        self._room = 0  # vectors and scores are the first m rows of _rows and columns of _columns
+        self._room = 0  # scores is the first m columns of _columns, which has room for _room
         self.kept_old_vector = False
 
     def _validate(self):
@@ -86,6 +87,15 @@ class ModelState:
             raise ValueError("vMF state requires one kappa per class")
 
     @property
+    def vectors(self) -> np.ndarray:
+        """The (m, V) class vectors, stacked on the first read after
+        add_class has opened a class."""
+        if self._opened:
+            self._stacked = np.vstack([self._stacked, *self._opened])
+            self._opened = []
+        return self._stacked
+
+    @property
     def num_classes(self) -> int:
         return len(self.priors)
 
@@ -97,7 +107,8 @@ class ModelState:
         """Append a freshly created (unseeded) class with the (vector, kappa)
         that init_new_class gives, and its column X @ vector of scores: the
         same sequential dot product over each row's stored entries as the
-        whole product takes.
+        whole product takes. The state keeps the vector itself, uncopied, so
+        it must not be written to afterwards; vectors stacks it on read.
 
         Its prior is the add-1 smoothed share of a single member over the
         rows of X and the grown class count; existing priors are rescaled so
@@ -111,16 +122,13 @@ class ModelState:
             p_new = 2.0 / (n + m + 1)
             self.priors = np.append(self.priors * (1.0 - p_new), p_new)
         if m >= self._room:
-            # double the room, so that c openings copy O(c) rows and columns in all
+            # double the room, so that c openings copy O(c) columns in all
             self._room = 2 * (m + 1)
-            self._rows = np.empty((self._room, self.X.shape[1]))
-            self._rows[:m] = self.vectors
             self._columns = np.empty((n, self._room))
             self._columns[:, :m] = self.scores
-        self._rows[m] = vector
         self._columns[:, m] = self.X @ vector
-        self.vectors = self._rows[: m + 1]
         self.scores = self._columns[:, : m + 1]
+        self._opened.append(vector)
         if self.family is ModelFamily.VMF:
             self.kappas = np.append(self.kappas, kappa)
         return m
@@ -131,6 +139,7 @@ class ModelState:
         m_step on it never write an array this one holds."""
         other = copy.copy(self)
         other.assignments = self.assignments.copy()
+        other._opened = list(self._opened)
         other._room = 0
         return other
 
@@ -140,9 +149,13 @@ class ModelState:
         by the caller."""
         if m_keep < self.num_seeded:
             raise ValueError("cannot truncate below the seeded classes")
-        self.vectors = self.vectors[:m_keep]
+        kept_opened = m_keep - len(self._stacked)
+        if kept_opened >= 0:
+            self._opened = self._opened[:kept_opened]
+        else:
+            self._stacked, self._opened = self._stacked[:m_keep], []
         self.scores = self.scores[:, :m_keep]
-        self._room = 0  # never write over what an earlier vectors or scores showed
+        self._room = 0  # never write over what an earlier scores showed
         self.priors = self.priors[:m_keep] / self.priors[:m_keep].sum()
         if self.kappas is not None:
             self.kappas = self.kappas[:m_keep]
@@ -274,31 +287,47 @@ def posterior(state: ModelState, x: sp.csr_matrix) -> np.ndarray:
     return posteriors(state, (x @ state.vectors.T).T)[:, 0]
 
 
-def class_sums(X: sp.csr_matrix, y: np.ndarray, m: int) -> np.ndarray:
-    """(m, V) sums of the rows of X per class label y[row], all y in [0, m).
+def class_sums(
+    X: sp.csr_matrix, y: np.ndarray, m: int, rows: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """(m, V) sums of the rows of X per class label, all labels in [0, m):
+    row i of X has label y[i], or, given rows, row rows[k] has label y[k].
 
     np.add.at adds the weights in entry order, so each (class, word) sum adds
-    its rows in row order, as the product of a class-indicator matrix with X
-    and X[rows].sum(axis=0) do. It reads X's read-only weights in place, and
-    the flat (class, word) indices are formed a block of rows at a time, so
-    that no temporary grows with the number of entries."""
+    its rows in the order given, as the product of a class-indicator matrix
+    with X[rows] and X[rows].sum(axis=0) do. It reads X's read-only arrays in
+    place, without the copy X[rows] makes, and the flat (class, word)
+    indices are formed a block of rows at a time, so that no temporary grows
+    with the number of entries."""
     V = X.shape[1]
     sums = np.zeros(m * V)
-    block = max(1, CLASS_SUM_ENTRIES * len(y) // max(X.nnz, 1))  # rows of that many entries
+    first = X.indptr[:-1] if rows is None else X.indptr[rows]
+    lengths = (X.indptr[1:] if rows is None else X.indptr[rows + 1]) - first
+    # rows of that many entries
+    block = max(1, CLASS_SUM_ENTRIES * len(y) // max(int(lengths.sum()), 1))
     for a in range(0, len(y), block):
         b = min(a + block, len(y))
-        lo, hi = X.indptr[a], X.indptr[b]
-        idx = np.repeat(y[a:b] * V, np.diff(X.indptr[a : b + 1]))
-        idx += X.indices[lo:hi]
-        np.add.at(sums, idx, X.data[lo:hi])
+        if rows is None:
+            entries = slice(X.indptr[a], X.indptr[b])
+        else:
+            # each row's entries, from its first on: the entry's place in the
+            # block less its row's, plus the row's first entry in X
+            ends = np.cumsum(lengths[a:b])
+            entries = np.arange(ends[-1]) + np.repeat(first[a:b] - ends + lengths[a:b],
+                                                       lengths[a:b])
+        idx = np.repeat(y[a:b] * V, lengths[a:b])
+        idx += X.indices[entries]
+        np.add.at(sums, idx, X.data[entries])
     return sums.reshape(m, V)
 
 
 def fit_classes(
-    family: ModelFamily, X: sp.csr_matrix, y: np.ndarray, m: int
+    family: ModelFamily, X: sp.csr_matrix, y: np.ndarray, m: int,
+    rows: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray, np.ndarray]:
     """(vectors, kappas, priors, fitted) of m classes whose members are the
-    rows of X labeled y, all y in [0, m); kappas is None outside vMF.
+    rows of X labeled y (or the rows `rows`, as class_sums reads them), all
+    y in [0, m); kappas is None outside vMF.
 
     A class's vector is its add-one smoothed log word probabilities (NB), its
     L1-normalized sum (K-Means) or its unit mean direction (vMF), whose
@@ -306,7 +335,7 @@ def fit_classes(
     Priors are add-one smoothed member counts. fitted[j] is False where the
     sum is degenerate (K-Means all-zero sum, vMF mean resultant 0); the caller
     decides what such a class gets."""
-    vectors = class_sums(X, y, m)  # fitted in place
+    vectors = class_sums(X, y, m, rows)  # fitted in place
     counts = np.bincount(y, minlength=m).astype(np.float64)
     priors = (counts + 1.0) / (counts.sum() + m)
     kappas = None
@@ -347,7 +376,7 @@ def fit_seeds(
     if not counts.all():
         raise ValueError(f"seeded class {seeded[np.argmin(counts)]} has no labeled instances")
 
-    vectors, kappas, priors, fitted = fit_classes(family, d.matrix()[labeled], y, k)
+    vectors, kappas, priors, fitted = fit_classes(family, d.matrix(), y, k, labeled)
     if not fitted.all():
         why = ("degenerate all-zero seed mean" if family is ModelFamily.KMEANS
                else "seed directions cancel (mean resultant 0)")
@@ -375,15 +404,18 @@ def init_new_class(
     if lo == hi:
         raise ValueError("cannot initialize a class from an all-zero instance")
     V = X.shape[1]
-    dense = np.zeros(V)
-    dense[X.indices[lo:hi]] = X.data[lo:hi]
+    # each family builds its vector in one V-length array, in place
+    if family is ModelFamily.VMF:
+        out = np.zeros(V)
+        out[X.indices[lo:hi]] = X.data[lo:hi]
+        out /= np.linalg.norm(out)
+        return out, KAPPA_NEW
+    out = np.full(V, 1.0 if family is ModelFamily.NB else 1.0 / V)
+    out[X.indices[lo:hi]] += X.data[lo:hi]
+    out /= out.sum()
     if family is ModelFamily.NB:
-        smoothed = dense + 1.0
-        return np.log(smoothed / smoothed.sum()), None
-    if family is ModelFamily.KMEANS:
-        smoothed = dense + 1.0 / V
-        return smoothed / smoothed.sum(), None
-    return dense / np.linalg.norm(dense), KAPPA_NEW
+        np.log(out, out=out)
+    return out, None
 
 
 def m_step(state: ModelState) -> ModelState:
@@ -393,24 +425,28 @@ def m_step(state: ModelState) -> ModelState:
 
     The argument's scores and spare room are dropped first (its scores is
     None after the call), so the new state's product never lives beside
-    them; of its arrays, only the vectors of the live classes, which a
-    class left without a fit keeps, are read from then on."""
-    state.scores = state._rows = state._columns = None
+    them; of its arrays, only the vector of a class left without a fit,
+    which that class keeps, is read from then on, and the vectors are not
+    stacked."""
+    state.scores = state._columns = None
     state._room = 0
-    return refit(state.family, state.X, state.assignments, state.seed_class_ids, state.vectors)
+    return refit(state.family, state.X, state.assignments, state.seed_class_ids,
+                 [*state._stacked, *state._opened])
 
 
 def refit(
     family: ModelFamily, X: sp.csr_matrix, y: np.ndarray, seed_class_ids: list[int],
-    vectors: np.ndarray,
+    vectors: Sequence[np.ndarray],
 ) -> ModelState:
     """The state of the rows of X fitted to hard assignments y over the
     classes of vectors, the first len(seed_class_ids) of them seeded.
+    vectors holds one V-vector per class: an (m, V) array or a list of rows.
 
     Introduced classes left without members are dropped (assignment ids are
     remapped); seeded classes always survive, and one whose sum is degenerate
     (an empty seeded class) keeps its vector at concentration KAPPA_MIN, and
-    the state says so in kept_old_vector."""
+    the state says so in kept_old_vector. Only such a class's old vector is
+    read."""
     if np.any(y < 0):
         raise ValueError("all instances must be assigned before the M-step")
     m = len(vectors)
@@ -422,7 +458,8 @@ def refit(
 
     fitted_vectors, kappas, priors, fitted = fit_classes(family, X, y_new, len(keep))
     stale = ~fitted
-    fitted_vectors[stale] = vectors[keep[stale]]
+    for j in np.flatnonzero(stale):
+        fitted_vectors[j] = vectors[keep[j]]
     if kappas is not None:
         kappas[stale] = KAPPA_MIN
     state = ModelState(family, X, fitted_vectors, priors, seed_class_ids, y_new, kappas)

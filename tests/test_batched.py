@@ -41,7 +41,7 @@ from exploressl.criteria import (
     minmax_criterion,
     minmax_fires,
 )
-from exploressl.data import SeedPartition
+from exploressl.data import SeedPartition, make_partitions
 from exploressl.engine import _e_step, _pass
 from exploressl.models import (
     KAPPA_MIN,
@@ -52,6 +52,8 @@ from exploressl.models import (
     _vmf_log_normalizer,
     class_sums,
     data_log_likelihood,
+    fit_classes,
+    fit_seeds,
     init_from_seeds,
     init_new_class,
     m_step,
@@ -416,6 +418,60 @@ def test_class_sums_match_the_indicator_product(seed, m, V, n):
     assert np.array_equal(got, _indicator_sums(X, y, m))
     assert np.array_equal(got, _row_sums(X, y, m))
     assert not got[np.setdiff1d(np.arange(m), used)].any()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 12), st.integers(1, 40),
+       st.sampled_from([1, 7, 1 << 15]))
+@settings(max_examples=150, deadline=None)
+def test_class_sums_of_chosen_rows_equal_those_of_their_copy(seed, m, V, n, entries):
+    # rows in any order, some twice, summed a few entries' block at a time
+    # or all at once: the sums of the copy X[rows] bit for bit
+    rng = np.random.default_rng(seed)
+    X = from_rows(_float_rows(rng, n, V), [-1] * n, V).matrix()
+    rows = rng.choice(n, size=int(rng.integers(1, 2 * n + 1)))
+    y = rng.integers(m, size=len(rows))
+    with mock.patch("exploressl.models.CLASS_SUM_ENTRIES", entries):
+        got = class_sums(X, y, m, rows)
+        want = class_sums(X[rows], y, m)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("family", list(ModelFamily))
+def test_fit_seeds_equals_the_fit_of_the_copied_labeled_rows(family):
+    # fit_seeds sums the labeled rows in place: on random partitions its
+    # arrays are those of the fit of the copy d.matrix()[labeled]
+    rng = np.random.default_rng(3)
+    for trial in range(20):
+        n, V, k = int(rng.integers(8, 60)), int(rng.integers(3, 30)), int(rng.integers(1, 4))
+        gold = rng.integers(k + 1, size=n)
+        d = from_rows(_float_rows(rng, n, V), gold.tolist(), V)
+        for p in make_partitions(d, k, float(rng.uniform(0.2, 0.9)), 2, trial):
+            y = p.labeled_classes(d)
+            vectors, kappas, priors, _ = fit_classes(family, d.matrix()[p.labeled_idx], y, k)
+            got = fit_seeds(d, p, family)
+            for mine, want in zip(got[:3], (vectors, kappas, priors)):
+                assert (mine is want is None) or mine.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family", list(ModelFamily))
+def test_a_new_class_equals_its_former_construction(family):
+    # init_new_class builds the vector in place; the former construction
+    # made the dense row, its smoothed copy and the normalised result
+    rng = np.random.default_rng(4)
+    V = 50
+    X = from_rows(_float_rows(rng, 30, V), [-1] * 30, V).matrix()
+    for i in range(30):
+        dense = X[i].toarray()[0]
+        if family is ModelFamily.NB:
+            smoothed = dense + 1.0
+            want = np.log(smoothed / smoothed.sum())
+        elif family is ModelFamily.KMEANS:
+            smoothed = dense + 1.0 / V
+            want = smoothed / smoothed.sum()
+        else:
+            want = dense / np.linalg.norm(dense)
+        vector, _ = init_new_class(X, i, family)
+        assert vector.tobytes() == want.tobytes()
 
 
 def _reference_params(family, s, count, V, old_vector):

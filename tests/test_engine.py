@@ -18,6 +18,7 @@ from exploressl.evaluation import seed_macro_f1
 from exploressl.experiments import ExperimentSpec, _run_one, prepare_family_datasets
 from exploressl.models import ModelFamily, ModelState, data_log_likelihood, m_step, refit
 from exploressl.synth import SyntheticSpec, generate_synthetic
+from test_golden import CORPORA as GOLDEN_CORPORA, RUN_SEED as GOLDEN_RUN_SEED
 
 
 def minmax_cfg(**kw):
@@ -519,3 +520,86 @@ def test_every_kept_fit_is_a_fresh_m_step_of_its_assignments(monkeypatch):
                 assert (mine is want is None) or np.array_equal(mine, want), name
             assert ll == data_log_likelihood(fresh)
     assert truncated
+
+
+@pytest.fixture(scope="module")
+def golden_corpora():
+    """The "overlap" and "blocks" corpora and partition of the golden runs."""
+    out = {}
+    for name in ("overlap", "blocks"):
+        datasets = prepare_family_datasets(generate_synthetic(GOLDEN_CORPORA[name]))
+        out[name] = datasets, make_partitions(datasets[ModelFamily.NB], 2, 0.1, 1, 3)[0]
+    return out
+
+
+def _counted_plain_e_steps(monkeypatch, rows, events):
+    """Record "plain" in events for each E-step over all of rows that cannot
+    open a class, and "hit" or "fit" for each fit, by whether the fit table
+    holds it."""
+    e_step, fit = engine._e_step, engine._fit
+
+    def counted_e_step(state, over, fires=None):
+        if fires is None and len(over) == len(rows):
+            events.append("plain")
+        return e_step(state, over, fires)
+
+    def counted_fit(state, fits, key=None):
+        events.append("hit" if fits is not None and state.assignments.tobytes() in fits
+                      else "fit")
+        return fit(state, fits, key)
+
+    monkeypatch.setattr(engine, "_e_step", counted_e_step)
+    monkeypatch.setattr(engine, "_fit", counted_fit)
+
+
+@pytest.mark.parametrize("order", ["listed", "reversed"])
+@pytest.mark.parametrize("corpus", ["overlap", "blocks"])
+def test_replayed_e_steps_equal_fresh_runs(golden_corpora, monkeypatch, corpus, order):
+    # the arms of a grid group that take the start, back to back on it:
+    # exploratory with each criterion, semisup and the sweep's m = 0 run.
+    # Once latched they rejoin one another and replay the E-steps of the fits
+    # they share, and semisup's first pass is the start's own: each run
+    # equals the same run made without the start, with fewer plain E-steps
+    datasets, p = golden_corpora[corpus]
+    for family, d in datasets.items():
+        start = seed_start(d, p, family)
+        rate = calibrate_random_rate(d, p, family, start=start)
+        criteria = [CriterionConfig(CriterionKind.JS), CriterionConfig(CriterionKind.MINMAX),
+                    CriterionConfig(CriterionKind.RANDOM, rate), None, None]
+        if order == "reversed":
+            criteria.reverse()
+        shared, fresh = [], []
+        for criterion in criteria:
+            cfg = EngineConfig(family, criterion, rng_seed=GOLDEN_RUN_SEED)
+            run = semisup_em if criterion is None else exploratory_em
+            with monkeypatch.context() as patch:
+                _counted_plain_e_steps(patch, p.unlabeled_idx, shared)
+                replayed = run(d, p, cfg, start=start)
+            with monkeypatch.context() as patch:
+                _counted_plain_e_steps(patch, p.unlabeled_idx, fresh)
+                made = run(d, p, cfg)
+            assert outcome(replayed) == outcome(made)
+        assert shared.count("plain") < fresh.count("plain")
+        assert set(start.steps) <= set(start.fits)
+
+
+@pytest.mark.parametrize("family", [ModelFamily.KMEANS, ModelFamily.VMF])
+@pytest.mark.parametrize("first,second", [("minmax", "js"), ("js", "minmax")])
+def test_a_run_that_hits_a_kept_fit_makes_no_plain_e_step_after_it(
+        golden_corpora, monkeypatch, family, first, second):
+    # on the golden "overlap" corpus both criteria latch in iteration 1 and
+    # end alike, so the second run forks the first's fits from its first
+    # M-step on and replays each E-step the first made from them
+    datasets, p = golden_corpora["overlap"]
+    d = datasets[family]
+    start = seed_start(d, p, family)
+    cfgs = [EngineConfig(family, CriterionConfig(CriterionKind(kind)), rng_seed=GOLDEN_RUN_SEED)
+            for kind in (first, second)]
+    exploratory_em(d, p, cfgs[0], start=start)
+    events = []
+    with monkeypatch.context() as patch:
+        _counted_plain_e_steps(patch, p.unlabeled_idx, events)
+        result = exploratory_em(d, p, cfgs[1], start=start)
+    assert "hit" in events and "fit" not in events
+    assert "plain" not in events[events.index("hit"):]
+    assert outcome(result) == outcome(exploratory_em(d, p, cfgs[1]))

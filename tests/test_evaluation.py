@@ -166,13 +166,17 @@ def test_per_class_prf_matches_instance_loop(pairs, class_ids):
 
 
 def unique_confusion(assignments, gold_ids):
-    """build_confusion's former construction, the oracle: each id array
-    coded by np.unique, one count per pair."""
-    row_ids, r = np.unique(np.asarray(assignments), return_inverse=True)
-    col_ids, c = np.unique(np.asarray(gold_ids), return_inverse=True)
+    """The oracle: each id sequence coded by the sorted set of its Python
+    values, one count per pair, so that no two distinct integer ids merge
+    however numpy would read their list."""
+    a, g = (ids.tolist() if isinstance(ids, np.ndarray) else list(ids)
+            for ids in (assignments, gold_ids))
+    row_ids, col_ids = sorted(set(a)), sorted(set(g))
+    row, col = ({v: i for i, v in enumerate(ids)} for ids in (row_ids, col_ids))
     counts = np.zeros((len(row_ids), len(col_ids)), dtype=np.int64)
-    np.add.at(counts, (r, c), 1)
-    return counts, row_ids.tolist(), col_ids.tolist()
+    for x, y in zip(a, g):
+        counts[row[x], col[y]] += 1
+    return counts, row_ids, col_ids
 
 
 # (lo, hi) of the drawn ids: small, negative, sparse and far above n, past int64
@@ -192,10 +196,24 @@ def test_build_confusion_matches_unique_coding(data, cluster_range, gold_range, 
     counts, row_ids, col_ids = unique_confusion(a, y)
     assert cm.counts.dtype == np.int64
     assert cm.counts.tolist() == counts.tolist()
-    # the same ids of the same Python types: ints, or floats where numpy
-    # reads a list holding ids past int64 as float64
+    # the same ids, all Python ints: also where numpy would read a list
+    # holding ids past int64 as float64
     assert cm.row_ids == row_ids and cm.col_ids == col_ids
     assert list(map(type, cm.row_ids + cm.col_ids)) == list(map(type, row_ids + col_ids))
+
+
+def test_integer_ids_past_int64_stay_distinct():
+    # numpy reads each list as float64, which merges 2**63 with 2**63 + 1
+    # and with 2**63 - 1 beside them; they are three clusters and two classes
+    big = [2**63 - 1, 2**63, 2**63 + 1]
+    cm = build_confusion([0] + big, [0, 1, 1, 2**63])
+    assert cm.row_ids == [0] + big and cm.col_ids == [0, 1, 2**63]
+    assert cm.counts.tolist() == [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]]
+    report = evaluate_run([0, 2**63, 2**63 + 1], [0, 1, 1], [0, 1])
+    assert report.num_clusters == len(report.aligned_confusion.row_ids) == 3
+    assert report.aligned_confusion.counts.sum() == 3
+    # ids that are floats stay floats
+    assert build_confusion([0.5, 1, 1], [0, 1, 1]).row_ids == [0.5, 1.0]
 
 
 class TestAlignment:

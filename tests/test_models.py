@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -278,8 +279,9 @@ class TestAddClass:
     def test_a_fork_and_its_origin_never_write_what_the_other_holds(self):
         d = dataset([[(0, 3.0)], [(1, 1.0)]], [0, 1], 2)
         s = nb_state([[0.5, 0.5], [0.25, 0.75]], [0.5, 0.5], assignments=[0, 1], X=d.matrix())
-        s.add_class(new_class(from_pairs([(0, 3.0)]), ModelFamily.NB, 2))  # leaves spare room
-        kept = [a.copy() for a in (s.vectors, s.scores, s.assignments)]
+        opened = new_class(from_pairs([(0, 3.0)]), ModelFamily.NB, 2)
+        s.add_class(opened)  # leaves spare room, and an opened vector not yet stacked
+        kept = [a.copy() for a in (s.vectors, s.scores, s.assignments, opened[0])]
         fork = s.fork()
         fork.assignments[:] = 2
         fork.add_class(new_class(from_pairs([(1, 3.0)]), ModelFamily.NB, 2))
@@ -287,10 +289,50 @@ class TestAddClass:
         s.add_class(new_class(from_pairs([(0, 1.0), (1, 1.0)]), ModelFamily.NB, 2))
         for mine, want in zip((fork.vectors, fork.scores, fork.priors, fork.assignments), forked):
             assert np.array_equal(mine, want)
+        # a fork made before its origin stacks what it opened, grown, cut
+        # into its fitted classes, grown again and refit
+        early = s.fork()
+        early.add_class(new_class(from_pairs([(1, 2.0)]), ModelFamily.NB, 2))
+        early.truncate(2)
+        early.add_class(new_class(from_pairs([(0, 2.0)]), ModelFamily.NB, 2))
+        assert early.vectors.shape == (3, 2)
+        early.assignments[:] = 0
+        m_step(early)
         fork.truncate(3)
         m_step(fork)
-        for mine, want in zip((s.vectors[:3], s.scores[:, :3], s.assignments), kept):
+        for mine, want in zip((s.vectors[:3], s.scores[:, :3], s.assignments, opened[0]), kept):
             assert np.array_equal(mine, want)
+        assert s.vectors.shape == (4, 2) and s.scores.shape == (2, 4)
+
+    @pytest.mark.parametrize("family", [ModelFamily.KMEANS, ModelFamily.VMF])
+    def test_opened_vectors_read_as_the_stack_of_their_rows(self, family):
+        # vectors is the stack of the fitted vectors and the opened ones,
+        # however truncate cuts them, and an M-step that cannot fit a seeded
+        # class keeps its vector without stacking the rest
+        rng = np.random.default_rng(1)
+        X = sp.csr_matrix(rng.random((12, 4)))
+        d = dataset([[(0, 1.0)], [(1, 1.0)]], [0, 1], 4)
+        s = init_from_seeds(d, partition(d, labeled=[0, 1], seeded=[0, 1]), family)
+        s = ModelState(family, X, s.vectors, s.priors, s.seed_class_ids[:1],
+                       np.zeros(12, dtype=np.int64), s.kappas)  # one seeded, one fitted
+        rows = list(s.vectors)
+        for i in range(5):
+            rows.append(init_new_class(X, i, family)[0])
+            s.add_class((rows[-1], KAPPA_NEW))
+        assert np.array_equal(s.vectors, np.vstack(rows))
+        s.truncate(4)
+        s.add_class((rows[2], KAPPA_NEW))
+        assert np.array_equal(s.vectors, np.vstack(rows[:4] + rows[2:3]))
+        s.truncate(1)
+        assert np.array_equal(s.vectors, np.vstack(rows[:1]))
+        s.add_class((rows[6], KAPPA_NEW))
+        s.add_class((rows[5], KAPPA_NEW))
+        s.assignments[:] = 2  # the seeded class has no member, so keeps its vector
+        with mock.patch.object(np, "vstack", wraps=np.vstack) as vstack:
+            s2 = m_step(s)
+        assert not vstack.called and s2.kept_old_vector
+        assert np.array_equal(s2.vectors[0], rows[0])
+        assert s2.vectors.shape == (2, 4)  # the empty opened class is dropped
 
     def test_assignments_must_cover_every_row(self):
         d = dataset([[(0, 3.0)], [(1, 1.0)]], [0, 1], 2)
