@@ -6,7 +6,6 @@ import csv
 import itertools
 import logging
 import math
-import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -191,8 +190,9 @@ def load_dataset(
     """Load a dataset file.
 
     sparse-triplet: one instance per line, ``<label> <fid>:<count> ...``,
-    0-based feature ids. An optional first line ``%%vocab <N>`` declares the
-    vocabulary size; otherwise it is inferred.
+    0-based feature ids, UTF-8 with or without a byte order mark. An optional
+    line ``%%vocab <N>``, N > 0, declares the vocabulary size; otherwise it is
+    inferred. A header may repeat, but only with the same N.
 
     dense-csv: header ``label,f0,f1,...`` then one row per instance.
     """
@@ -217,12 +217,10 @@ def _load_sparse_triplet(path: Path) -> Dataset:
     # entries in one scan and any others by the exact parser, which bounds the
     # text alive at once; on any fault, reading the whole file again one entry
     # at a time names the first bad line, so errors come in file order
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             while block := list(itertools.islice(fh, LINES_PER_PARSE)):
-                block_labels, entries, block_declared = _read_lines(block)
-                if block_declared is not None:
-                    declared = block_declared
+                block_labels, entries, declared = _read_lines(block, declared)
                 parsed = _scan_int_entries(entries)
                 if parsed is None:
                     parsed = _parse_entries(entries)
@@ -271,18 +269,19 @@ def _parse_entries(entries: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.n
     return fids, np.array(fields[1::2], dtype=np.float64), lengths
 
 
-# the bytes of <int>:<int> entries and of the spaces that both str.split and
-# the C scanner skip, all of them <= ord(" ")
+# the bytes of <int>:<int> entries and six of the spaces that str.split
+# skips, all of them <= ord(" ")
 _ENTRY_BYTES = b"0123456789+-: \t\n\r\x0b\x0c"
-_INT64 = np.iinfo(np.int64)
+_PLACES = 10 ** np.arange(18, dtype=np.int64)  # int64 holds any 18 digits exactly
 
 
 def _scan_int_entries(
     entries: Sequence[str],
 ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """What _parse_entries gives when every entry is <int>:<int> in ASCII,
-    read in one C-level scan; None, for _parse_entries to decide, when an
-    entry is not or the scan might differ from int()."""
+    read by digit place in a few vectorised passes; None, for _parse_entries
+    to decide, when an entry is not, when there is no entry, or when a number
+    has more than 18 digits."""
     if entries and entries[0].encode().translate(None, _ENTRY_BYTES):
         return None  # most other files show it in their first line, before the join
     raw = ("\n" + "\n".join(entries) + "\n").encode()  # every byte has a neighbour each side
@@ -294,45 +293,78 @@ def _scan_int_entries(
     first, last = edges[0::2] + 1, edges[1::2]  # the first and last byte of each token
     colons = np.flatnonzero(codes == ord(":"))
     # the k-th colon lies strictly inside the k-th token, so each token has one
-    if len(colons) != len(first) or not ((first < colons) & (colons < last)).all():
+    if (not len(first) or len(colons) != len(first)
+            or not ((first < colons) & (colons < last)).all()):
         return None
-    # a sign opens a number, and the scanner would also read "- 5" as -5
-    signs = np.flatnonzero((codes == ord("+")) | (codes == ord("-")))
-    before, after = codes[signs - 1], codes[signs + 1]
-    opens = (before <= ord(" ")) | (before == ord(":"))
-    if not (opens & (after >= ord("0")) & (after <= ord("9"))).all():
-        return None
-    try:
-        # numpy < 2 warns and returns the prefix it read instead of raising
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            values = np.fromstring(raw.replace(b":", b" "), dtype=np.int64, sep=" ")
-    except (ValueError, DeprecationWarning):
-        return None
-    # blank text reads as [0], and out-of-range numbers saturate silently
-    if len(values) != 2 * len(first) or ((values == _INT64.min) | (values == _INT64.max)).any():
+    # a sign opens a number and a digit follows it, so each id and each count
+    # is one span of digits with at most one sign before them
+    signed = b"+" in raw or b"-" in raw
+    if signed:
+        signs = np.flatnonzero((codes == ord("+")) | (codes == ord("-")))
+        before, after = codes[signs - 1], codes[signs + 1]
+        opens = (before <= ord(" ")) | (before == ord(":"))
+        if not (opens & (after >= ord("0")) & (after <= ord("9"))).all():
+            return None
+    digits = codes - np.uint8(ord("0"))  # a byte that is not a digit wraps past 9
+    digits *= digits <= 9
+    fids = _read_numbers(codes, digits, first, colons, signed)
+    counts = _read_numbers(codes, digits, colons + 1, last + 1, signed)
+    if fids is None or counts is None:
         return None
     lengths = np.diff(np.searchsorted(colons, np.flatnonzero(codes == ord("\n"))))
-    return values[0::2], values[1::2].astype(np.float64), lengths
+    return fids, counts.astype(np.float64), lengths
 
 
-def _read_lines(lines: Iterable[str], check: bool = False):
+def _read_numbers(codes: np.ndarray, digits: np.ndarray, start: np.ndarray,
+                  end: np.ndarray, signed: bool) -> Optional[np.ndarray]:
+    """The int64 number that each span codes[start:end], an optional sign
+    (only if signed) then digits, spells, summed exactly as digit x 10**place
+    over its places; None if a span has more than 18 digits. digits holds
+    each byte's digit value and 0 for every other byte."""
+    stop = start - 1  # the byte before the first digit, whose value is 0
+    if signed:
+        lead = codes[start]
+        stop += lead < ord("0")
+    width = int((end - stop).max()) - 1  # the most digits of any span
+    if width > len(_PLACES):
+        return None
+    at = end - 1
+    values = digits[at].astype(np.int64)
+    for place in _PLACES[1:width]:
+        at -= 1
+        np.maximum(at, stop, out=at)  # a place left of a span's first digit reads the 0 at stop
+        # in int64, which numpy < 2 would not infer from the uint8 digits
+        values += np.multiply(digits[at], place, dtype=np.int64)
+    if signed:
+        np.negative(values, out=values, where=lead == ord("-"))
+    return values
+
+
+def _read_lines(lines: Iterable[str], declared: Optional[int] = None, check: bool = False):
     """The labels, the text after each label and the declared vocabulary size
-    of sparse-triplet lines, with or without their line ends. With check,
+    of sparse-triplet lines, with or without their line ends, given the size
+    that lines before them declared. A vocab header that is not one positive
+    integer, or that declares another size, raises DataFormatError. With check,
     every entry is also read on its own, and the first bad line raises
     DataFormatError."""
     labels: list[str] = []
     entries: list[str] = []
-    declared: Optional[int] = None
     for lineno, line in enumerate(lines, start=1):
         parts = line.split(None, 1)
         if not parts:
             continue
         if parts[0].startswith("%%vocab"):
             try:
-                declared = int(line.split()[1])
-            except (IndexError, ValueError):
-                raise DataFormatError(f"line {lineno}: malformed vocab header") from None
+                _, text = line.split()  # the header and one size, nothing more
+                size = int(text)
+            except ValueError:
+                size = 0
+            if size <= 0:
+                raise DataFormatError(f"line {lineno}: malformed vocab header")
+            if declared is not None and size != declared:
+                raise DataFormatError(
+                    f"line {lineno}: vocab header {size} conflicts with the earlier {declared}")
+            declared = size
             continue
         labels.append(parts[0])
         entries.append(parts[1].rstrip("\n") if len(parts) > 1 else "")

@@ -1,15 +1,15 @@
+import codecs
 import hashlib
 import logging
 import math
 import pickle
 import re
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exploressl import data as data_module
 from exploressl.data import (
@@ -197,6 +197,17 @@ BAD_INPUTS = [
     ("a 0:1\nb 2:1 1:-inf\n", "sparse-triplet", "line 2: weights must be finite"),
     ("%%vocab x\na 0:1\n", "sparse-triplet", "line 1: malformed vocab header"),
     ("a 0:1\n%%vocab\n", "sparse-triplet", "line 2: malformed vocab header"),
+    # a header declares one positive size and nothing more, and a later
+    # header may repeat it but not change it
+    ("%%vocab -3\na 0:1\n", "sparse-triplet", "line 1: malformed vocab header"),
+    ("%%vocab 0\na 0:1\n", "sparse-triplet", "line 1: malformed vocab header"),
+    ("%%vocab 9 junk\na 0:1\n", "sparse-triplet", "line 1: malformed vocab header"),
+    ("a 0:1\n%%vocab 9 9\n", "sparse-triplet", "line 2: malformed vocab header"),
+    ("%%vocab 9\na 0:1\n%%vocab 3\n", "sparse-triplet",
+     "line 3: vocab header 3 conflicts with the earlier 9"),
+    ("%%vocab 9\na 0:1\n%%vocab 9\nb 1:1\n%%vocab 8\n", "sparse-triplet",
+     "line 5: vocab header 8 conflicts with the earlier 9"),
+    ("%%vocab 9\na 0:x\n%%vocab 3\n", "sparse-triplet", "line 2: malformed entry '0:x'"),
     ("%%vocab 4\na 5:1\n", "sparse-triplet", "feature id 5 >= declared vocab size 4"),
     ("%%vocab 3\na 1:1\nb 0:1 7:2\n", "sparse-triplet",
      "feature id 7 >= declared vocab size 3"),
@@ -259,6 +270,20 @@ class TestLoaderErrors:
         with pytest.raises(DataFormatError, match="line 2: malformed entry"):
             load_dataset(f)
 
+    @pytest.mark.parametrize("text", [
+        "%%vocab 9\na 0:1 3:2\nb 1:1\na 2:5\n",  # integer counts: the scan
+        "a 0:1.5 3:2\nb 1:1\n",  # a float count: the exact parser
+    ])
+    def test_a_byte_order_mark_is_not_read(self, tmp_path, text):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == codecs.BOM_UTF8 + plain.read_bytes()
+        assert load_outcome(marked) == load_outcome(plain)
+        # nor by the re-read that names the first bad line
+        marked.write_text("%%vocab x\n" + text, encoding="utf-8-sig")
+        assert load_outcome(marked) == (DataFormatError, "line 1: malformed vocab header")
+
     def test_label_only_line_survives_load_and_drops_at_tfidf(self, tmp_path):
         f = tmp_path / "d.txt"
         f.write_text("a 0:1 1:1\nb\nc 1:2\n")
@@ -281,28 +306,6 @@ def load_outcome(path):
             d.gold_ids.tolist(), d.label_names)
 
 
-FROMSTRING = np.fromstring
-
-
-def numpy_1_fromstring(string, dtype, sep):
-    """np.fromstring as numpy < 2 reads text it cannot read to its end: it
-    warns and returns the numbers before the fault instead of raising."""
-    try:
-        return FROMSTRING(string, dtype=dtype, sep=sep)
-    except ValueError:
-        warnings.warn("string or file could not be read to its end due to unmatched "
-                      "data; this will raise a ValueError in the future.",
-                      DeprecationWarning, stacklevel=2)
-    prefix = []
-    for word in string.split():
-        number = re.match(rb"[+-]?\d+", word)
-        if number:
-            prefix.append(int(number.group()))
-        if not number or number.end() < len(word):
-            break
-    return np.array(prefix, dtype=dtype)
-
-
 def file_text(token, space, header):
     """Files of up to 6 lines: entry lines of the given tokens and spaces,
     label-only, blank and vocabulary lines, with one line ending."""
@@ -319,7 +322,12 @@ def file_text(token, space, header):
 
 
 SMALL = st.integers(0, 30).map(str)
-INT = st.one_of(SMALL, SMALL, SMALL, st.sampled_from(["-0", "+0", "+7", "007", "-007", "-3"]))
+# 1 to 18 digits, leading zeros among them, with or without a sign: every
+# number the scan reads
+PLACES = st.builds(str.__add__, st.sampled_from(["", "", "+", "-"]),
+                   st.text("0123456789", min_size=1, max_size=18))
+INT = st.one_of(SMALL, SMALL, SMALL, PLACES,
+                st.sampled_from(["-0", "+0", "+1", "+7", "007", "-007", "-3"]))
 WIDE_INT = st.one_of(
     INT,
     st.integers(10**18, 10**21).map(str),  # 19 digits and more
@@ -361,25 +369,54 @@ MALFORMED_ENTRIES = [
     ["1:٣"],
     ["1:1.5"],
     ["1:1_0"],
+    ["1:+"],  # a sign that no digit follows
+    ["-:5"],
+    ["2:3 +:1"],
+    ["1:2+3"],  # a sign inside a number
+    ["+-1:1"],
+    ["1:--1"],
 ]
 
 
-class TestIntegerScan:
-    """Integer-count files are read in one C-level scan; every other file,
-    and every fault, is left to the exact parser, so both give one outcome."""
+def exact_outcome(path):
+    """load_outcome(path) with every block left to the exact parser."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_module, "_scan_int_entries", lambda entries: None)
+        return load_outcome(path)
 
-    @pytest.mark.parametrize("fromstring", [np.fromstring, numpy_1_fromstring])
+
+class TestIntegerScan:
+    """Integer-count files are read by digit place in a few vectorised
+    passes; every other file, and every fault, is left to the exact parser,
+    so both give one outcome."""
+
     @settings(max_examples=300, deadline=None)
     @given(text=st.one_of(INT_FILE, WIDE_INT_FILE, ANY_FILE))
-    def test_scan_equals_exact_parser(self, tmp_path_factory, fromstring, text):
+    @example(text="%%vocab 9\na -0:007 +1:+1 2:-0\n")
+    def test_scan_equals_exact_parser(self, tmp_path_factory, text):
         path = tmp_path_factory.getbasetemp() / "scan.txt"  # rewritten by each example
         path.write_bytes(text.encode("utf-8"))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(data_module, "_scan_int_entries", lambda entries: None)
-            exact = load_outcome(path)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np, "fromstring", fromstring)
-            assert load_outcome(path) == exact
+        assert load_outcome(path) == exact_outcome(path)
+
+    # (entry text, whether the scan reads it): 18 digits are the most it
+    # reads, leading zeros and a sign included or not
+    @pytest.mark.parametrize("entries,scanned", [
+        ("1:999999999999999999", True),
+        ("1:-999999999999999999 2:+100000000000000000", True),
+        ("1:000000000000000007 2:-00000000000000000", True),
+        ("123456789012345678:1", True),
+        ("1:1000000000000000000", False),
+        ("1:-0000000000000000001", False),
+        ("1:+9223372036854775807", False),
+        ("1000000000000000000:1", False),
+        ("0:1 +1:-2 3:4 -0:+5 6:007 7:-0 8:+0", True),  # signed and unsigned mixed
+        ("+3:-12 -0:007 2:+9", True),
+    ])
+    def test_widths_and_signs_equal_the_exact_parser(self, tmp_path, entries, scanned):
+        assert (data_module._scan_int_entries([entries, "0:1"]) is not None) == scanned
+        f = tmp_path / "d.txt"
+        f.write_text(f"a {entries}\nb 0:1\n")
+        assert load_outcome(f) == exact_outcome(f)
 
     def test_integer_files_take_the_scan(self, tmp_path, monkeypatch):
         def no_parse(entries):
@@ -394,8 +431,8 @@ class TestIntegerScan:
         assert d.vocab_size == 9
 
     @pytest.mark.parametrize("entries", [
-        ["", " \t"],  # blank text scans as one phantom 0
-        ["1:99999999999999999999"],  # out-of-range numbers saturate
+        ["", " \t"],  # no entry
+        ["1:99999999999999999999"],  # more than 18 digits
         ["-99999999999999999999:1"],
         [f"{2**63 - 1}:1"],
         [f"1:{-(2**63)}"],
@@ -406,24 +443,11 @@ class TestIntegerScan:
 
     @pytest.mark.parametrize("entries", MALFORMED_ENTRIES)
     def test_structure_checks_decline_what_a_lax_scanner_reads(self, entries, monkeypatch):
-        def lax(string, dtype, sep):  # every signed number, and nothing else
-            numbers = re.findall(rb"[+-]?\s*\d+", string)
-            return np.array([int(re.sub(rb"\s", b"", n)) for n in numbers], dtype=dtype)
+        def lax(codes, digits, start, end, signed):  # a number for every span, whatever its bytes
+            return np.zeros(len(start), dtype=np.int64)
 
-        monkeypatch.setattr(np, "fromstring", lax)
+        monkeypatch.setattr(data_module, "_read_numbers", lax)
         assert data_module._scan_int_entries(["0:1", *entries]) is None  # a good first line
-
-    def test_a_warning_from_the_scanner_declines(self, tmp_path, monkeypatch):
-        # numpy < 2 warns where numpy 2 raises, and returns what it read so far
-        def warns(string, dtype, sep):
-            warnings.warn("could not be read to its end", DeprecationWarning)
-            return np.arange(4, dtype=dtype)
-
-        monkeypatch.setattr(np, "fromstring", warns)
-        assert data_module._scan_int_entries(["1:2 3:4"]) is None
-        f = tmp_path / "d.txt"
-        f.write_text("a 1:2 3:4\n")
-        assert entries(load_dataset(f).instances[0]) == [(1, 2.0), (3, 4.0)]
 
 
 BLOCK = data_module.LINES_PER_PARSE
@@ -498,6 +522,17 @@ class TestBlockLoader:
         f.write_text("\n".join(int_lines(rng, BLOCK) + float_lines(rng, BLOCK + 1)) + "\n")
         assert len(load_dataset(f)) == 2 * BLOCK + 1
         assert parsed == [BLOCK, 1]
+
+    def test_a_header_in_a_later_block_may_repeat_but_not_change_the_size(self, tmp_path):
+        lines = ["%%vocab 70"] + int_lines(np.random.default_rng(6), 2 * BLOCK) + ["%%vocab 70"]
+        f = tmp_path / "d.txt"
+        f.write_text("\n".join(lines) + "\n")
+        assert load_dataset(f).vocab_size == 70
+        lines[-1] = "%%vocab 71"
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as e:
+            load_dataset(f)
+        assert str(e.value) == f"line {len(lines)}: vocab header 71 conflicts with the earlier 70"
 
     def test_names_the_first_bad_line_across_blocks(self, tmp_path):
         lines = int_lines(np.random.default_rng(5), 3 * BLOCK)
