@@ -192,7 +192,8 @@ def load_dataset(
     sparse-triplet: one instance per line, ``<label> <fid>:<count> ...``,
     0-based feature ids, UTF-8 with or without a byte order mark. An optional
     line ``%%vocab <N>``, N > 0, declares the vocabulary size; otherwise it is
-    inferred. A header may repeat, but only with the same N.
+    inferred. A header may repeat, but only with the same N, and no other
+    line may start with ``%%``.
 
     dense-csv: header ``label,f0,f1,...`` then one row per instance.
     """
@@ -343,17 +344,20 @@ def _read_numbers(codes: np.ndarray, digits: np.ndarray, start: np.ndarray,
 def _read_lines(lines: Iterable[str], declared: Optional[int] = None, check: bool = False):
     """The labels, the text after each label and the declared vocabulary size
     of sparse-triplet lines, with or without their line ends, given the size
-    that lines before them declared. A vocab header that is not one positive
-    integer, or that declares another size, raises DataFormatError. With check,
-    every entry is also read on its own, and the first bad line raises
-    DataFormatError."""
+    that lines before them declared. A line whose first word starts with %%
+    is a header, and only %%vocab names one: another header, or a vocab
+    header that is not one positive integer or declares another size, raises
+    DataFormatError. With check, every entry is also read on its own, and
+    the first bad line raises DataFormatError."""
     labels: list[str] = []
     entries: list[str] = []
     for lineno, line in enumerate(lines, start=1):
         parts = line.split(None, 1)
         if not parts:
             continue
-        if parts[0].startswith("%%vocab"):
+        if parts[0].startswith("%%"):
+            if parts[0] != "%%vocab":
+                raise DataFormatError(f"line {lineno}: unknown header {parts[0]!r}")
             try:
                 _, text = line.split()  # the header and one size, nothing more
                 size = int(text)
@@ -446,9 +450,9 @@ def write_sparse_triplet(d: Dataset, path: str | Path) -> None:
 
     Without label_names, class ids are written zero-padded to one width, so
     that they sort, and load back, in id order. The format has no token for a
-    missing label, and a label must be one token that is not a vocab header,
-    so an unlabeled instance or such a label name raises ValueError before
-    the file is opened."""
+    missing label, and a label must be one token that does not start with
+    %%, as a header does, so an unlabeled instance or such a label name
+    raises ValueError before the file is opened."""
     unlabeled = np.flatnonzero(d.gold_ids < 0)
     if len(unlabeled):
         raise ValueError(
@@ -456,9 +460,9 @@ def write_sparse_triplet(d: Dataset, path: str | Path) -> None:
     top = int(d.gold_ids.max())
     names = d.label_names or [str(c).zfill(len(str(top))) for c in range(top + 1)]
     for name in names:
-        if name.split() != [name] or name.startswith("%%vocab"):
+        if name.split() != [name] or name.startswith("%%"):
             raise ValueError(f"label name {name!r} is empty, holds whitespace or starts with "
-                             "%%vocab, which sparse-triplet cannot write")
+                             "%%, which sparse-triplet cannot write")
     X = d.matrix()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"%%vocab {d.vocab_size}\n")

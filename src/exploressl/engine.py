@@ -26,7 +26,8 @@ from .models import (
     posterior,  # noqa: F401 - kept as a module attribute: benchmarks/ trace it by name
     posteriors,
 )
-from .selection import SelectionCriterion, accept_exploratory, score_model, score_with_fallback
+from .selection import (SelectionCriterion, accept_exploratory, criterion_for, score_model,
+                        score_with_fallback)
 
 log = logging.getLogger(__name__)
 
@@ -120,28 +121,31 @@ def _e_step(
     return int(np.count_nonzero(state.assignments[rows] != before))
 
 
+@dataclass
+class Fit:
+    """An entry of SeedStart.fits: a kept fit, its log-likelihood, and the
+    plain E-step first made from it (_plain_e_step), None until then."""
+
+    state: ModelState
+    ll: float
+    step: Optional[tuple[np.ndarray, int, float]] = None
+
+
 @dataclass(frozen=True)
 class SeedStart:
     """Where every run on one dataset, partition and family without extra
     classes begins: the seed fit after one E-step over the unlabeled rows,
     and its log-likelihood. A run given a start works on a fork of its state
     (ModelState.fork), so one start serves any number of runs with unchanged
-    results.
-
-    fits maps the assignments an M-step of those runs refit, as bytes, to
-    the fitted state and its log-likelihood, so a later run that reaches the
-    same assignments forks the fit in place of computing it again (_fit).
-    steps maps the key of a fit in fits to the plain E-step first made from
-    it: the labels of the unlabeled rows, how many changed, and the
-    log-likelihood after it, so a run on the fit that cannot open a class
-    replays the E-step in place of making it (_run_em). Both tables live as
-    long as the start."""
+    results. fits maps the assignments an M-step of those runs refit, as
+    bytes, to a Fit, which a later run that reaches them forks (_fit) and
+    whose plain E-step it replays (_plain_e_step). It lives as long as the
+    start."""
 
     state: ModelState
     ll: float
     partition: SeedPartition
-    fits: dict[bytes, tuple[ModelState, float]] = field(default_factory=dict, repr=False)
-    steps: dict[bytes, tuple[np.ndarray, int, float]] = field(default_factory=dict, repr=False)
+    fits: dict[bytes, Fit] = field(default_factory=dict, repr=False)
 
 
 def seed_start(d: Dataset, p: SeedPartition, family: ModelFamily) -> SeedStart:
@@ -191,30 +195,40 @@ def _check_start(start: SeedStart, d: Dataset, p: SeedPartition, family: ModelFa
         raise ValueError("start is not seed_start of this dataset, partition and family")
 
 
-def _fit(
-    state: ModelState, fits: Optional[dict[bytes, tuple[ModelState, float]]],
-    key: Optional[bytes] = None,
-) -> tuple[ModelState, float]:
-    """m_step(state) and the log-likelihood of the result.
-
-    With a table (SeedStart.fits) the M-step is looked up by the state's
-    assignments first, as bytes (key, if the caller has made it): a fit made
-    from the same ones is forked, with its likelihood, in place of computing
-    both again. A fit is kept only if it read no old vector
-    (ModelState.kept_old_vector), since only then is it a function of the
-    assignments alone on the start's rows, family and seeded classes. On a
-    hit the caller drops the argument, as m_step would have dropped its
-    scores and spare room."""
-    if fits is not None and key is None:
+def _fit(state: ModelState,
+         fits: Optional[dict[bytes, Fit]]) -> tuple[ModelState, float, Optional[Fit]]:
+    """m_step(state), the log-likelihood of the result, and its entry in the
+    table (SeedStart.fits), looked up by the state's assignments first: a fit
+    of the same ones is forked in place of made. The entry is None when the
+    run has no table or the fit read an old vector (kept_old_vector), since
+    only a fit that read none is a function of the assignments alone. On a
+    hit the caller drops the argument, as m_step would have."""
+    if fits is not None:
         key = state.assignments.tobytes()
-    if key is not None and key in fits:
-        kept, ll = fits[key]
-        return kept.fork(), ll
+        if key in fits:
+            entry = fits[key]
+            return entry.state.fork(), entry.ll, entry
     state = m_step(state)
     ll = data_log_likelihood(state)
-    if key is not None and not state.kept_old_vector:
-        fits[key] = state.fork(), ll
-    return state, ll
+    if fits is None or state.kept_old_vector:
+        return state, ll, None
+    entry = fits[key] = Fit(state.fork(), ll)
+    return state, ll, entry
+
+
+def _plain_e_step(state: ModelState, rows: np.ndarray, entry: Optional[Fit]) -> tuple[int, float]:
+    """_e_step(state, rows) without a criterion and the log-likelihood after
+    it, replayed from the step of entry, the state's Fit, or made and stored
+    there: such a pass is a function of the state alone."""
+    if entry is not None and entry.step is not None:
+        labels, changed, ll = entry.step
+        state.assignments[rows] = labels
+        return changed, ll
+    changed = _e_step(state, rows)
+    ll = data_log_likelihood(state)
+    if entry is not None:
+        entry.step = state.assignments[rows], changed, ll
+    return changed, ll
 
 
 def _run_em(
@@ -225,26 +239,24 @@ def _run_em(
     classes during the E-step until the selection gate first rejects. The
     random criterion's coins come from one stream seeded by cfg.rng_seed.
     A start (seed_start of d, p and cfg.family) takes the place of the seed
-    fit and first E-step of a run without extra classes, and the fits and
-    E-steps in its tables take the place of those that earlier runs on it
-    already made.
-
-    A pass that cannot open a class is a function of the state alone. So
-    the pass of iteration 1 gives the start's state back, which is the
-    result of such a pass, with the start's likelihood; and from a fit in
-    the start's table, the pass is replayed from SeedStart.steps."""
-    fits = steps = None  # a run that builds its start keeps no tables
+    fit and first E-step of a run without extra classes, and its table
+    takes the place of the fits and E-steps that earlier runs on it made.
+    The two stops are README § EM iteration's: before the M-step, from t = 2,
+    when a pass changes nothing; after an M-step that keeps the class count."""
+    fits = None  # a run that builds its start keeps no table
     if start is None:
         start = _begin(d, p, cfg, criterion)
     elif cfg.extra_classes:
         raise ValueError("a run with extra classes takes no seed start")
     else:
         _check_start(start, d, p, cfg.family)
-        fits, steps = start.fits, start.steps
+        fits = start.fits
     n = len(d)
     unlabeled = p.unlabeled_idx
     state, ll = start.state.fork(), start.ll
     del start  # one built here is freed with the fork's first M-step
+    # the start's state is a plain E-step's own result: another changes nothing
+    entry = Fit(state, ll, (state.assignments[unlabeled], 0, ll))
 
     latched_at: Optional[int] = None  # the iteration whose gate first rejected
     ll_trace: list[float] = []
@@ -252,80 +264,56 @@ def _run_em(
     aic_fallback_logged = False
     coins = np.random.default_rng(cfg.rng_seed)
 
-    iterations = 0
-    key = None  # the assignments the last M-step refit, as bytes, in a run with a table
     for t in range(1, cfg.max_iterations + 1):
-        iterations = t
-        m_old = state.num_classes
-        v_old = free_parameter_count(state)
         # the state is unchanged since the likelihood of the last M-step
-        baseline_ll = ll
+        m_old, v_old, baseline_ll = state.num_classes, free_parameter_count(state), ll
 
         creating = criterion is not None and latched_at is None
         if creating:
             changed = _e_step(state, unlabeled, for_pass(criterion, len(unlabeled), coins))
             explore_ll = data_log_likelihood(state)
-        elif t == 1:
-            changed, explore_ll = 0, ll  # the start's state is a plain E-step's own result
-        elif steps is not None and key in steps:
-            labels, changed, explore_ll = steps[key]
-            state.assignments[unlabeled] = labels
         else:
-            changed = _e_step(state, unlabeled)
-            explore_ll = data_log_likelihood(state)
-            if fits is not None and key in fits:
-                steps[key] = state.assignments[unlabeled], changed, explore_ll
-
-        m_new = state.num_classes
+            changed, explore_ll = _plain_e_step(state, unlabeled, entry)
         if not (np.isfinite(baseline_ll) and np.isfinite(explore_ll)):
             raise FloatingPointError(f"non-finite likelihood at iteration {t}")
 
-        explore, baseline = score_with_fallback(
-            (explore_ll, free_parameter_count(state)), (baseline_ll, v_old), n, cfg.selection)
-        # only a pass that could open a class makes a gate decision
-        if creating and explore.criterion is not cfg.selection and not aic_fallback_logged:
-            log.warning("AICc undefined (n=%d <= v+1=%d); the selection gate uses AIC",
-                        n, max(explore.v, baseline.v) + 1)
-            aic_fallback_logged = True
-
-        if not accept_exploratory(explore, baseline):
-            if m_new > m_old:
-                state.truncate(m_old)
-                dropped = unlabeled[state.assignments[unlabeled] >= m_old]
-                _e_step(state, dropped)
-            if creating:
+        if creating:  # only a pass that can open a class meets the gate
+            explore, baseline = score_with_fallback(
+                (explore_ll, free_parameter_count(state)), (baseline_ll, v_old), n, cfg.selection)
+            crit = baseline.criterion
+            if crit is not cfg.selection and not aic_fallback_logged:
+                log.warning("AICc undefined (n=%d <= v+1=%d); the selection gate uses AIC",
+                            n, explore.v + 1)
+                aic_fallback_logged = True
+            if not accept_exploratory(explore, baseline):
                 latched_at = t
+                if state.num_classes > m_old:
+                    state.truncate(m_old)
+                    _e_step(state, unlabeled[state.assignments[unlabeled] >= m_old])
+        else:
+            crit = criterion_for(cfg.selection, n, v_old)
 
-        if t > 1 and changed == 0 and m_new == m_old:
-            # from t = 2 the state is the last M-step's, and an M-step on
-            # the same assignments would give it back bit for bit
+        if t > 1 and changed == 0:
+            # the state is the last M-step's, which the same assignments give
+            # back bit for bit; a pass that opens a class changes its row
             ll_trace.append(ll)
             class_trace.append(m_old)
             break
-        key = None if fits is None else state.assignments.tobytes()
-        state, ll = _fit(state, fits, key)
-        m_now = state.num_classes
+        state, ll, entry = _fit(state, fits)
         ll_trace.append(ll)
-        class_trace.append(m_now)
-
-        if m_now != m_old:
+        class_trace.append(state.num_classes)
+        if state.num_classes != m_old:
             continue
-        if changed == 0:
-            break
-        # from t = 2 the gate's baseline is the previous fitted model: stop
-        # when this one scores within tolerance of it, under the same criterion
-        fitted = score_model(ll, v_old, n, baseline.criterion).score
-        tolerance = cfg.ll_rel_tolerance * max(abs(baseline.score), 1.0)
-        if t > 1 and abs(fitted - baseline.score) < tolerance:
+        # from t = 2 the model from before the pass is the previous fit; both
+        # score under the gate's criterion. changed == 0 holds here only at
+        # t = 1, where it ends the run after one M-step: ROADMAP item 2's defect
+        before = score_model(baseline_ll, v_old, n, crit).score
+        fitted = score_model(ll, v_old, n, crit).score
+        tolerance = cfg.ll_rel_tolerance * max(abs(before), 1.0)
+        if changed == 0 or (t > 1 and abs(fitted - before) < tolerance):
             break
 
-    return RunResult(
-        final_state=state,
-        iterations_run=iterations,
-        ll_trace=ll_trace,
-        class_count_trace=class_trace,
-        can_add_latched_at=latched_at,
-    )
+    return RunResult(state, t, ll_trace, class_trace, latched_at)  # max_iterations >= 1
 
 
 def exploratory_em(

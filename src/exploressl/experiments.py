@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -172,16 +172,13 @@ def _run_group(tasks: list[dict], spec: ExperimentSpec, partitions: list[SeedPar
 
 
 def _run_one(task: dict, spec: ExperimentSpec, partitions: list[SeedPartition],
-             datasets: dict[ModelFamily, Dataset],
-             start: Optional[Callable[[], SeedStart]] = None) -> dict:
+             datasets: dict[ModelFamily, Dataset], start: Callable[[], SeedStart]) -> dict:
     """Execute one grid cell on one partition; returns a result row.
-    start() gives the cell's engine.seed_start, which is built here if not
-    given; a cell whose runs all take extra classes never calls it."""
+    start() gives the cell's engine.seed_start; a cell whose runs all take
+    extra classes never calls it."""
     p = partitions[task["partition_index"]]
     family = ModelFamily(task["family"])
     d = datasets[family]
-    if start is None:
-        start = functools.cache(functools.partial(seed_start, d, p, family))
     algorithm = task["algorithm"]
     row = dict.fromkeys(CSV_COLUMNS, "")
     row.update(

@@ -44,15 +44,23 @@ def score_model(L: float, v: int, n: int, criterion: SelectionCriterion) -> Sele
     return SelectionScore(log_likelihood=L, v=v, n=n, criterion=criterion, score=score)
 
 
+def criterion_for(criterion: SelectionCriterion, n: int, v: int) -> SelectionCriterion:
+    """The criterion that scores models of up to v free parameters over n
+    instances: AICc falls back to AIC where it is undefined (n <= v + 1), as
+    text vocabularies routinely make it."""
+    if criterion is SelectionCriterion.AICC and n <= v + 1:
+        return SelectionCriterion.AIC
+    return criterion
+
+
 def score_with_fallback(
     explore: tuple[float, int], baseline: tuple[float, int], n: int,
     criterion: SelectionCriterion,
 ) -> tuple[SelectionScore, SelectionScore]:
     """Score the explore and baseline models, each given as (L, v), under one
-    criterion: AICc falls back to AIC for both when it is undefined for either
-    (n <= v + 1), as text vocabularies routinely make it."""
-    if criterion is SelectionCriterion.AICC and n <= max(explore[1], baseline[1]) + 1:
-        criterion = SelectionCriterion.AIC
+    criterion, criterion_for the larger v: AICc falls back to AIC for both
+    when it is undefined for either."""
+    criterion = criterion_for(criterion, n, max(explore[1], baseline[1]))
     return score_model(*explore, n, criterion), score_model(*baseline, n, criterion)
 
 

@@ -138,7 +138,7 @@ class TestLoadDataset:
         assert f.read_text().splitlines()[1:3] == ["00 0:1", "01 0:1"]
         assert load_dataset(f).gold_ids.tolist() == list(range(11))
 
-    @pytest.mark.parametrize("name", ["rec autos", "", "%%vocabulary", "a\tb", " a"])
+    @pytest.mark.parametrize("name", ["rec autos", "", "%%vocabulary", "%%x", "a\tb", " a"])
     def test_writer_rejects_a_label_name_it_cannot_carry(self, tmp_path, name):
         d = from_rows([from_pairs([(0, 1.0)])] * 2, [0, 1], 1, label_names=["a", name])
         f = tmp_path / "out.txt"
@@ -203,6 +203,10 @@ BAD_INPUTS = [
     ("%%vocab 0\na 0:1\n", "sparse-triplet", "line 1: malformed vocab header"),
     ("%%vocab 9 junk\na 0:1\n", "sparse-triplet", "line 1: malformed vocab header"),
     ("a 0:1\n%%vocab 9 9\n", "sparse-triplet", "line 2: malformed vocab header"),
+    # only the word %%vocab names a header, and any other %%-word is no label
+    ("a 0:1\n%%vocabulary 5\n", "sparse-triplet", "line 2: unknown header '%%vocabulary'"),
+    ("%%vocab5 7\na 0:1\n", "sparse-triplet", "line 1: unknown header '%%vocab5'"),
+    ("a 0:1\n%%x\n", "sparse-triplet", "line 2: unknown header '%%x'"),
     ("%%vocab 9\na 0:1\n%%vocab 3\n", "sparse-triplet",
      "line 3: vocab header 3 conflicts with the earlier 9"),
     ("%%vocab 9\na 0:1\n%%vocab 9\nb 1:1\n%%vocab 8\n", "sparse-triplet",

@@ -15,7 +15,7 @@ from exploressl.engine import (
     semisup_em,
 )
 from exploressl.evaluation import seed_macro_f1
-from exploressl.experiments import ExperimentSpec, _run_one, prepare_family_datasets
+from exploressl.experiments import ExperimentSpec, _run_group, prepare_family_datasets
 from exploressl.models import ModelFamily, ModelState, data_log_likelihood, m_step, refit
 from exploressl.synth import SyntheticSpec, generate_synthetic
 from test_golden import CORPORA as GOLDEN_CORPORA, RUN_SEED as GOLDEN_RUN_SEED
@@ -157,7 +157,7 @@ class TestStoppingRule:
     # In both runs the JS gate opens classes in iteration 1, falls back to AIC
     # because v + 1 > n, and rejects them; from iteration 2 AICc is defined.
     # The stopping rule must score the fitted model under the criterion the
-    # gate scored its baseline (the previous fitted model) with.
+    # gate would score its baseline (the previous fitted model) with.
 
     @staticmethod
     def js_run(family, spec):
@@ -266,6 +266,33 @@ def test_minmax_after_js_on_one_start_refits_nothing(overlap_corpus, monkeypatch
         assert outcome(r) == outcome(exploratory_em(d, p, cfg))
 
 
+@pytest.mark.parametrize("family", list(ModelFamily))
+def test_the_gate_scores_only_passes_that_can_open_a_class(overlap_corpus, monkeypatch,
+                                                          family):
+    # one gate decision per creating iteration, the latch's included, and none
+    # in semisup_em; on five disjoint blocks with two seeded the NB and
+    # K-Means JS runs create until iteration 3
+    blocks = prepare_family_datasets(generate_synthetic(SyntheticSpec(5, 40, 50, 1e6,
+                                                                      rng_seed=3)))
+    calls = []
+    accept = engine.accept_exploratory
+    monkeypatch.setattr(engine, "accept_exploratory",
+                        lambda *scores: calls.append(1) or accept(*scores))
+    creating = 0
+    for d, partitions in ((overlap_corpus[0][family], overlap_corpus[1]),
+                          (blocks[family], make_partitions(blocks[family], 2, 0.1, 2, 1))):
+        for p in partitions:
+            for cfg in [EngineConfig(family, CriterionConfig(kind))
+                        for kind in (CriterionKind.JS, CriterionKind.MINMAX)] + [
+                    EngineConfig(family), EngineConfig(family, extra_classes=1)]:
+                calls.clear()
+                r = (semisup_em if cfg.criterion is None else exploratory_em)(d, p, cfg)
+                want = 0 if cfg.criterion is None else r.can_add_latched_at or r.iterations_run
+                assert len(calls) == want
+                creating = max(creating, want)
+    assert creating > 1 or family is ModelFamily.VMF
+
+
 PREFIX_ARMS = {
     "exploratory-js": lambda d, p, family, k: exploratory_em(
         d, p, EngineConfig(family, CriterionConfig(CriterionKind.JS), max_iterations=k)),
@@ -333,7 +360,7 @@ def sweep_cell(d, p, m_values):
                           sweep_m_values=tuple(m_values))
     task = {"family": "nb", "algorithm": "semisup-sweep", "criterion": None,
             "p_new": None, "partition_index": 0, "run_seed": 0}
-    row = _run_one(task, spec, [p], {ModelFamily.NB: d})
+    row = _run_group([task], spec, [p], {ModelFamily.NB: d})[0]
     assert not row["error"]
     return row
 
@@ -479,8 +506,9 @@ def test_a_fit_that_kept_an_old_vector_is_never_reused(family):
                           s.kappas)
 
     for old in (s.vectors, s.vectors[::-1].copy()):
-        got, ll = engine._fit(state(old), start.fits)
+        got, ll, entry = engine._fit(state(old), start.fits)
         want = m_step(state(old))
+        assert entry is None
         assert got.kept_old_vector and np.array_equal(got.vectors[1], old[1])
         for name in START_ARRAYS:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -509,7 +537,8 @@ def test_every_kept_fit_is_a_fresh_m_step_of_its_assignments(monkeypatch):
             run = semisup_em if cfg.criterion is None else exploratory_em
             assert outcome(run(d, p, cfg, start=start)) == outcome(run(d, p, cfg))
         assert start.fits
-        for key, (kept, ll) in start.fits.items():
+        for key, entry in start.fits.items():
+            kept, ll = entry.state, entry.ll
             y = np.frombuffer(key, dtype=np.int64)
             m = max(int(y.max()) + 1, len(p.seeded_class_ids))
             vectors = np.zeros((m, d.matrix().shape[1]))  # an M-step kept here reads none
@@ -543,10 +572,10 @@ def _counted_plain_e_steps(monkeypatch, rows, events):
             events.append("plain")
         return e_step(state, over, fires)
 
-    def counted_fit(state, fits, key=None):
+    def counted_fit(state, fits):
         events.append("hit" if fits is not None and state.assignments.tobytes() in fits
                       else "fit")
-        return fit(state, fits, key)
+        return fit(state, fits)
 
     monkeypatch.setattr(engine, "_e_step", counted_e_step)
     monkeypatch.setattr(engine, "_fit", counted_fit)
@@ -580,7 +609,15 @@ def test_replayed_e_steps_equal_fresh_runs(golden_corpora, monkeypatch, corpus, 
                 made = run(d, p, cfg)
             assert outcome(replayed) == outcome(made)
         assert shared.count("plain") < fresh.count("plain")
-        assert set(start.steps) <= set(start.fits)
+        # each E-step a kept fit holds is the plain E-step that fit makes
+        steps = [entry for entry in start.fits.values() if entry.step is not None]
+        assert steps
+        for entry in steps:
+            state = entry.state.fork()
+            labels, changed, ll = entry.step
+            assert engine._e_step(state, p.unlabeled_idx) == changed
+            assert np.array_equal(state.assignments[p.unlabeled_idx], labels)
+            assert data_log_likelihood(state) == ll
 
 
 @pytest.mark.parametrize("family", [ModelFamily.KMEANS, ModelFamily.VMF])

@@ -7,6 +7,7 @@ from exploressl.selection import (
     AiccUndefinedError,
     SelectionCriterion,
     accept_exploratory,
+    criterion_for,
     score_model,
     score_with_fallback,
 )
@@ -38,11 +39,14 @@ class TestScoreModel:
             score_model(0.0, 10, 11, SelectionCriterion.AICC)
 
     def test_fallback_to_aic(self):
-        explore, baseline = score_with_fallback(
-            (-1.0, 10), (-2.0, 10), 11, SelectionCriterion.AICC)
-        assert explore.criterion is baseline.criterion is SelectionCriterion.AIC
-        assert explore.score == pytest.approx(2 + 20)
-        assert baseline.score == pytest.approx(4 + 20)
+        # n = v + 1, the largest n at which AICc is undefined
+        for v in (10, 3, 0):
+            assert criterion_for(SelectionCriterion.AICC, v + 1, v) is SelectionCriterion.AIC
+            explore, baseline = score_with_fallback(
+                (-1.0, v), (-2.0, v), v + 1, SelectionCriterion.AICC)
+            assert explore.criterion is baseline.criterion is SelectionCriterion.AIC
+            assert explore.score == pytest.approx(2 + 2 * v)
+            assert baseline.score == pytest.approx(4 + 2 * v)
 
     def test_fallback_when_only_the_larger_model_leaves_aicc_domain(self):
         # v=3 alone has AICc at n=11, but v=10 does not: both scores use AIC
@@ -54,12 +58,17 @@ class TestScoreModel:
             assert baseline.score == pytest.approx(4 + 2 * baseline_v)
 
     def test_no_fallback_inside_aicc_domain_or_for_other_criteria(self):
+        # the larger v is 3 at n = 11, or at n = v + 2, the smallest n at
+        # which AICc is defined
         for crit in SelectionCriterion:
-            explore, baseline = score_with_fallback((-1.0, 3), (-2.0, 2), 11, crit)
-            assert explore == score_model(-1.0, 3, 11, crit)
-            assert baseline == score_model(-2.0, 2, 11, crit)
+            for n, v in ((11, 3), (12, 10), (5, 3), (3, 1)):
+                assert criterion_for(crit, n, v) is crit
+                explore, baseline = score_with_fallback((-1.0, v), (-2.0, v - 1), n, crit)
+                assert explore == score_model(-1.0, v, n, crit)
+                assert baseline == score_model(-2.0, v - 1, n, crit)
         # BIC and AIC have no domain limit, so they never change
         for crit in (SelectionCriterion.BIC, SelectionCriterion.AIC):
+            assert criterion_for(crit, v + 1, v) is crit
             explore, _ = score_with_fallback((-1.0, 10), (-2.0, 3), 11, crit)
             assert explore == score_model(-1.0, 10, 11, crit)
 
