@@ -134,15 +134,21 @@ def _saved_partition(path: str, k: int) -> tuple[list[int], set[str]]:
     with _reading(path), open(path, encoding="utf-8") as fh:
         try:
             saved = json.load(fh)
-            parts = [([int(c) for c in part["seeded_class_ids"]],
-                      set(part["labeled_instance_ids"])) for part in saved["partitions"]]
+            parts = [(part["seeded_class_ids"], part["labeled_instance_ids"])
+                     for part in saved["partitions"]]
             with_seeds = saved["include_seeds_in_eval"] is True
+            # run writes distinct integer class ids and string instance ids
+            for seeded, labeled in parts:
+                if not (type(seeded) is list and all(type(c) is int for c in seeded)
+                        and len(set(seeded)) == len(seeded)
+                        and type(labeled) is list and all(type(i) is str for i in labeled)):
+                    raise ValueError
         except (ValueError, KeyError, TypeError):
             raise DataFormatError("not a partitions.json that run writes") from None
     if not 0 <= k < len(parts):
         raise ValueError(f"--partition: {path} holds partitions 0 to {len(parts) - 1}, not {k}")
     seeded, labeled = parts[k]
-    return seeded, set() if with_seeds else labeled
+    return seeded, set() if with_seeds else set(labeled)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

@@ -6,7 +6,7 @@ semi-supervised baseline with optional extra randomly-initialized classes.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,8 +26,8 @@ from .models import (
     posterior,  # noqa: F401 - kept as a module attribute: benchmarks/ trace it by name
     posteriors,
 )
-from .selection import (SelectionCriterion, accept_exploratory, criterion_for, score_model,
-                        score_with_fallback)
+from .selection import (SelectionCriterion, SelectionScore, accept_exploratory, criterion_for,
+                        score_model, score_with_fallback)
 
 log = logging.getLogger(__name__)
 
@@ -45,9 +45,9 @@ class EngineConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if self.ll_rel_tolerance <= 0:
+        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
+            raise ValueError("max_iterations must be a positive integer")
+        if not self.ll_rel_tolerance > 0:  # and NaN, which turns the tolerance stop off
             raise ValueError("ll_rel_tolerance must be positive")
         if self.extra_classes < 0:
             raise ValueError("extra_classes must be non-negative")
@@ -107,28 +107,37 @@ def _e_step(
     """
     before = state.assignments[rows]
     if fires is None:
-        labels = logits(state, state.scores[rows].T).argmax(axis=0)
-        state.assignments[rows] = labels
-        return int(np.count_nonzero(labels != before))
+        state.assignments[rows] = logits(state, state.scores[rows].T).argmax(axis=0)
+    else:
+        def pick(post: np.ndarray, start: int) -> tuple[np.ndarray, bool]:
+            hits = np.flatnonzero(fires(post, start))
+            stop = hits[0] if len(hits) else post.shape[1]
+            return post[:, :stop].argmax(axis=0), len(hits) > 0
 
-    def pick(post: np.ndarray, start: int) -> tuple[np.ndarray, bool]:
-        hits = np.flatnonzero(fires(post, start))
-        stop = hits[0] if len(hits) else post.shape[1]
-        return post[:, :stop].argmax(axis=0), len(hits) > 0
-
-    _pass(state, rows, pick)
+        _pass(state, rows, pick)
     # each row is visited once, and a row that opens a class always changes
     return int(np.count_nonzero(state.assignments[rows] != before))
 
 
+def _likelihood(state: ModelState) -> float:
+    """data_log_likelihood(state), raising FloatingPointError unless finite:
+    the start's, a made fit's and a creating pass's, the only ones a run
+    reads."""
+    ll = data_log_likelihood(state)
+    if not np.isfinite(ll):
+        raise FloatingPointError("non-finite log-likelihood")
+    return ll
+
+
 @dataclass
 class Fit:
-    """An entry of SeedStart.fits: a kept fit, its log-likelihood, and the
-    plain E-step first made from it (_plain_e_step), None until then."""
+    """A fit, its log-likelihood, and the labels and change count of the
+    plain E-step first made from it (_plain_e_step), None until then. An
+    entry of SeedStart.fits holds a kept fit; any other is the run's own."""
 
     state: ModelState
     ll: float
-    step: Optional[tuple[np.ndarray, int, float]] = None
+    step: Optional[tuple[np.ndarray, int]] = None
 
 
 @dataclass(frozen=True)
@@ -153,15 +162,13 @@ def seed_start(d: Dataset, p: SeedPartition, family: ModelFamily) -> SeedStart:
     calibrate_random_rate take as `start=` for d, p and family, which they
     would otherwise build themselves; it serves any number of runs with
     unchanged results. p must seed at least one class."""
-    return _begin(d, p, EngineConfig(family), None)
+    return _begin(d, p, EngineConfig(family))
 
 
-def _begin(
-    d: Dataset, p: SeedPartition, cfg: EngineConfig, criterion: Optional[CriterionConfig]
-) -> SeedStart:
+def _begin(d: Dataset, p: SeedPartition, cfg: EngineConfig) -> SeedStart:
     """The start of a run given none: the seed fit plus cfg.extra_classes
     classes opened at random unlabeled rows, or, with no seeded class and a
-    criterion, one class opened at the first unlabeled row."""
+    cfg.criterion, one class opened at the first unlabeled row."""
     p.validate(d)
     unlabeled = p.unlabeled_idx
     state = init_from_seeds(d, p, cfg.family)
@@ -177,7 +184,7 @@ def _begin(
     if state.num_classes == 0:
         # no seeded classes at all: bootstrap one class from the first
         # unlabeled instance so the run proceeds as plain clustering
-        if criterion is None or not len(unlabeled):
+        if cfg.criterion is None or not len(unlabeled):
             raise ValueError("no seeded classes and no way to create any")
         first = unlabeled[0]
         state.add_class(init_new_class(state.X, first, cfg.family))
@@ -186,7 +193,7 @@ def _begin(
     # initial hard labels for the unlabeled pool, so the first baseline
     # likelihood is well defined
     _e_step(state, unlabeled)
-    return SeedStart(state, data_log_likelihood(state), p)
+    return SeedStart(state, _likelihood(state), p)
 
 
 def _check_start(start: SeedStart, d: Dataset, p: SeedPartition, family: ModelFamily) -> None:
@@ -195,57 +202,72 @@ def _check_start(start: SeedStart, d: Dataset, p: SeedPartition, family: ModelFa
         raise ValueError("start is not seed_start of this dataset, partition and family")
 
 
-def _fit(state: ModelState,
-         fits: Optional[dict[bytes, Fit]]) -> tuple[ModelState, float, Optional[Fit]]:
-    """m_step(state), the log-likelihood of the result, and its entry in the
-    table (SeedStart.fits), looked up by the state's assignments first: a fit
-    of the same ones is forked in place of made. The entry is None when the
-    run has no table or the fit read an old vector (kept_old_vector), since
-    only a fit that read none is a function of the assignments alone. On a
-    hit the caller drops the argument, as m_step would have."""
+def _fit(state: ModelState, fits: Optional[dict[bytes, Fit]]) -> tuple[ModelState, float, Fit]:
+    """m_step(state), the log-likelihood of the result, and its Fit, looked
+    up in the table (SeedStart.fits) by the state's assignments first: a fit
+    of the same ones is forked in place of made. A made fit enters the table
+    unless the run has none or the fit read an old vector (kept_old_vector),
+    since only a fit that read none is a function of the assignments alone.
+    On a hit the caller drops the argument, as m_step would have."""
     if fits is not None:
         key = state.assignments.tobytes()
         if key in fits:
-            entry = fits[key]
-            return entry.state.fork(), entry.ll, entry
+            return fits[key].state.fork(), fits[key].ll, fits[key]
     state = m_step(state)
-    ll = data_log_likelihood(state)
+    ll = _likelihood(state)
     if fits is None or state.kept_old_vector:
-        return state, ll, None
+        return state, ll, Fit(state, ll)
     entry = fits[key] = Fit(state.fork(), ll)
     return state, ll, entry
 
 
-def _plain_e_step(state: ModelState, rows: np.ndarray, entry: Optional[Fit]) -> tuple[int, float]:
-    """_e_step(state, rows) without a criterion and the log-likelihood after
-    it, replayed from the step of entry, the state's Fit, or made and stored
-    there: such a pass is a function of the state alone."""
-    if entry is not None and entry.step is not None:
-        labels, changed, ll = entry.step
-        state.assignments[rows] = labels
-        return changed, ll
-    changed = _e_step(state, rows)
-    ll = data_log_likelihood(state)
-    if entry is not None:
-        entry.step = state.assignments[rows], changed, ll
-    return changed, ll
+def _plain_e_step(state: ModelState, rows: np.ndarray, entry: Fit) -> int:
+    """_e_step(state, rows) without a criterion, replayed from the step of
+    entry, the state's Fit, or made and stored there: such a pass is a
+    function of the state alone. No decision reads its likelihood, so it
+    makes none."""
+    if entry.step is None:
+        changed = _e_step(state, rows)
+        entry.step = state.assignments[rows], changed
+    else:
+        state.assignments[rows] = entry.step[0]
+    return entry.step[1]
+
+
+def _explore(state: ModelState, rows: np.ndarray, cfg: EngineConfig, coins: np.random.Generator,
+             baseline: tuple[float, int]) -> tuple[int, SelectionScore, bool]:
+    """A pass over rows in which cfg.criterion (its coins drawn from coins)
+    may open classes, met by the selection gate: the grown model against
+    baseline, the (log-likelihood, free parameters) of the state before the
+    pass, both scored under one criterion (score_with_fallback). A rejected
+    pass gives up the classes it opened, and their rows take their MAP class
+    among the rest. Returns how many assignments the pass changed, the grown
+    model's score and whether the gate kept it."""
+    m_old, n = state.num_classes, state.X.shape[0]
+    changed = _e_step(state, rows, for_pass(cfg.criterion, len(rows), coins))
+    grown, before = score_with_fallback(
+        (_likelihood(state), free_parameter_count(state)), baseline, n, cfg.selection)
+    kept = accept_exploratory(grown, before)
+    if not kept and state.num_classes > m_old:
+        state.truncate(m_old)
+        _e_step(state, rows[state.assignments[rows] >= m_old])
+    return changed, grown, kept
 
 
 def _run_em(
-    d: Dataset, p: SeedPartition, cfg: EngineConfig, criterion: Optional[CriterionConfig],
-    start: Optional[SeedStart] = None,
+    d: Dataset, p: SeedPartition, cfg: EngineConfig, start: Optional[SeedStart] = None
 ) -> RunResult:
-    """Hard EM from the seeded classes; a criterion, if given, may open
-    classes during the E-step until the selection gate first rejects. The
+    """Hard EM from the seeded classes; cfg.criterion, if any, may open
+    classes during the E-step (_explore) until the selection gate first
+    rejects, and every other pass is a plain one (_plain_e_step). The
     random criterion's coins come from one stream seeded by cfg.rng_seed.
     A start (seed_start of d, p and cfg.family) takes the place of the seed
     fit and first E-step of a run without extra classes, and its table
     takes the place of the fits and E-steps that earlier runs on it made.
     The two stops are README § EM iteration's: before the M-step, from t = 2,
     when a pass changes nothing; after an M-step that keeps the class count."""
-    fits = None  # a run that builds its start keeps no table
     if start is None:
-        start = _begin(d, p, cfg, criterion)
+        start, fits = _begin(d, p, cfg), None  # a run that builds its start keeps no table
     elif cfg.extra_classes:
         raise ValueError("a run with extra classes takes no seed start")
     else:
@@ -256,41 +278,26 @@ def _run_em(
     state, ll = start.state.fork(), start.ll
     del start  # one built here is freed with the fork's first M-step
     # the start's state is a plain E-step's own result: another changes nothing
-    entry = Fit(state, ll, (state.assignments[unlabeled], 0, ll))
+    entry = Fit(state, ll, (state.assignments[unlabeled], 0))
 
     latched_at: Optional[int] = None  # the iteration whose gate first rejected
-    ll_trace: list[float] = []
-    class_trace: list[int] = []
+    ll_trace, class_trace = [], []
     aic_fallback_logged = False
     coins = np.random.default_rng(cfg.rng_seed)
 
     for t in range(1, cfg.max_iterations + 1):
         # the state is unchanged since the likelihood of the last M-step
         m_old, v_old, baseline_ll = state.num_classes, free_parameter_count(state), ll
-
-        creating = criterion is not None and latched_at is None
-        if creating:
-            changed = _e_step(state, unlabeled, for_pass(criterion, len(unlabeled), coins))
-            explore_ll = data_log_likelihood(state)
-        else:
-            changed, explore_ll = _plain_e_step(state, unlabeled, entry)
-        if not (np.isfinite(baseline_ll) and np.isfinite(explore_ll)):
-            raise FloatingPointError(f"non-finite likelihood at iteration {t}")
-
-        if creating:  # only a pass that can open a class meets the gate
-            explore, baseline = score_with_fallback(
-                (explore_ll, free_parameter_count(state)), (baseline_ll, v_old), n, cfg.selection)
-            crit = baseline.criterion
+        if cfg.criterion is not None and latched_at is None:
+            changed, grown, kept = _explore(state, unlabeled, cfg, coins, (baseline_ll, v_old))
+            crit = grown.criterion  # the gate's, for the stop after the M-step
             if crit is not cfg.selection and not aic_fallback_logged:
                 log.warning("AICc undefined (n=%d <= v+1=%d); the selection gate uses AIC",
-                            n, explore.v + 1)
+                            n, grown.v + 1)
                 aic_fallback_logged = True
-            if not accept_exploratory(explore, baseline):
-                latched_at = t
-                if state.num_classes > m_old:
-                    state.truncate(m_old)
-                    _e_step(state, unlabeled[state.assignments[unlabeled] >= m_old])
+            latched_at = None if kept else t
         else:
+            changed = _plain_e_step(state, unlabeled, entry)
             crit = criterion_for(cfg.selection, n, v_old)
 
         if t > 1 and changed == 0:
@@ -327,7 +334,7 @@ def exploratory_em(
         raise ValueError("exploratory mode requires extra_classes = 0")
     if cfg.criterion is None:
         raise ValueError("exploratory mode requires a class-creation criterion")
-    return _run_em(d, p, cfg, cfg.criterion, start)
+    return _run_em(d, p, cfg, start)
 
 
 def semisup_em(
@@ -337,7 +344,7 @@ def semisup_em(
     cfg.extra_classes classes initialized from random unlabeled instances.
     Without extra classes, a start from seed_start(d, p, cfg.family) changes
     no result."""
-    return _run_em(d, p, cfg, None, start)
+    return _run_em(d, p, replace(cfg, criterion=None), start)
 
 
 def calibrate_random_rate(
@@ -351,18 +358,16 @@ def calibrate_random_rate(
     """Empirical firing rate of a reference criterion over one pass of the
     seed-initialized model's posteriors; used to parameterize the random
     criterion for the same partition. The posteriors are read from the
-    scores of a start from seed_start(d, p, family), if given, which its
-    E-step left as the seed fit's."""
+    scores of a start from seed_start(d, p, family), built here if not
+    given, which its E-step left as the seed fit's."""
     if reference is CriterionKind.RANDOM:
         raise ValueError("reference must be minmax or js")
     ref = minmax_fires if reference is CriterionKind.MINMAX else js_fires
     if start is None:
-        state = init_from_seeds(d, p, family)
-    else:
-        _check_start(start, d, p, family)
-        state = start.state
+        start = seed_start(d, p, family)
+    _check_start(start, d, p, family)
     unlabeled = p.unlabeled_idx
     if not len(unlabeled):
         return 0.0
-    post = posteriors(state, class_major(state.scores, unlabeled))
+    post = posteriors(start.state, class_major(start.state.scores, unlabeled))
     return int(np.count_nonzero(ref(post))) / len(unlabeled)

@@ -32,6 +32,9 @@ class SyntheticSpec:
     def __post_init__(self):
         if min(self.num_classes, self.instances_per_class, self.vocab_size) < 1:
             raise ValueError("num_classes, instances_per_class, vocab_size must be positive")
+        for name in ("separation", "noise"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.separation < 0:
             raise ValueError("separation must be non-negative")
         if self.rng_seed < 0:

@@ -40,6 +40,8 @@ class TestSynthCommand:
         (["--rng-seed", "-1"], "rng_seed must be non-negative$"),
         (["--doc-length", "0"], "doc_length must be positive$"),
         (["--doc-length", "-3"], "doc_length must be positive$"),
+        (["--separation", "nan"], "separation must be finite$"),
+        (["--family", "hypersphere", "--noise", "inf"], "noise must be finite$"),
     ])
     def test_bad_spec_is_one_line_and_writes_nothing(self, tmp_path, flags, message):
         out = tmp_path / "d.txt"
@@ -378,6 +380,13 @@ class TestEvalCommand:
          '{"include_seeds_in_eval": false, "partitions": '
          '[{"seeded_class_ids": [0, 7], "labeled_instance_ids": []}]}',
          "--partitions: no row of {dataset} has class 7; its class ids are 0, 1, 2"),
+        *((["--partitions", "{saved}", "--partition", "0"],
+           '{"include_seeds_in_eval": false, "partitions": '
+           f'[{{"seeded_class_ids": {seeded}, "labeled_instance_ids": {labeled}}}]}}',
+           "{saved}: not a partitions.json that run writes")
+          for seeded, labeled in [("[1.7]", "[]"), ("[true, 1]", "[]"), ('["1"]', "[]"),
+                                  ("[1, 1]", "[]"), ("1", "[]"), ("[0]", '"01"'),
+                                  ("[0]", "[0]")]),
     ])
     def test_eval_bad_partitions(self, dataset_file, tmp_path, flags, text, message):
         saved = tmp_path / "partitions.json"

@@ -181,6 +181,35 @@ class TestStoppingRule:
         assert r.iterations_run == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("ll_rel_tolerance", float("nan")), ("ll_rel_tolerance", 0.0),
+    ("max_iterations", 2.5), ("max_iterations", 0),
+])
+def test_engine_config_refuses_values_no_run_can_use(field, value):
+    # a NaN tolerance would switch the tolerance stop off, and a fractional
+    # cap would fail only once a run reached range()
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        EngineConfig(ModelFamily.NB, **{field: value})
+
+
+@pytest.mark.parametrize("with_start", [False, True])
+@pytest.mark.parametrize("run, stage", [
+    (exploratory_em, "for_pass"), (exploratory_em, "m_step"), (semisup_em, "m_step"),
+])
+def test_a_non_finite_likelihood_ends_the_run(monkeypatch, run, stage, with_start):
+    # the likelihood made next after a stage reads NaN once: after for_pass
+    # that is the creating pass's, after m_step the fit's. semisup_em drops
+    # the config's criterion, so it has only M-steps
+    d, p = small_synthetic(3)
+    start = seed_start(d, p, ModelFamily.NB) if with_start else None
+    armed, staged, loglik = [], getattr(engine, stage), engine.data_log_likelihood
+    monkeypatch.setattr(engine, stage, lambda *args: armed.append(1) or staged(*args))
+    monkeypatch.setattr(engine, "data_log_likelihood",
+                        lambda state: np.nan if armed and armed.pop() else loglik(state))
+    with pytest.raises(FloatingPointError, match="^non-finite log-likelihood$"):
+        run(d, p, minmax_cfg(), start=start)
+
+
 @pytest.mark.parametrize("family", list(ModelFamily))
 def test_a_run_that_stops_unchanged_ends_on_a_fixed_point(monkeypatch, family):
     # a run whose last iteration changed no assignment and opened no class
@@ -508,7 +537,7 @@ def test_a_fit_that_kept_an_old_vector_is_never_reused(family):
     for old in (s.vectors, s.vectors[::-1].copy()):
         got, ll, entry = engine._fit(state(old), start.fits)
         want = m_step(state(old))
-        assert entry is None
+        assert entry.state is got  # the run's own fit, which no table keeps
         assert got.kept_old_vector and np.array_equal(got.vectors[1], old[1])
         for name in START_ARRAYS:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -614,10 +643,9 @@ def test_replayed_e_steps_equal_fresh_runs(golden_corpora, monkeypatch, corpus, 
         assert steps
         for entry in steps:
             state = entry.state.fork()
-            labels, changed, ll = entry.step
+            labels, changed = entry.step
             assert engine._e_step(state, p.unlabeled_idx) == changed
             assert np.array_equal(state.assignments[p.unlabeled_idx], labels)
-            assert data_log_likelihood(state) == ll
 
 
 @pytest.mark.parametrize("family", [ModelFamily.KMEANS, ModelFamily.VMF])

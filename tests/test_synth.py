@@ -96,6 +96,11 @@ class TestGenerator:
             SyntheticSpec(0, 5, 10, separation=1.0)
         with pytest.raises(ValueError):
             SyntheticSpec(2, 5, 10, separation=-1.0)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^separation must be finite$"):
+                SyntheticSpec(2, 5, 10, separation=value)
+            with pytest.raises(ValueError, match="^noise must be finite$"):
+                SyntheticSpec(2, 5, 10, 1.0, GeneratorFamily.HYPERSPHERE, noise=value)
 
     @pytest.mark.parametrize("doc_length", [0, -3])
     def test_document_length_below_one_is_refused(self, doc_length):
